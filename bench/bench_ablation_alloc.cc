@@ -111,7 +111,7 @@ int main() {
     for (int l : {1, 5}) {
       bench::Avg cand, ms;
       for (const auto& q : queries) {
-        hamming::SearchStats stats;
+        engine::QueryStats stats;
         searcher.Search(q, tau, l, mode, &stats);
         cand.Add(static_cast<double>(stats.candidates));
         ms.Add(stats.total_millis);

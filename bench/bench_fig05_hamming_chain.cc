@@ -47,7 +47,7 @@ void RunPanel(const char* name, int dimensions, const std::vector<int>& taus,
     for (int l = 1; l <= max_l; ++l) {
       bench::Avg candidates, results, filter_ms, total_ms;
       for (const auto& q : queries) {
-        hamming::SearchStats stats;
+        engine::QueryStats stats;
         searcher.Search(q, tau, l, hamming::AllocationMode::kCostModel,
                         &stats);
         candidates.Add(static_cast<double>(stats.candidates));

@@ -45,7 +45,7 @@ void RunPanel(const char* name, int avg_tokens, int num_records,
     for (int l = 1; l <= 3; ++l) {
       bench::Avg candidates, results, filter_ms, total_ms;
       for (int id : query_ids) {
-        setsim::SetSearchStats stats;
+        engine::QueryStats stats;
         searcher.Search(collection.record(id), l, &stats);
         candidates.Add(static_cast<double>(stats.candidates));
         results.Add(static_cast<double>(stats.results));

@@ -45,7 +45,7 @@ void RunPanel(const char* name, int avg_length, int num_records,
     for (int l = 1; l <= std::min(4, tau + 1); ++l) {
       bench::Avg candidates, results, filter_ms, total_ms;
       for (int id : query_ids) {
-        editdist::EditSearchStats stats;
+        engine::QueryStats stats;
         searcher.Search(data[id], editdist::EditFilter::kRing, l, &stats);
         candidates.Add(static_cast<double>(stats.candidates));
         results.Add(static_cast<double>(stats.results));

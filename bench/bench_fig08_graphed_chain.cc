@@ -41,7 +41,7 @@ void RunPanel(const char* name, const datagen::GraphConfig& base_config,
     for (int l = 1; l <= 5; ++l) {
       bench::Avg candidates, results, tests, filter_ms, total_ms;
       for (int id : query_ids) {
-        graphed::GraphSearchStats stats;
+        engine::QueryStats stats;
         searcher.Search(data[id],
                         l == 1 ? graphed::GraphFilter::kPars
                                : graphed::GraphFilter::kRing,

@@ -38,7 +38,7 @@ void RunPanel(const char* name, int dimensions, int tau_step, int tau_max,
   for (int tau = tau_step; tau <= tau_max; tau += tau_step) {
     bench::Avg gph_cand, ring_cand, results, gph_ms, ring_ms;
     for (const auto& q : queries) {
-      hamming::SearchStats stats;
+      engine::QueryStats stats;
       searcher.Search(q, tau, 1, hamming::AllocationMode::kCostModel,
                       &stats);
       gph_cand.Add(static_cast<double>(stats.candidates));

@@ -49,7 +49,7 @@ void RunPanel(const char* name, int avg_tokens, int num_records,
     bench::Avg c[4], t[4], results;
     for (int id : query_ids) {
       const auto& q = collection.record(id);
-      setsim::SetSearchStats stats;
+      engine::QueryStats stats;
       allpairs.Search(q, &stats);
       c[0].Add(static_cast<double>(stats.candidates));
       t[0].Add(stats.total_millis);

@@ -48,7 +48,7 @@ void RunPanel(const char* name, int avg_length, int num_records,
     const int l = std::min(3, tau + 1);
     bench::Avg cand1, cand2, ring_cand, results, piv_ms, ring_ms;
     for (int id : query_ids) {
-      editdist::EditSearchStats stats;
+      engine::QueryStats stats;
       searcher.Search(data[id], editdist::EditFilter::kPivotal, 1, &stats);
       cand1.Add(static_cast<double>(stats.candidates));
       cand2.Add(static_cast<double>(stats.candidates_stage2));

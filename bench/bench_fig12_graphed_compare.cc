@@ -40,7 +40,7 @@ void RunPanel(const char* name, const datagen::GraphConfig& base_config,
     const int l = std::max(1, tau - 1);
     bench::Avg pars_cand, ring_cand, results, pars_ms, ring_ms;
     for (int id : query_ids) {
-      graphed::GraphSearchStats stats;
+      engine::QueryStats stats;
       searcher.Search(data[id], graphed::GraphFilter::kPars, 1, &stats);
       pars_cand.Add(static_cast<double>(stats.candidates));
       pars_ms.Add(stats.total_millis);

@@ -41,7 +41,7 @@ int main() {
   editdist::EditDistanceSearcher searcher(&data, tau, /*kappa=*/2);
 
   for (const std::string& query : {canonical1, canonical2}) {
-    editdist::EditSearchStats stats;
+    engine::QueryStats stats;
     const auto results =
         searcher.Search(query, editdist::EditFilter::kRing,
                         /*chain_length=*/3, &stats);
@@ -61,7 +61,7 @@ int main() {
         Method{"Ring", editdist::EditFilter::kRing, 3}}) {
     double c1 = 0, c2 = 0, millis = 0;
     for (const auto& q : queries) {
-      editdist::EditSearchStats stats;
+      engine::QueryStats stats;
       searcher.Search(q, filter, l, &stats);
       c1 += static_cast<double>(stats.candidates);
       c2 += static_cast<double>(stats.candidates_stage2);

@@ -38,7 +38,7 @@ int main() {
   for (int l : {1, 2, 3, 4, 5, 6}) {
     double candidates = 0, results = 0, millis = 0;
     for (const auto& q : queries) {
-      hamming::SearchStats stats;
+      engine::QueryStats stats;
       searcher.Search(q, tau, l, hamming::AllocationMode::kCostModel,
                       &stats);
       candidates += static_cast<double>(stats.candidates);

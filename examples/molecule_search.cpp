@@ -45,7 +45,7 @@ int main() {
         Method{"Ring (l=tau)", graphed::GraphFilter::kRing, tau}}) {
     double candidates = 0, results = 0, tests = 0, total = 0;
     for (int id : query_ids) {
-      graphed::GraphSearchStats stats;
+      engine::QueryStats stats;
       searcher.Search(data[id], filter, l, &stats);
       candidates += static_cast<double>(stats.candidates);
       results += static_cast<double>(stats.results);

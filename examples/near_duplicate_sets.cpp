@@ -47,7 +47,7 @@ int main() {
   auto run = [&](const char* name, auto&& search_fn) {
     double candidates = 0, results = 0, filter = 0, total = 0;
     for (int id : query_ids) {
-      setsim::SetSearchStats stats;
+      engine::QueryStats stats;
       search_fn(collection.record(id), &stats);
       candidates += static_cast<double>(stats.candidates);
       results += static_cast<double>(stats.results);

@@ -31,11 +31,6 @@ StatusOr<engine::ExecutionOptions> ResolveRunOptions(
   return resolved;
 }
 
-StatusOr<engine::ExecutionOptions> PlanRun(const IndexSpec& spec,
-                                           const RunOptions& options) {
-  return ResolveRunOptions(spec, options);
-}
-
 /// session.cc's access to Future<T>'s private constructor.
 struct FutureFactory {
   template <typename T>
@@ -219,7 +214,7 @@ StatusOr<SearchResult> Session::Search(const Query& query) {
 
 StatusOr<BatchResult> Session::SearchBatch(const std::vector<Query>& queries,
                                            const RunOptions& options) {
-  auto planned = internal::PlanRun(state_->spec, options);
+  auto planned = internal::ResolveRunOptions(state_->spec, options);
   if (!planned.ok()) return planned.status();
   Status valid = internal::ValidateBatch(*state_->searcher, queries);
   if (!valid.ok()) return valid;
@@ -236,7 +231,7 @@ StatusOr<BatchResult> Session::SearchBatch(const std::vector<Query>& queries,
 }
 
 StatusOr<JoinResult> Session::SelfJoin(const RunOptions& options) {
-  auto planned = internal::PlanRun(state_->spec, options);
+  auto planned = internal::ResolveRunOptions(state_->spec, options);
   if (!planned.ok()) return planned.status();
   StopWatch watch;
   engine::ExecutionContext context(*state_->executor, planned.value());
@@ -250,7 +245,7 @@ StatusOr<JoinResult> Session::SelfJoin(const RunOptions& options) {
 
 Future<BatchResult> Session::SubmitBatch(std::vector<Query> queries,
                                          const RunOptions& options) {
-  auto planned = internal::PlanRun(state_->spec, options);
+  auto planned = internal::ResolveRunOptions(state_->spec, options);
   if (!planned.ok()) {
     return internal::ReadyFuture<BatchResult>(planned.status());
   }
@@ -276,7 +271,7 @@ Future<BatchResult> Session::SubmitBatch(std::vector<Query> queries,
 }
 
 Future<JoinResult> Session::SubmitSelfJoin(const RunOptions& options) {
-  auto planned = internal::PlanRun(state_->spec, options);
+  auto planned = internal::ResolveRunOptions(state_->spec, options);
   if (!planned.ok()) {
     return internal::ReadyFuture<JoinResult>(planned.status());
   }

@@ -94,17 +94,12 @@ struct DeltaSnapshot;
 
 /// The one place RunOptions are validated and merged with the spec's
 /// defaults. Negative fields defer to the spec; an explicit chunk < 1 is
-/// kInvalidArgument, not a silent fallback. Nothing calls this directly
-/// except PlanRun below.
-StatusOr<engine::ExecutionOptions> ResolveRunOptions(const IndexSpec& spec,
-                                                     const RunOptions& options);
-
-/// The single ResolveRunOptions call site: every execution entry point —
+/// kInvalidArgument, not a silent fallback. Every execution entry point —
 /// Session::SearchBatch / SelfJoin / SubmitBatch / SubmitSelfJoin and
 /// Writer::Compact — plans its run through here, so the RunOptions error
 /// surface cannot drift between paths (api_test pins the identical text).
-StatusOr<engine::ExecutionOptions> PlanRun(const IndexSpec& spec,
-                                           const RunOptions& options);
+StatusOr<engine::ExecutionOptions> ResolveRunOptions(const IndexSpec& spec,
+                                                     const RunOptions& options);
 
 }  // namespace internal
 

@@ -265,12 +265,11 @@ Status Writer::Remove(int id) {
 }
 
 Status Writer::Compact(const RunOptions& options) {
-  // Planned through the same single ResolveRunOptions call site as every
-  // query path, so the RunOptions error surface is pinned identical
-  // (api_test). The resolved options are validation-only for now: the
-  // rebuild itself is single-threaded and the fresh epoch's executor
-  // starts at the spec's width.
-  auto planned = internal::PlanRun(spec_, options);
+  // Planned through ResolveRunOptions like every query path, so the
+  // RunOptions error surface is pinned identical (api_test). The resolved
+  // options are validation-only for now: the rebuild is single-threaded
+  // and the fresh epoch's executor starts at the spec's width.
+  auto planned = internal::ResolveRunOptions(spec_, options);
   if (!planned.ok()) return planned.status();
   std::shared_ptr<const internal::DbState> retired;
   std::shared_ptr<const internal::DbState> published;

@@ -177,9 +177,9 @@ CaseDecSearcher CaseDecSearcher::FromBuilt(
 
 std::vector<int> CaseDecSearcher::Search(const std::string& query,
                                          int chain_length,
-                                         CaseDecStats* stats) {
+                                         engine::QueryStats* stats) {
   StopWatch total_watch;
-  CaseDecStats local;
+  engine::QueryStats local;
   std::vector<int> results;
   const int n = static_cast<int>(data_->size());
   const int query_length = static_cast<int>(query.size());
@@ -197,6 +197,8 @@ std::vector<int> CaseDecSearcher::Search(const std::string& query,
       local.candidates = n;
       local.verify_millis = verify_watch.ElapsedMillis();
     }
+    local.candidates_stage2 = local.candidates;
+    local.fast_path_candidates = local.candidates;
     local.results = static_cast<int64_t>(results.size());
     local.total_millis = total_watch.ElapsedMillis();
     if (stats != nullptr) *stats = local;
@@ -241,7 +243,7 @@ std::vector<int> CaseDecSearcher::Search(const std::string& query,
       ForEachDeletionSet(
           length_, c.indels, [&](const std::vector<int>& deleted) {
             const BitVector signature = EncodeVariant(query, deleted);
-            hamming::SearchStats hamming_stats;
+            engine::QueryStats hamming_stats;
             const std::vector<int> rows = c.searcher.Search(
                 signature, c.hamming_tau, chain_length,
                 hamming::AllocationMode::kRadiusZero, &hamming_stats);
@@ -253,6 +255,8 @@ std::vector<int> CaseDecSearcher::Search(const std::string& query,
     }
   }
   local.candidates = static_cast<int64_t>(candidates.size());
+  local.candidates_stage2 = local.candidates;
+  local.fast_path_candidates = local.candidates;
   local.filter_millis = phase_watch.ElapsedMillis();
 
   phase_watch.Restart();

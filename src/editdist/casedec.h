@@ -41,24 +41,10 @@
 
 #include "common/bitvector.h"
 #include "common/logging.h"
+#include "engine/query_stats.h"
 #include "hamming/search.h"
 
 namespace pigeonring::editdist {
-
-/// Per-query counters for the fast path. `fast_path_hits` counts signature
-/// rows passing the Hamming filter before record deduplication;
-/// `candidates` counts the unique records those rows map to (the banded-DP
-/// verification workload).
-struct CaseDecStats {
-  int64_t candidates = 0;
-  int64_t fast_path_hits = 0;
-  int64_t results = 0;
-  int64_t index_hits = 0;
-  int64_t chain_checks = 0;
-  double filter_millis = 0;
-  double verify_millis = 0;
-  double total_millis = 0;
-};
 
 /// Searcher for ed(x, q) <= tau over a fixed-length string collection via
 /// case decomposition.
@@ -125,7 +111,7 @@ class CaseDecSearcher {
   /// pivotal path's result set. `chain_length` is forwarded to the
   /// per-case Hamming chain filter (clamped to each case's part count).
   std::vector<int> Search(const std::string& query, int chain_length,
-                          CaseDecStats* stats = nullptr);
+                          engine::QueryStats* stats = nullptr);
 
   // --- building blocks, exposed for the storage codec and tests ---
 

@@ -105,10 +105,10 @@ int EditDistanceSearcher::ExactBox(const std::string& side, const Gram& gram,
 std::vector<int> EditDistanceSearcher::Search(const std::string& query,
                                               EditFilter filter,
                                               int chain_length,
-                                              EditSearchStats* stats) {
+                                              engine::QueryStats* stats) {
   StopWatch total_watch;
   StopWatch phase_watch;
-  EditSearchStats local;
+  engine::QueryStats local;
   const Index& index = *index_;
   const int m = tau_ + 1;
   const int l = std::clamp(chain_length, 1, m);

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "editdist/qgram.h"
+#include "engine/query_stats.h"
 
 namespace pigeonring::editdist {
 
@@ -38,20 +39,6 @@ namespace pigeonring::editdist {
 enum class EditFilter {
   kPivotal,  // pivotal prefix filter + alignment filter (the baseline)
   kRing,     // pivotal prefix filter + pigeonring chain check
-};
-
-/// Per-query counters. For the Pivotal baseline `candidates` counts Cand-1
-/// (pivotal prefix filter survivors) and `candidates_stage2` counts Cand-2
-/// (alignment filter survivors); for Ring, `candidates` counts chain-check
-/// survivors and `candidates_stage2` equals it.
-struct EditSearchStats {
-  int64_t candidates = 0;
-  int64_t candidates_stage2 = 0;
-  int64_t results = 0;
-  int64_t index_hits = 0;
-  double filter_millis = 0;
-  double verify_millis = 0;
-  double total_millis = 0;
 };
 
 /// Searcher for ed(x, q) <= tau over a fixed string collection.
@@ -117,7 +104,8 @@ class EditDistanceSearcher {
   /// used only by EditFilter::kRing (clamped to [1, tau + 1]; the paper's
   /// default is min(3, tau + 1)).
   std::vector<int> Search(const std::string& query, EditFilter filter,
-                          int chain_length, EditSearchStats* stats = nullptr);
+                          int chain_length,
+                          engine::QueryStats* stats = nullptr);
 
  private:
   EditDistanceSearcher(const std::vector<std::string>* data, int tau,

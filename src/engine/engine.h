@@ -17,9 +17,9 @@
 // The ExecutionContext overloads are the steady-state path: they borrow a
 // persistent engine::Executor (api::Db keeps one per opened snapshot) and
 // construct no ThreadPool. The ExecutionOptions overloads are
-// conveniences for one-shot callers (tests, benches, the join/ wrappers):
-// they stand up a transient Executor for the call — fine for a single
-// measurement, wrong for a server loop.
+// conveniences for one-shot callers (tests, benches, examples): they stand
+// up a transient Executor for the call — fine for a single measurement,
+// wrong for a server loop.
 
 #ifndef PIGEONRING_ENGINE_ENGINE_H_
 #define PIGEONRING_ENGINE_ENGINE_H_

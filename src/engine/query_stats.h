@@ -1,11 +1,11 @@
 // Uniform counters and result types for the query engine.
 //
-// The four case-study searchers each define their own stats struct
-// (hamming::SearchStats, setsim::SetSearchStats, editdist::EditSearchStats,
-// graphed::GraphSearchStats). engine::QueryStats is their superset: every
-// adapter converts its domain stats into it, so batch drivers can merge
-// counters from any domain with one operator+=. Counters a domain does not
-// track stay 0.
+// engine::QueryStats is the one per-query stats type: every domain searcher
+// (hamming, setsim, editdist pivotal and fast path, graphed) fills it
+// directly, and the engine drivers, api results, CLI and benches read the
+// same struct, so batch drivers merge counters from any domain with one
+// operator+=. Counters a domain does not track stay 0. This header depends
+// on nothing but <cstdint>, so the domain modules can include it.
 
 #ifndef PIGEONRING_ENGINE_QUERY_STATS_H_
 #define PIGEONRING_ENGINE_QUERY_STATS_H_
@@ -16,18 +16,27 @@ namespace pigeonring::engine {
 
 /// Counters for one query (or, merged, for a batch of queries).
 struct QueryStats {
-  int64_t candidates = 0;        // unique objects passing the filter
-  int64_t candidates_stage2 = 0; // editdist: alignment-filter survivors
+  // Unique objects passing the filter. editdist pivotal: Cand-1, the
+  // pivotal prefix filter survivors; editdist ring: the chain-check
+  // survivors.
+  int64_t candidates = 0;
+  // editdist only. Pivotal: Cand-2, the alignment filter survivors; ring
+  // and the fast path: equal to `candidates`.
+  int64_t candidates_stage2 = 0;
   int64_t results = 0;           // objects within the threshold
   int64_t index_hits = 0;        // postings touched during filtering
-  int64_t chain_checks = 0;      // hamming: prefix-viable chain checks
+  int64_t chain_checks = 0;      // hamming, edit fast path: chain checks
   int64_t subiso_tests = 0;      // graphed: subgraph-isomorphism calls
-  int64_t fast_path_candidates = 0;  // editdist fast path: unique records
-                                     // surviving the case-decomposition
-                                     // Hamming filter
-  int64_t fast_path_hits = 0;        // editdist fast path: signature rows
-                                     // passing the filter, pre-dedup
+  // editdist fast path: unique records surviving the case-decomposition
+  // Hamming filter (the banded-DP verification workload; equal to
+  // `candidates`).
+  int64_t fast_path_candidates = 0;
+  // editdist fast path: signature rows passing the filter, counted before
+  // deduplication by record.
+  int64_t fast_path_hits = 0;
+  // Filter phase. hamming: threshold allocation, probing and chain checks.
   double filter_millis = 0;
+  // Verification phase. hamming: the final Hamming distance check.
   double verify_millis = 0;
   double total_millis = 0;
 

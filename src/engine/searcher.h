@@ -7,7 +7,8 @@
 //
 //   size()       — number of records in the joined/probed collection
 //   query(i)     — record i viewed as a query object
-//   Search(q, s) — ids of all records matching q, stats in engine units
+//   Search(q, s) — ids of all records matching q; the wrapped searcher
+//                  fills the QueryStats itself
 //
 // Copy construction is the cloning mechanism for parallel execution: the
 // engine drivers copy the adapter once per *extra* thread (thread 0 uses
@@ -48,13 +49,6 @@ concept Searcher =
       { s.Search(q, stats) } -> std::same_as<std::vector<int>>;
     };
 
-/// Domain stats → engine units.
-QueryStats ToQueryStats(const hamming::SearchStats& stats);
-QueryStats ToQueryStats(const setsim::SetSearchStats& stats);
-QueryStats ToQueryStats(const editdist::EditSearchStats& stats);
-QueryStats ToQueryStats(const editdist::CaseDecStats& stats);
-QueryStats ToQueryStats(const graphed::GraphSearchStats& stats);
-
 /// Hamming distance search (§6.1) with a fixed tau / chain length /
 /// allocation mode. Owns the searcher, which owns the collection.
 class HammingAdapter {
@@ -72,7 +66,9 @@ class HammingAdapter {
   int size() const { return searcher_.num_objects(); }
   const Query& query(int i) const { return searcher_.objects()[i]; }
   const hamming::HammingSearcher& searcher() const { return searcher_; }
-  std::vector<int> Search(const Query& query, QueryStats* stats = nullptr);
+  std::vector<int> Search(const Query& query, QueryStats* stats = nullptr) {
+    return searcher_.Search(query, tau_, chain_length_, mode_, stats);
+  }
 
  private:
   hamming::HammingSearcher searcher_;
@@ -97,7 +93,9 @@ class SetAdapter {
   const Query& query(int i) const { return collection_->record(i); }
   const setsim::PkwiseSearcher& searcher() const { return searcher_; }
   const setsim::SetCollection* collection() const { return collection_; }
-  std::vector<int> Search(const Query& query, QueryStats* stats = nullptr);
+  std::vector<int> Search(const Query& query, QueryStats* stats = nullptr) {
+    return searcher_.Search(query, chain_length_, stats);
+  }
 
  private:
   setsim::PkwiseSearcher searcher_;
@@ -123,7 +121,9 @@ class EditAdapter {
   const Query& query(int i) const { return (*data_)[i]; }
   const editdist::EditDistanceSearcher& searcher() const { return searcher_; }
   const std::vector<std::string>* data() const { return data_; }
-  std::vector<int> Search(const Query& query, QueryStats* stats = nullptr);
+  std::vector<int> Search(const Query& query, QueryStats* stats = nullptr) {
+    return searcher_.Search(query, filter_, chain_length_, stats);
+  }
 
  private:
   editdist::EditDistanceSearcher searcher_;
@@ -151,7 +151,9 @@ class EditFastAdapter {
   const Query& query(int i) const { return (*data_)[i]; }
   const editdist::CaseDecSearcher& searcher() const { return searcher_; }
   const std::vector<std::string>* data() const { return data_; }
-  std::vector<int> Search(const Query& query, QueryStats* stats = nullptr);
+  std::vector<int> Search(const Query& query, QueryStats* stats = nullptr) {
+    return searcher_.Search(query, chain_length_, stats);
+  }
 
  private:
   editdist::CaseDecSearcher searcher_;
@@ -177,7 +179,9 @@ class GraphAdapter {
   const Query& query(int i) const { return (*data_)[i]; }
   const graphed::GraphSearcher& searcher() const { return searcher_; }
   const std::vector<graphed::Graph>* data() const { return data_; }
-  std::vector<int> Search(const Query& query, QueryStats* stats = nullptr);
+  std::vector<int> Search(const Query& query, QueryStats* stats = nullptr) {
+    return searcher_.Search(query, filter_, chain_length_, stats);
+  }
 
  private:
   graphed::GraphSearcher searcher_;

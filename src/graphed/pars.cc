@@ -180,10 +180,10 @@ int GraphSearcher::HistogramLowerBound(const LabelHistogram& a,
 
 std::vector<int> GraphSearcher::Search(const Graph& query, GraphFilter filter,
                                        int chain_length,
-                                       GraphSearchStats* stats) {
+                                       engine::QueryStats* stats) {
   StopWatch total_watch;
   StopWatch phase_watch;
-  GraphSearchStats local;
+  engine::QueryStats local;
   const int m = tau_ + 1;
   const int l = std::clamp(chain_length, 1, m);
 

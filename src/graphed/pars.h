@@ -25,6 +25,7 @@
 #include <memory>
 #include <vector>
 
+#include "engine/query_stats.h"
 #include "graphed/partition.h"
 #include "graphed/subiso.h"
 
@@ -34,16 +35,6 @@ namespace pigeonring::graphed {
 enum class GraphFilter {
   kPars,  // pigeonhole: any subgraph-isomorphic part
   kRing,  // pigeonring: prefix-viable chain from a subgraph-isomorphic part
-};
-
-/// Per-query counters.
-struct GraphSearchStats {
-  int64_t candidates = 0;
-  int64_t results = 0;
-  int64_t subiso_tests = 0;
-  double filter_millis = 0;
-  double verify_millis = 0;
-  double total_millis = 0;
 };
 
 /// Lower-bounds box value b_j: returns the smallest r in [0, max_ops] such
@@ -100,7 +91,7 @@ class GraphSearcher {
   /// l in [tau - 2, tau]).
   std::vector<int> Search(const Graph& query, GraphFilter filter,
                           int chain_length,
-                          GraphSearchStats* stats = nullptr);
+                          engine::QueryStats* stats = nullptr);
 
  private:
   GraphSearcher(const std::vector<Graph>* data, int tau,

@@ -110,7 +110,7 @@ std::vector<int> HammingSearcher::AllocateThresholds(
 std::vector<int> HammingSearcher::Search(const BitVector& query, int tau,
                                          int chain_length,
                                          AllocationMode mode,
-                                         SearchStats* stats) {
+                                         engine::QueryStats* stats) {
   const int m = num_parts();
   const int l = std::clamp(chain_length, 1, m);
   const Partition& partition = index_->partition();
@@ -128,7 +128,7 @@ std::vector<int> HammingSearcher::Search(const BitVector& query, int tau,
   for (int i = 0; i < 2 * m; ++i) t_prefix[i + 1] = t_prefix[i] + t[i % m];
 
   ++epoch_;
-  SearchStats local;
+  engine::QueryStats local;
   std::vector<int> candidate_ids;
 
   auto touch = [&](int id) {

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/bitvector.h"
+#include "engine/query_stats.h"
 #include "hamming/index.h"
 #include "kernels/flat_bit_table.h"
 
@@ -37,18 +38,6 @@ enum class AllocationMode {
   /// radius-1 counting — the right trade for high-call-rate searches over
   /// selective indexes. Falls back to kUniform when tau + 1 > m.
   kRadiusZero,
-};
-
-/// Counters for one query, matching the quantities reported in the paper's
-/// figures.
-struct SearchStats {
-  int64_t candidates = 0;      // unique objects passing the filter
-  int64_t results = 0;         // objects with H(x, q) <= tau
-  int64_t index_hits = 0;      // postings touched in step 1
-  int64_t chain_checks = 0;    // step-2 prefix-viable checks run
-  double filter_millis = 0;    // allocation + probing + chain checks
-  double verify_millis = 0;    // final Hamming verification
-  double total_millis = 0;
 };
 
 /// A reusable searcher over a fixed collection of binary vectors.
@@ -94,7 +83,7 @@ class HammingSearcher {
   /// be null.
   std::vector<int> Search(const BitVector& query, int tau, int chain_length,
                           AllocationMode mode = AllocationMode::kCostModel,
-                          SearchStats* stats = nullptr);
+                          engine::QueryStats* stats = nullptr);
 
   /// Exposes the per-part threshold allocation for tests and benches.
   std::vector<int> AllocateThresholds(const BitVector& query, int tau,

@@ -38,10 +38,10 @@ AllPairsSearcher::AllPairsSearcher(const SetCollection* collection,
 }
 
 std::vector<int> AllPairsSearcher::Search(const RankedSet& query,
-                                          SetSearchStats* stats) {
+                                          engine::QueryStats* stats) {
   StopWatch total_watch;
   StopWatch phase_watch;
-  SetSearchStats local;
+  engine::QueryStats local;
   const int q_size = static_cast<int>(query.size());
   const int q_prefix = std::min(
       q_size, PlainPrefixLength(q_size, tau_));
@@ -105,10 +105,10 @@ PartAllocSearcher::PartAllocSearcher(const SetCollection* collection,
 }
 
 std::vector<int> PartAllocSearcher::Search(const RankedSet& query,
-                                           SetSearchStats* stats) {
+                                           engine::QueryStats* stats) {
   StopWatch total_watch;
   StopWatch phase_watch;
-  SetSearchStats local;
+  engine::QueryStats local;
   const int q_size = static_cast<int>(query.size());
   const int min_size = JaccardMinSize(q_size, tau_);
   const int max_size = JaccardMaxSize(q_size, tau_);

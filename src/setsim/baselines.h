@@ -30,7 +30,7 @@ class AllPairsSearcher {
   AllPairsSearcher(const SetCollection* collection, double tau);
 
   std::vector<int> Search(const RankedSet& query,
-                          SetSearchStats* stats = nullptr);
+                          engine::QueryStats* stats = nullptr);
 
  private:
   struct Posting {
@@ -54,7 +54,7 @@ class PartAllocSearcher {
                     int num_parts = 4);
 
   std::vector<int> Search(const RankedSet& query,
-                          SetSearchStats* stats = nullptr);
+                          engine::QueryStats* stats = nullptr);
 
  private:
   const SetCollection* collection_;

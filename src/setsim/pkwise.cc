@@ -96,10 +96,10 @@ PkwiseSearcher PkwiseSearcher::FromBuilt(const SetCollection* collection,
 
 std::vector<int> PkwiseSearcher::Search(const RankedSet& query,
                                         int chain_length,
-                                        SetSearchStats* stats) {
+                                        engine::QueryStats* stats) {
   StopWatch total_watch;
   StopWatch phase_watch;
-  SetSearchStats local;
+  engine::QueryStats local;
   const int q_size = static_cast<int>(query.size());
   const int l = std::clamp(chain_length, 1, num_boxes_);
   const int o_q =

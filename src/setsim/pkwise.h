@@ -25,20 +25,11 @@
 #include <memory>
 #include <vector>
 
+#include "engine/query_stats.h"
 #include "setsim/prefix.h"
 #include "setsim/record.h"
 
 namespace pigeonring::setsim {
-
-/// Per-query counters shared by all set-similarity searchers.
-struct SetSearchStats {
-  int64_t candidates = 0;
-  int64_t results = 0;
-  int64_t index_hits = 0;
-  double filter_millis = 0;
-  double verify_millis = 0;
-  double total_millis = 0;
-};
 
 /// Which similarity the threshold applies to.
 enum class SetMeasure {
@@ -88,7 +79,7 @@ class PkwiseSearcher {
   /// produced by SetCollection::MapQuery (or be a record of the
   /// collection). chain_length == 1 is the pkwise baseline.
   std::vector<int> Search(const RankedSet& query, int chain_length,
-                          SetSearchStats* stats = nullptr);
+                          engine::QueryStats* stats = nullptr);
 
  private:
   PkwiseSearcher(const SetCollection* collection, double tau, int num_boxes,

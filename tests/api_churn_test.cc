@@ -22,9 +22,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -92,16 +90,6 @@ Dataset DatasetFromQueries(Domain domain, const std::vector<Query>& queries) {
     records.push_back(std::get<graphed::Graph>(q));
   }
   return Dataset(std::move(records));
-}
-
-std::string SaveBytes(const Db& db, const std::string& name) {
-  const std::string path = testing::TempDir() + "/" + name;
-  Status saved = db.Save(path);
-  EXPECT_TRUE(saved.ok()) << saved.ToString();
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 /// One reader: mint a session, freeze a few results, then keep checking
@@ -228,8 +216,8 @@ void RunChurn(IndexSpec spec, Dataset full, const std::string& tag) {
   }
   const Db cold =
       OpenOrDie(spec, DatasetFromQueries(spec.domain, records));
-  EXPECT_EQ(SaveBytes(db, tag + "_churned.pgri"),
-            SaveBytes(cold, tag + "_cold.pgri"))
+  EXPECT_EQ(SavedBytes(db, tag + "_churned.pgri"),
+            SavedBytes(cold, tag + "_cold.pgri"))
       << tag;
   Session cold_session = cold.NewSession();
   for (int i = 0; i < n; i += 4) {

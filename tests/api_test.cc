@@ -228,8 +228,8 @@ TEST(DbTest, RunOptionsAreValidatedLikeTheSpec) {
 }
 
 // Every execution entry point — Session sync, Session async, and
-// Writer::Compact — plans its RunOptions through the single
-// internal::PlanRun call site, so the error surface must be identical on
+// Writer::Compact — plans its RunOptions through
+// internal::ResolveRunOptions, so the error surface must be identical on
 // all of them, down to the exact message text.
 TEST(DbTest, RunOptionsErrorsAreIdenticalOnEveryCallPath) {
   IndexSpec spec;

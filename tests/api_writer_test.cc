@@ -22,9 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -175,16 +173,6 @@ Dataset SliceWithout(const Dataset& dataset, const std::vector<int>& drop) {
       dataset);
 }
 
-std::string SaveBytes(const Db& db, const std::string& name) {
-  const std::string path = testing::TempDir() + "/" + name;
-  Status saved = db.Save(path);
-  EXPECT_TRUE(saved.ok()) << saved.ToString();
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 std::vector<Query> AllRecords(const Db& db) {
   std::vector<Query> records;
   for (int i = 0; i < db.num_records(); ++i) {
@@ -232,8 +220,8 @@ void ExpectInsertsConvergeToColdRebuild(const IndexSpec& spec, Dataset full,
   EXPECT_EQ(merged_join->pairs, reference_join->pairs) << tag;
 
   // Save with the delta still pending serializes the compacted state.
-  EXPECT_EQ(SaveBytes(db, tag + "_pending.pgri"),
-            SaveBytes(cold, tag + "_cold.pgri"))
+  EXPECT_EQ(SavedBytes(db, tag + "_pending.pgri"),
+            SavedBytes(cold, tag + "_cold.pgri"))
       << tag;
   EXPECT_EQ(writer.num_pending(), n - base_count)
       << tag << ": Save must not publish";
@@ -351,8 +339,8 @@ void ExpectRemovesConvergeToColdRebuild(const IndexSpec& spec, Dataset full,
     EXPECT_EQ(got->ids, expected) << tag << " record " << i;
   }
 
-  EXPECT_EQ(SaveBytes(db, tag + "_removed.pgri"),
-            SaveBytes(cold_filtered, tag + "_filtered.pgri"))
+  EXPECT_EQ(SavedBytes(db, tag + "_removed.pgri"),
+            SavedBytes(cold_filtered, tag + "_filtered.pgri"))
       << tag;
 
   // Compaction packs the survivors in id order — the filtered cold index.
@@ -555,8 +543,8 @@ TEST(WriterTest, BackgroundCompactionPublishesWithoutExplicitCompact) {
   }
   EXPECT_GE(db.epoch(), 1u);
   EXPECT_EQ(db.num_records(), 80);
-  EXPECT_EQ(SaveBytes(db, "background.pgri"),
-            SaveBytes(cold, "background_cold.pgri"));
+  EXPECT_EQ(SavedBytes(db, "background.pgri"),
+            SavedBytes(cold, "background_cold.pgri"));
 }
 
 TEST(WriterTest, CompactionFailureSurfacesAndTheDeltaSurvives) {
@@ -625,15 +613,15 @@ TEST(WriterTest, SaveWithPendingDeltaDoesNotPublish) {
   ASSERT_TRUE(writer.Insert(records[0]).ok());
   Session before = db.NewSession();
 
-  const std::string pending = SaveBytes(db, "publish_pending.pgri");
+  const std::string path = ScratchPath("pending.pgri");
+  ASSERT_TRUE(db.Save(path).ok());
   // Save rebuilt inline but must not have published a new epoch.
   EXPECT_EQ(db.epoch(), 0u);
   EXPECT_EQ(writer.num_pending(), 1);
   ASSERT_TRUE(writer.Compact().ok());
-  EXPECT_EQ(SaveBytes(db, "publish_compacted.pgri"), pending);
+  EXPECT_EQ(SavedBytes(db, "compacted.pgri"), ReadFileBytes(path));
 
   // And the saved file round-trips with the merged record count.
-  const std::string path = testing::TempDir() + "/publish_pending.pgri";
   auto reopened = Db::OpenIndex(db.spec(), path);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(reopened->num_records(), 31);

@@ -152,7 +152,7 @@ TEST(CaseDecTest, ParityAcrossTauLengthsAndAlphabets) {
               q % 2 == 0 ? data[rng.NextBounded(data.size())]
                          : RandomFixedString(rng, length, alphabet);
           for (const int chain : {1, 2, 4}) {
-            CaseDecStats stats;
+            engine::QueryStats stats;
             const auto got = searcher.Search(query, chain, &stats);
             const auto expected = BruteForce(data, query, tau);
             ASSERT_EQ(got, expected)
@@ -196,7 +196,7 @@ TEST(CaseDecTest, VerifyOnlyRegimeWhenTauReachesLength) {
     CaseDecSearcher searcher(&data, tau);
     EXPECT_TRUE(searcher.cases().empty());
     const std::string query = RandomFixedString(rng, 3, 4);
-    CaseDecStats stats;
+    engine::QueryStats stats;
     const auto got = searcher.Search(query, 2, &stats);
     EXPECT_EQ(got, BruteForce(data, query, tau));
     EXPECT_EQ(stats.candidates, static_cast<int64_t>(data.size()));
@@ -210,7 +210,7 @@ TEST(CaseDecTest, LengthMismatchedQueriesFallBackSoundly) {
   CaseDecSearcher searcher(&data, 3);
   for (const int qlen : {5, 8, 9, 11, 12, 13, 20}) {
     const std::string query = RandomFixedString(rng, qlen, 6);
-    CaseDecStats stats;
+    engine::QueryStats stats;
     const auto got = searcher.Search(query, 2, &stats);
     EXPECT_EQ(got, BruteForce(data, query, 3)) << "qlen=" << qlen;
     if (std::abs(qlen - 10) > 3) {
@@ -290,7 +290,7 @@ TEST(CaseDecTest, StatsReportFilterReduction) {
   CaseDecSearcher searcher(&data, 3);
   int64_t total_candidates = 0;
   for (int q = 0; q < 20; ++q) {
-    CaseDecStats stats;
+    engine::QueryStats stats;
     searcher.Search(data[rng.NextBounded(data.size())], 2, &stats);
     total_candidates += stats.candidates;
     EXPECT_GE(stats.fast_path_hits, stats.candidates);

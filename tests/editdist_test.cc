@@ -245,7 +245,7 @@ TEST(EditSearchTest, RingNeverHasMoreStage2CandidatesGrowingChains) {
     int64_t prev = std::numeric_limits<int64_t>::max();
     std::vector<int> baseline;
     for (int l = 1; l <= 5; ++l) {
-      EditSearchStats stats;
+      engine::QueryStats stats;
       auto results = searcher.Search(query, EditFilter::kRing, l, &stats);
       EXPECT_LE(stats.candidates, prev);
       prev = stats.candidates;
@@ -270,7 +270,7 @@ TEST(EditSearchTest, PivotalStagesAreNested) {
   EditDistanceSearcher searcher(&data, 3, 2);
   Rng rng(41);
   for (int i = 0; i < 8; ++i) {
-    EditSearchStats stats;
+    engine::QueryStats stats;
     searcher.Search(data[rng.NextBounded(data.size())], EditFilter::kPivotal,
                     1, &stats);
     EXPECT_LE(stats.candidates_stage2, stats.candidates);

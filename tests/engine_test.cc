@@ -20,7 +20,6 @@
 #include "datagen/graphs.h"
 #include "datagen/strings.h"
 #include "datagen/token_sets.h"
-#include "join/self_join.h"
 
 namespace pigeonring::engine {
 namespace {
@@ -130,17 +129,6 @@ TEST(EngineTest, GraphParallelJoinDeterministic) {
   GraphAdapter adapter(graphed::GraphSearcher(&data, 2), &data,
                        graphed::GraphFilter::kRing, 2);
   ExpectParallelJoinMatchesSequential(adapter);
-}
-
-TEST(EngineTest, LegacyWrapperHonorsNumThreads) {
-  auto objects = MakeVectors(300, 89);
-  hamming::HammingSearcher searcher(objects, 4);
-  join::JoinStats seq_stats, par_stats;
-  const auto seq = join::HammingSelfJoin(searcher, 8, 3, &seq_stats);
-  const auto par = join::HammingSelfJoin(searcher, 8, 3, &par_stats, 4);
-  EXPECT_EQ(par, seq);
-  EXPECT_EQ(par_stats.candidates, seq_stats.candidates);
-  EXPECT_EQ(par_stats.pairs, seq_stats.pairs);
 }
 
 TEST(EngineTest, JoinCandidatesExcludeSelfMatches) {

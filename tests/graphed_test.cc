@@ -371,7 +371,7 @@ TEST(GraphSearchTest, RingCandidatesSubsetOfPars) {
   Rng rng(47);
   for (int i = 0; i < 6; ++i) {
     const Graph& query = data[rng.NextBounded(data.size())];
-    GraphSearchStats pars_stats, ring_stats;
+    engine::QueryStats pars_stats, ring_stats;
     const auto pars_results =
         searcher.Search(query, GraphFilter::kPars, 1, &pars_stats);
     const auto ring_results =

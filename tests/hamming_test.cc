@@ -209,7 +209,7 @@ TEST(HammingSearchTest, RingCandidatesAreSubsetOfGphCandidates) {
     int64_t prev_candidates = std::numeric_limits<int64_t>::max();
     std::vector<int> first_results;
     for (int l = 1; l <= 8; ++l) {
-      SearchStats stats;
+      engine::QueryStats stats;
       auto results = searcher.Search(q, 24, l, AllocationMode::kCostModel,
                                      &stats);
       EXPECT_LE(stats.candidates, prev_candidates) << "l=" << l;
@@ -230,7 +230,7 @@ TEST(HammingSearchTest, FullChainLengthYieldsCandidatesEqualResults) {
   HammingSearcher searcher(objects, 4);
   auto queries = datagen::SampleQueries(objects, 5, 29);
   for (const auto& q : queries) {
-    SearchStats stats;
+    engine::QueryStats stats;
     searcher.Search(q, 10, 4, AllocationMode::kCostModel, &stats);
     EXPECT_EQ(stats.candidates, stats.results);
   }
@@ -261,7 +261,7 @@ TEST(HammingSearchTest, MaxThresholdReturnsEverything) {
 TEST(HammingSearchTest, StatsTimingFieldsArePopulated) {
   auto objects = RandomVectors(1000, 128, 41);
   HammingSearcher searcher(objects, 8);
-  SearchStats stats;
+  engine::QueryStats stats;
   searcher.Search(objects[1], 20, 4, AllocationMode::kCostModel, &stats);
   EXPECT_GE(stats.total_millis, 0.0);
   EXPECT_GE(stats.filter_millis, 0.0);

@@ -1,7 +1,8 @@
-// Tests for the self-join helpers: each join must equal the brute-force
-// all-pairs result, and the pigeonring chain length must not change it.
+// Brute-force oracles for engine::SelfJoin over the domain adapters: each
+// join must equal the all-pairs result, and the pigeonring chain length
+// must not change it.
 
-#include "join/self_join.h"
+#include "engine/engine.h"
 
 #include <gtest/gtest.h>
 
@@ -15,7 +16,7 @@
 #include "editdist/verify.h"
 #include "graphed/ged.h"
 
-namespace pigeonring::join {
+namespace pigeonring::engine {
 namespace {
 
 template <typename Predicate>
@@ -46,8 +47,9 @@ TEST(SelfJoinTest, HammingJoinMatchesBruteForce) {
       });
   ASSERT_FALSE(expected.empty()) << "workload should contain close pairs";
   for (int l : {1, 3}) {
+    HammingAdapter adapter(searcher, tau, l);
     JoinStats stats;
-    EXPECT_EQ(HammingSelfJoin(searcher, tau, l, &stats), expected);
+    EXPECT_EQ(SelfJoin(adapter, {}, &stats), expected);
     EXPECT_EQ(stats.pairs, static_cast<int64_t>(expected.size()));
   }
 }
@@ -62,26 +64,26 @@ TEST(SelfJoinTest, SetJoinMatchesBruteForceBothMeasures) {
   setsim::SetCollection collection(datagen::GenerateTokenSets(config));
   {
     const double tau = 0.7;
-    setsim::PkwiseSearcher searcher(&collection, tau, 5);
+    SetAdapter adapter(setsim::PkwiseSearcher(&collection, tau, 5),
+                       &collection, 2);
     const auto expected = BruteForcePairs(
         collection.num_records(), [&](int i, int j) {
           return setsim::Jaccard(collection.record(i),
                                  collection.record(j)) >= tau - 1e-12;
         });
-    JoinStats stats;
-    EXPECT_EQ(SetSelfJoin(searcher, collection, 2, &stats), expected);
+    EXPECT_EQ(SelfJoin(adapter), expected);
   }
   {
     const int overlap = 8;
-    setsim::PkwiseSearcher searcher(&collection, overlap, 5,
-                                    setsim::SetMeasure::kOverlap);
+    SetAdapter adapter(setsim::PkwiseSearcher(&collection, overlap, 5,
+                                              setsim::SetMeasure::kOverlap),
+                       &collection, 2);
     const auto expected = BruteForcePairs(
         collection.num_records(), [&](int i, int j) {
           return setsim::Overlap(collection.record(i),
                                  collection.record(j)) >= overlap;
         });
-    JoinStats stats;
-    EXPECT_EQ(SetSelfJoin(searcher, collection, 2, &stats), expected);
+    EXPECT_EQ(SelfJoin(adapter), expected);
   }
 }
 
@@ -100,13 +102,10 @@ TEST(SelfJoinTest, EditJoinMatchesBruteForce) {
         return editdist::BandedEditDistance(data[i], data[j], tau) <= tau;
       });
   ASSERT_FALSE(expected.empty());
-  JoinStats stats;
-  EXPECT_EQ(EditSelfJoin(searcher, data, editdist::EditFilter::kRing, 3,
-                         &stats),
-            expected);
-  EXPECT_EQ(EditSelfJoin(searcher, data, editdist::EditFilter::kPivotal, 1,
-                         &stats),
-            expected);
+  EditAdapter ring(searcher, &data, editdist::EditFilter::kRing, 3);
+  EditAdapter pivotal(searcher, &data, editdist::EditFilter::kPivotal, 1);
+  EXPECT_EQ(SelfJoin(ring), expected);
+  EXPECT_EQ(SelfJoin(pivotal), expected);
 }
 
 TEST(SelfJoinTest, GraphJoinMatchesBruteForce) {
@@ -126,13 +125,10 @@ TEST(SelfJoinTest, GraphJoinMatchesBruteForce) {
         return graphed::GraphEditDistanceWithin(data[i], data[j], tau) <=
                tau;
       });
-  JoinStats stats;
-  EXPECT_EQ(GraphSelfJoin(searcher, data, graphed::GraphFilter::kRing, 2,
-                          &stats),
-            expected);
-  EXPECT_EQ(GraphSelfJoin(searcher, data, graphed::GraphFilter::kPars, 1,
-                          &stats),
-            expected);
+  GraphAdapter ring(searcher, &data, graphed::GraphFilter::kRing, 2);
+  GraphAdapter pars(searcher, &data, graphed::GraphFilter::kPars, 1);
+  EXPECT_EQ(SelfJoin(ring), expected);
+  EXPECT_EQ(SelfJoin(pars), expected);
 }
 
 TEST(SelfJoinTest, PairsAreCanonicalAndUnique) {
@@ -143,8 +139,8 @@ TEST(SelfJoinTest, PairsAreCanonicalAndUnique) {
   config.flip_rate = 0.02;
   config.seed = 89;
   auto objects = datagen::GenerateBinaryVectors(config);
-  hamming::HammingSearcher searcher(objects, 4);
-  const auto pairs = HammingSelfJoin(searcher, 12, 3);
+  HammingAdapter adapter(hamming::HammingSearcher(objects, 4), 12, 3);
+  const auto pairs = SelfJoin(adapter);
   std::set<std::pair<int, int>> seen;
   for (const IdPair& p : pairs) {
     EXPECT_LT(p.first, p.second);
@@ -153,4 +149,4 @@ TEST(SelfJoinTest, PairsAreCanonicalAndUnique) {
 }
 
 }  // namespace
-}  // namespace pigeonring::join
+}  // namespace pigeonring::engine

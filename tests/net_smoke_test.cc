@@ -12,8 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <thread>
@@ -21,6 +19,7 @@
 #include <vector>
 
 #include "api/db.h"
+#include "api_test_util.h"
 #include "datagen/binary_vectors.h"
 #include "datagen/graphs.h"
 #include "datagen/strings.h"
@@ -118,13 +117,6 @@ std::vector<uint8_t> QueryBytes(const api::Query& query) {
   storage::ByteWriter w;
   EncodeQuery(w, query);
   return std::move(w).Take();
-}
-
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
 }
 
 // The acceptance pin: over real TCP, search / batch / self-join results
@@ -249,14 +241,8 @@ TEST(NetSmoke, MutationsConvergeLikeDirectWriter) {
   EXPECT_EQ(remote->ids, expected->ids);
 
   // The strongest pin: both databases serialize byte-identically.
-  const std::string dir = ::testing::TempDir();
-  const std::string served_path = dir + "/net_smoke_served.pri";
-  const std::string direct_path = dir + "/net_smoke_direct.pri";
-  ASSERT_TRUE(served.Save(served_path).ok());
-  ASSERT_TRUE(direct.Save(direct_path).ok());
-  EXPECT_EQ(ReadFileBytes(served_path), ReadFileBytes(direct_path));
-  std::remove(served_path.c_str());
-  std::remove(direct_path.c_str());
+  EXPECT_EQ(api::SavedBytes(served, "served.pgri"),
+            api::SavedBytes(direct, "direct.pgri"));
 
   server->Stop();
 }

@@ -215,7 +215,7 @@ TEST(SetSimTest, RingCandidatesSubsetOfPkwise) {
     int64_t prev = std::numeric_limits<int64_t>::max();
     std::vector<int> baseline_results;
     for (int l = 1; l <= 5; ++l) {
-      SetSearchStats stats;
+      engine::QueryStats stats;
       auto results = searcher.Search(query, l, &stats);
       EXPECT_LE(stats.candidates, prev) << "l=" << l;
       EXPECT_GE(stats.candidates, stats.results);

@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <filesystem>
 #include <set>
 #include <string>
 #include <thread>
@@ -274,11 +273,8 @@ TEST(ShardStatsTest, SizesAndPendingDeltaPartitionTheDatabase) {
 }
 
 TEST(ShardPersistTest, SaveRecordsShardMapAndOpenIndexAdoptsIt) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "pigeonring_shard_test";
-  std::filesystem::create_directories(dir);
-  const std::string sharded_path = (dir / "sharded.idx").string();
-  const std::string flat_path = (dir / "flat.idx").string();
+  const std::string sharded_path = ScratchPath("sharded.idx");
+  const std::string flat_path = ScratchPath("flat.idx");
 
   IndexSpec spec;
   spec.domain = Domain::kHamming;
@@ -312,8 +308,6 @@ TEST(ShardPersistTest, SaveRecordsShardMapAndOpenIndexAdoptsIt) {
   // Either way the answers match the in-memory database.
   ExpectShardedMatchesUnsharded(flat, *adopted);
   ExpectShardedMatchesUnsharded(flat, *overridden);
-
-  std::filesystem::remove_all(dir);
 }
 
 // --- shard::Partitioner unit coverage ---

@@ -16,7 +16,6 @@
 //   * a missing / unreadable path.
 
 #include <cstdint>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -25,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include "api/db.h"
+#include "api_test_util.h"
 #include "common/status.h"
 #include "datagen/binary_vectors.h"
 #include "datagen/graphs.h"
@@ -35,27 +35,6 @@
 
 namespace pigeonring::api {
 namespace {
-
-namespace fs = std::filesystem;
-
-std::string TempPath(const std::string& name) {
-  return (fs::path(testing::TempDir()) / name).string();
-}
-
-void WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  ASSERT_TRUE(out.good()) << path;
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(out.good()) << path;
-}
-
-std::vector<uint8_t> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
-                              std::istreambuf_iterator<char>());
-}
 
 // One valid saved index per domain, built once for the whole suite.
 struct DomainIndex {
@@ -81,9 +60,7 @@ std::vector<DomainIndex> BuildAllDomains() {
     auto db =
         Db::Open(spec, Dataset(datagen::GenerateBinaryVectors(config)));
     EXPECT_TRUE(db.ok()) << db.status().ToString();
-    const std::string path = TempPath("corrupt_base_hamming.pgri");
-    EXPECT_TRUE(db->Save(path).ok());
-    indexes.push_back({"hamming", spec, ReadFile(path)});
+    indexes.push_back({"hamming", spec, SavedBytes(*db, "base.pgri")});
   }
   {
     IndexSpec spec;
@@ -97,9 +74,7 @@ std::vector<DomainIndex> BuildAllDomains() {
     config.seed = 92;
     auto db = Db::Open(spec, Dataset(datagen::GenerateTokenSets(config)));
     EXPECT_TRUE(db.ok()) << db.status().ToString();
-    const std::string path = TempPath("corrupt_base_sets.pgri");
-    EXPECT_TRUE(db->Save(path).ok());
-    indexes.push_back({"sets", spec, ReadFile(path)});
+    indexes.push_back({"sets", spec, SavedBytes(*db, "base.pgri")});
   }
   {
     IndexSpec spec;
@@ -113,9 +88,7 @@ std::vector<DomainIndex> BuildAllDomains() {
     config.seed = 93;
     auto db = Db::Open(spec, Dataset(datagen::GenerateStrings(config)));
     EXPECT_TRUE(db.ok()) << db.status().ToString();
-    const std::string path = TempPath("corrupt_base_strings.pgri");
-    EXPECT_TRUE(db->Save(path).ok());
-    indexes.push_back({"strings", spec, ReadFile(path)});
+    indexes.push_back({"strings", spec, SavedBytes(*db, "base.pgri")});
   }
   {
     // The fixed-length fast path: its kEditFast* sections get the same
@@ -131,9 +104,7 @@ std::vector<DomainIndex> BuildAllDomains() {
     config.seed = 95;
     auto db = Db::Open(spec, Dataset(datagen::GenerateStrings(config)));
     EXPECT_TRUE(db.ok()) << db.status().ToString();
-    const std::string path = TempPath("corrupt_base_strings_fast.pgri");
-    EXPECT_TRUE(db->Save(path).ok());
-    indexes.push_back({"strings_fast", spec, ReadFile(path)});
+    indexes.push_back({"strings_fast", spec, SavedBytes(*db, "base.pgri")});
   }
   {
     IndexSpec spec;
@@ -148,9 +119,7 @@ std::vector<DomainIndex> BuildAllDomains() {
     config.seed = 94;
     auto db = Db::Open(spec, Dataset(datagen::GenerateGraphs(config)));
     EXPECT_TRUE(db.ok()) << db.status().ToString();
-    const std::string path = TempPath("corrupt_base_graphs.pgri");
-    EXPECT_TRUE(db->Save(path).ok());
-    indexes.push_back({"graphs", spec, ReadFile(path)});
+    indexes.push_back({"graphs", spec, SavedBytes(*db, "base.pgri")});
   }
   return indexes;
 }
@@ -167,8 +136,8 @@ const std::vector<DomainIndex>& AllDomains() {
 void ExpectOpenFails(const DomainIndex& base, std::vector<uint8_t> image,
                      StatusCode code, const std::string& label) {
   SCOPED_TRACE(std::string(base.name) + ": " + label);
-  const std::string path = TempPath("corrupt_scratch.pgri");
-  WriteFile(path, image);
+  const std::string path = ScratchPath("scratch.pgri");
+  WriteFileBytes(path, image);
   auto db = Db::OpenIndex(base.spec, path);
   ASSERT_FALSE(db.ok()) << "corrupted image opened successfully";
   EXPECT_EQ(db.status().code(), code) << db.status().ToString();
@@ -279,8 +248,8 @@ TEST(StorageCorruptionTest, RepairedCrcReachesDecoderValidation) {
         SCOPED_TRACE(std::string(base.name) + ": decoder-level flip in " +
                      std::to_string(static_cast<uint32_t>(id)) + "+" +
                      std::to_string(delta));
-        const std::string path = TempPath("corrupt_scratch.pgri");
-        WriteFile(path, image);
+        const std::string path = ScratchPath("scratch.pgri");
+        WriteFileBytes(path, image);
         auto db = Db::OpenIndex(base.spec, path);
         if (!db.ok()) {
           EXPECT_TRUE(db.status().code() == StatusCode::kDataLoss ||
@@ -342,8 +311,8 @@ TEST(StorageCorruptionTest, MismatchedFingerprint) {
 // fingerprint mismatch) names the disagreeing build field.
 TEST(StorageCorruptionTest, SpecMismatchIsNamed) {
   const DomainIndex& base = AllDomains().front();  // hamming, tau=6
-  const std::string path = TempPath("corrupt_spec.pgri");
-  WriteFile(path, base.image);
+  const std::string path = ScratchPath("spec.pgri");
+  WriteFileBytes(path, base.image);
 
   IndexSpec wrong_tau = base.spec;
   wrong_tau.tau = 7;
@@ -384,7 +353,7 @@ TEST(StorageCorruptionTest, BadMagic) {
 TEST(StorageCorruptionTest, MissingPath) {
   const DomainIndex& base = AllDomains().front();
   auto db = Db::OpenIndex(base.spec,
-                          TempPath("does_not_exist") + "/nowhere.pgri");
+                          ScratchPath("does_not_exist") + "/nowhere.pgri");
   ASSERT_FALSE(db.ok());
   EXPECT_EQ(db.status().code(), StatusCode::kNotFound)
       << db.status().ToString();
@@ -397,7 +366,7 @@ TEST(StorageCorruptionTest, RawDatasetIsNotAnIndex) {
   IndexSpec spec;
   spec.domain = Domain::kEdit;
   spec.tau = 1;
-  const std::string path = TempPath("raw_strings.ds");
+  const std::string path = ScratchPath("raw_strings.ds");
   {
     std::ofstream out(path, std::ios::trunc);
     out << "alpha\nalbha\nbeta\n";

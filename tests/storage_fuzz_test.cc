@@ -16,14 +16,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "api/db.h"
+#include "api_test_util.h"
 #include "common/random.h"
 #include "datagen/strings.h"
 #include "datagen/token_sets.h"
@@ -33,31 +32,6 @@
 namespace pigeonring::api {
 namespace {
 
-namespace fs = std::filesystem;
-
-std::string ScratchPath() {
-  return (fs::path(testing::TempDir()) / "fuzz_scratch.pgri").string();
-}
-
-std::vector<uint8_t> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  std::vector<uint8_t> bytes;
-  for (std::istreambuf_iterator<char> it(in), end; it != end; ++it) {
-    bytes.push_back(static_cast<uint8_t>(*it));
-  }
-  return bytes;
-}
-
-void WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  ASSERT_TRUE(out.good());
-  if (!bytes.empty()) {
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-  }
-}
-
 // Every open must settle to ok or a typed error; nothing else to assert —
 // the sanitizers and the process surviving are the test.
 void ExpectSettles(const IndexSpec& spec, const std::vector<uint8_t>& image) {
@@ -65,8 +39,8 @@ void ExpectSettles(const IndexSpec& spec, const std::vector<uint8_t>& image) {
   if (!reader.ok()) {
     EXPECT_FALSE(reader.status().message().empty());
   }
-  const std::string path = ScratchPath();
-  WriteFile(path, image);
+  const std::string path = ScratchPath("scratch.pgri");
+  WriteFileBytes(path, image);
   auto db = Db::OpenIndex(spec, path);
   if (!db.ok()) {
     EXPECT_FALSE(db.status().message().empty());
@@ -85,10 +59,8 @@ std::vector<uint8_t> BaseImage(IndexSpec& spec_out) {
   config.seed = 101;
   auto db = Db::Open(spec, Dataset(datagen::GenerateStrings(config)));
   EXPECT_TRUE(db.ok()) << db.status().ToString();
-  const std::string path = ScratchPath();
-  EXPECT_TRUE(db->Save(path).ok());
   spec_out = spec;
-  return ReadFile(path);
+  return SavedBytes(*db, "base.pgri");
 }
 
 TEST(StorageFuzzTest, RandomGarbageNeverCrashesTheParser) {
@@ -262,9 +234,7 @@ TEST(StorageFuzzTest, RepairedMutationsSetDomain) {
   config.seed = 102;
   auto db = Db::Open(spec, Dataset(datagen::GenerateTokenSets(config)));
   ASSERT_TRUE(db.ok()) << db.status().ToString();
-  const std::string path = ScratchPath();
-  ASSERT_TRUE(db->Save(path).ok());
-  const std::vector<uint8_t> base = ReadFile(path);
+  const std::vector<uint8_t> base = SavedBytes(*db, "base.pgri");
 
   auto reader = storage::IndexFileReader::OpenFromBuffer(base);
   ASSERT_TRUE(reader.ok());
@@ -327,9 +297,7 @@ TEST(StorageFuzzTest, RepairedMutationsEditFastDomain) {
   config.seed = 103;
   auto db = Db::Open(spec, Dataset(datagen::GenerateStrings(config)));
   ASSERT_TRUE(db.ok()) << db.status().ToString();
-  const std::string path = ScratchPath();
-  ASSERT_TRUE(db->Save(path).ok());
-  const std::vector<uint8_t> base = ReadFile(path);
+  const std::vector<uint8_t> base = SavedBytes(*db, "base.pgri");
 
   auto reader = storage::IndexFileReader::OpenFromBuffer(base);
   ASSERT_TRUE(reader.ok());

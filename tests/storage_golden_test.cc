@@ -5,6 +5,8 @@
 // (b) is the load-bearing half: any accidental encoding change — field
 // order, alignment, map iteration order — flips the diff and forces a
 // deliberate kFormatVersion bump instead of a silently unreadable corpus.
+// (c) pins the integral counters of a batch over every record, on both the
+// built and the committed index, so no change moves a counter unnoticed.
 //
 // Regenerating after an *intentional* format change:
 //   PIGEONRING_REGEN_GOLDEN=1 ./storage_golden_test
@@ -13,7 +15,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "api/db.h"
+#include "api_test_util.h"
 #include "common/bitvector.h"
 #include "graphed/graph.h"
 
@@ -35,13 +37,6 @@ namespace fs = std::filesystem;
 
 std::string DataPath(const std::string& name) {
   return (fs::path(PIGEONRING_TEST_DATA_DIR) / name).string();
-}
-
-std::vector<uint8_t> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
-                              std::istreambuf_iterator<char>());
 }
 
 // The golden datasets are spelled out literally — they must never drift,
@@ -121,6 +116,10 @@ struct GoldenCase {
   std::string file;
   IndexSpec spec;
   Dataset dataset;
+  // The integral counters of one SearchBatch over every record, summed.
+  // A change that moves one changes what a counter means; make it
+  // deliberately and update the value here.
+  engine::QueryStats counters;
 };
 
 std::vector<GoldenCase> GoldenCases() {
@@ -131,7 +130,8 @@ std::vector<GoldenCase> GoldenCases() {
     spec.tau = 4;
     spec.chain_length = 2;
     spec.num_parts = 4;
-    cases.push_back({"golden_hamming.pgri", spec, Dataset(GoldenVectors())});
+    cases.push_back({"golden_hamming.pgri", spec, Dataset(GoldenVectors()),
+                     {71, 0, 22, 124, 108, 0, 0, 0}});
   }
   {
     IndexSpec spec;
@@ -139,7 +139,8 @@ std::vector<GoldenCase> GoldenCases() {
     spec.tau = 0.6;
     spec.chain_length = 2;
     spec.num_boxes = 3;
-    cases.push_back({"golden_sets.pgri", spec, Dataset(GoldenSets())});
+    cases.push_back({"golden_sets.pgri", spec, Dataset(GoldenSets()),
+                     {36, 0, 34, 107, 0, 0, 0, 0}});
   }
   {
     IndexSpec spec;
@@ -147,7 +148,8 @@ std::vector<GoldenCase> GoldenCases() {
     spec.tau = 2;
     spec.chain_length = 2;
     spec.kappa = 2;
-    cases.push_back({"golden_strings.pgri", spec, Dataset(GoldenStrings())});
+    cases.push_back({"golden_strings.pgri", spec, Dataset(GoldenStrings()),
+                     {34, 34, 30, 182, 0, 0, 0, 0}});
   }
   {
     IndexSpec spec;
@@ -155,15 +157,17 @@ std::vector<GoldenCase> GoldenCases() {
     spec.tau = 2;
     spec.chain_length = 2;
     spec.edit_fast_path = EditFastPath::kOn;
-    cases.push_back(
-        {"golden_strings_fast.pgri", spec, Dataset(GoldenFixedStrings())});
+    cases.push_back({"golden_strings_fast.pgri", spec,
+                     Dataset(GoldenFixedStrings()),
+                     {30, 30, 30, 276, 60, 0, 30, 158}});
   }
   {
     IndexSpec spec;
     spec.domain = Domain::kGraph;
     spec.tau = 1;
     spec.chain_length = 2;
-    cases.push_back({"golden_graphs.pgri", spec, Dataset(GoldenGraphs())});
+    cases.push_back({"golden_graphs.pgri", spec, Dataset(GoldenGraphs()),
+                     {18, 0, 18, 0, 0, 56, 0, 0}});
   }
   return cases;
 }
@@ -188,10 +192,7 @@ TEST(StorageGoldenTest, CommittedIndexesMatchTodaysWriter) {
         << " missing — run with PIGEONRING_REGEN_GOLDEN=1 to create it";
 
     // (b) Byte-stability: today's writer reproduces the committed bytes.
-    const std::string fresh_path =
-        (fs::path(testing::TempDir()) / c.file).string();
-    ASSERT_TRUE(built->Save(fresh_path).ok());
-    EXPECT_EQ(ReadFile(fresh_path), ReadFile(golden_path))
+    EXPECT_EQ(SavedBytes(*built, c.file), ReadFileBytes(golden_path))
         << c.file
         << " diverged from the current encoder. If the format change is "
            "intentional, bump storage::kFormatVersion and regenerate with "
@@ -204,6 +205,7 @@ TEST(StorageGoldenTest, CommittedIndexesMatchTodaysWriter) {
 
     Session built_session = built->NewSession();
     Session loaded_session = loaded->NewSession();
+    std::vector<Query> records;
     for (int id = 0; id < built->num_records(); ++id) {
       auto query = built->RecordQuery(id);
       ASSERT_TRUE(query.ok()) << query.status().ToString();
@@ -212,6 +214,14 @@ TEST(StorageGoldenTest, CommittedIndexesMatchTodaysWriter) {
       ASSERT_TRUE(a.ok()) << a.status().ToString();
       ASSERT_TRUE(b.ok()) << b.status().ToString();
       EXPECT_EQ(b->ids, a->ids) << "record " << id;
+      records.push_back(*std::move(query));
+    }
+    // (c) Both answer one batch over every record with the pinned counters.
+    for (Session* session : {&built_session, &loaded_session}) {
+      SCOPED_TRACE(session == &built_session ? "built" : "loaded");
+      auto batch = session->SearchBatch(records);
+      ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+      ExpectSameCounters(batch->stats, c.counters);
     }
     auto join_a = built_session.SelfJoin();
     auto join_b = loaded_session.SelfJoin();
