@@ -107,18 +107,17 @@ Status SendFrame(Socket& socket, uint8_t op,
     return Status::InvalidArgument("frame payload too large: " +
                                    std::to_string(payload.size()) + " bytes");
   }
-  ByteWriter header;
-  header.U32(kFrameMagic);
-  header.U8(kProtocolVersion);
-  header.U8(op);
-  header.U8(0);
-  header.U8(0);
-  header.U32(static_cast<uint32_t>(payload.size()));
-  header.U32(storage::Crc32c(payload.data(), payload.size()));
-  Status s = socket.SendAll(header.data().data(), header.data().size());
-  if (!s.ok()) return s;
-  if (payload.empty()) return Status::Ok();
-  return socket.SendAll(payload.data(), payload.size());
+  // One send per frame: on TCP_NODELAY each send leaves as its own segment.
+  ByteWriter frame;
+  frame.U32(kFrameMagic);
+  frame.U8(kProtocolVersion);
+  frame.U8(op);
+  frame.U8(0);
+  frame.U8(0);
+  frame.U32(static_cast<uint32_t>(payload.size()));
+  frame.U32(storage::Crc32c(payload.data(), payload.size()));
+  frame.Bytes(payload.data(), payload.size());
+  return socket.SendAll(frame.data().data(), frame.data().size());
 }
 
 FrameResult RecvFrame(Socket& socket) {

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
+#include <exception>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -24,8 +24,6 @@ namespace {
 
 using storage::ByteReader;
 using storage::ByteWriter;
-
-constexpr auto kDrainPoll = std::chrono::milliseconds(20);
 
 Status SendReply(Socket& socket, Op op, const std::vector<uint8_t>& payload) {
   return SendFrame(socket, static_cast<uint8_t>(op) | kReplyBit, payload);
@@ -149,19 +147,6 @@ struct Server::Impl {
   void AcceptLoop();
 };
 
-namespace {
-
-// Drains a future without burning a core; WaitFor keeps the loop finite
-// even on an empty handle.
-template <typename T>
-StatusOr<T> Drain(api::Future<T> future) {
-  while (!future.WaitFor(kDrainPoll)) {
-  }
-  return future.Get();
-}
-
-}  // namespace
-
 Status Server::Impl::Dispatch(Socket& socket, api::Session& session, Op op,
                               const std::vector<uint8_t>& payload) {
   ByteReader r(payload.data(), payload.size());
@@ -179,10 +164,10 @@ Status Server::Impl::Dispatch(Socket& socket, api::Session& session, Op op,
         return SendErrorFrame(
             socket, Status::InvalidArgument("malformed search payload"));
       }
-      auto result = Drain(session.SubmitBatch({std::move(query)}));
+      auto result = session.Search(query);
       if (!result.ok()) return SendErrorFrame(socket, result.status());
       SearchReply reply;
-      reply.ids = std::move(result->ids[0]);
+      reply.ids = std::move(result->ids);
       reply.candidates = result->stats.candidates;
       reply.results = result->stats.results;
       ByteWriter w;
@@ -195,7 +180,7 @@ Status Server::Impl::Dispatch(Socket& socket, api::Session& session, Op op,
         return SendErrorFrame(
             socket, Status::InvalidArgument("malformed batch payload"));
       }
-      auto result = Drain(session.SubmitBatch(std::move(queries)));
+      auto result = session.SearchBatch(queries);
       if (!result.ok()) return SendErrorFrame(socket, result.status());
       BatchReply reply;
       reply.ids = std::move(result->ids);
@@ -211,7 +196,7 @@ Status Server::Impl::Dispatch(Socket& socket, api::Session& session, Op op,
         return SendErrorFrame(socket,
                               Status::InvalidArgument("join takes no payload"));
       }
-      auto result = Drain(session.SubmitSelfJoin());
+      auto result = session.SelfJoin();
       if (!result.ok()) return SendErrorFrame(socket, result.status());
       JoinReply reply;
       reply.pairs = std::move(result->pairs);
@@ -313,8 +298,8 @@ void Server::Impl::ServeConnection(Connection* conn) {
       continue;
     }
     const Op op = static_cast<Op>(in.frame.op);
-    // Admission control for the ops that hit the executor or the writer;
-    // ping / stats / record stay cheap control-plane ops.
+    // Admission control for the ops that search or mutate; ping / stats /
+    // record stay cheap control-plane ops.
     const bool controlled =
         op != Op::kPing && op != Op::kStats && op != Op::kRecord;
     if (controlled && !Admit()) {
@@ -336,7 +321,15 @@ void Server::Impl::ServeConnection(Connection* conn) {
       session_seq = seq;
     }
     StopWatch watch;
-    const Status sent = Dispatch(conn->socket, session, op, in.frame.payload);
+    Status sent;
+    try {
+      sent = Dispatch(conn->socket, session, op, in.frame.payload);
+    } catch (const std::exception& e) {
+      // Escaping this thread would terminate the process: answer typed,
+      // and re-mint the session, whose scratch may be mid-update.
+      sent = SendErrorFrame(conn->socket, Status::Internal(e.what()));
+      session = db.NewSession();
+    }
     RecordLatency(in.frame.op, watch.ElapsedMillis() * 1000.0);
     if (controlled) Done();
     if (!sent.ok()) break;

@@ -9,18 +9,18 @@
 //    the database since (a server-wide mutation sequence number), so a
 //    client that inserts through the server observes its own writes on
 //    the next request — on any connection.
-//  * Read ops (search / batch / self-join) are submitted onto the
-//    snapshot's executor via Session::SubmitBatch / SubmitSelfJoin and
-//    drained with Future::WaitFor, never computed on the accept loop.
+//  * Read ops (search / batch / self-join) run on the connection thread
+//    through its Session; a batch or join still fans out over the
+//    snapshot executor's pool inside that synchronous call.
 //  * Mutation ops (insert / remove / compact) funnel through one shared
 //    api::Writer behind a mutex — the single-writer contract, enforced
 //    server-side. The writer is created on the first mutation op, so a
 //    read-only server can share a Db with another writer (or server).
 //
 // Admission control: at most `max_inflight` admission-controlled ops
-// (everything except ping / stats / record) execute concurrently;
-// arrivals beyond that are shed immediately with a typed
-// kResourceExhausted error frame — callers get a fast, explicit signal
+// (everything except ping / stats / record) execute concurrently — the
+// only bound on concurrent reads. Arrivals beyond that are shed at once
+// with a typed kResourceExhausted error frame: a fast, explicit signal
 // instead of unbounded queueing. max_inflight = 0 sheds every such op
 // (useful for overload tests).
 //
@@ -28,7 +28,8 @@
 // (payload CRC mismatch, stale protocol version, undecodable payload,
 // unknown op) earn a typed error frame on a still-open connection, while
 // stream-desyncing ones (bad magic, oversized declared length, truncation)
-// earn a best-effort error frame and a close. Stop() is graceful: it
+// earn a best-effort error frame and a close; an op that throws earns a
+// kInternal error frame and a fresh session. Stop() is graceful: it
 // stops accepting, waits for every in-flight op to finish and deliver its
 // reply, then wakes idle connections and joins all threads.
 //

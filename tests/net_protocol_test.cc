@@ -1,13 +1,15 @@
 // Wire-protocol tests in the spirit of storage_corruption_test: codec
-// round-trips for every payload type, then a live loopback server fed
-// truncated frames, flipped bytes, oversized declared lengths, stale
-// protocol versions, and seeded random mutations — every one must yield
-// a typed error frame (or a clean close), never a crash or a hang, and
-// recoverable corruption must leave the connection serving.
+// round-trips for every payload type, the exact bytes SendFrame writes,
+// then a live loopback server fed truncated frames, flipped bytes,
+// oversized declared lengths, stale protocol versions, and seeded random
+// mutations — every one must yield a typed error frame (or a clean
+// close), never a crash or a hang, and recoverable corruption must leave
+// the connection serving.
 
 #include "net/protocol.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <cstring>
 #include <string>
@@ -240,6 +242,53 @@ TEST(ProtocolCodecTest, WireErrorsTransportEveryStatusCode) {
   EXPECT_EQ(DecodeErrorPayload(r).code(), StatusCode::kInternal);
 }
 
+// A frame with every field under the test's control.
+std::vector<uint8_t> RawFrame(uint32_t magic, uint8_t version, uint8_t op,
+                              uint16_t reserved, uint32_t declared_len,
+                              const std::vector<uint8_t>& payload,
+                              uint32_t crc) {
+  ByteWriter w;
+  w.U32(magic);
+  w.U8(version);
+  w.U8(op);
+  w.U8(static_cast<uint8_t>(reserved & 0xFF));
+  w.U8(static_cast<uint8_t>(reserved >> 8));
+  w.U32(declared_len);
+  w.U32(crc);
+  w.Bytes(payload.data(), payload.size());
+  return std::move(w).Take();
+}
+
+std::vector<uint8_t> ValidFrame(uint8_t op,
+                                const std::vector<uint8_t>& payload) {
+  return RawFrame(kFrameMagic, kProtocolVersion, op, 0,
+                  static_cast<uint32_t>(payload.size()), payload,
+                  storage::Crc32c(payload.data(), payload.size()));
+}
+
+// SendFrame puts exactly the documented header plus the payload on the
+// wire, and nothing else.
+TEST(ProtocolFrameTest, SendFrameWritesHeaderThenPayload) {
+  const std::vector<std::vector<uint8_t>> payloads = {{}, {7, 0, 0xFF, 42}};
+  for (const std::vector<uint8_t>& payload : payloads) {
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    Socket sender(fds[0]);
+    Socket receiver(fds[1]);
+    const uint8_t op = static_cast<uint8_t>(Op::kSearch) | kReplyBit;
+    ASSERT_TRUE(SendFrame(sender, op, payload).ok());
+    sender.Close();
+
+    const std::vector<uint8_t> expected = ValidFrame(op, payload);
+    std::vector<uint8_t> got(expected.size());
+    ASSERT_TRUE(receiver.RecvAll(got.data(), got.size()).ok());
+    EXPECT_EQ(got, expected) << payload.size() << "-byte payload";
+    uint8_t extra = 0;
+    EXPECT_EQ(receiver.RecvAll(&extra, 1).code(), StatusCode::kUnavailable)
+        << "bytes after the frame";
+  }
+}
+
 // --- Live-server corruption tests ---
 
 class ProtocolCorruptionTest : public ::testing::Test {
@@ -281,31 +330,6 @@ class ProtocolCorruptionTest : public ::testing::Test {
     auto socket = ConnectTcp("127.0.0.1", port());
     EXPECT_TRUE(socket.ok()) << socket.status().ToString();
     return std::move(socket).value();
-  }
-
-  // A frame with every field under the test's control.
-  static std::vector<uint8_t> RawFrame(uint32_t magic, uint8_t version,
-                                       uint8_t op, uint16_t reserved,
-                                       uint32_t declared_len,
-                                       const std::vector<uint8_t>& payload,
-                                       uint32_t crc) {
-    ByteWriter w;
-    w.U32(magic);
-    w.U8(version);
-    w.U8(op);
-    w.U8(static_cast<uint8_t>(reserved & 0xFF));
-    w.U8(static_cast<uint8_t>(reserved >> 8));
-    w.U32(declared_len);
-    w.U32(crc);
-    w.Bytes(payload.data(), payload.size());
-    return std::move(w).Take();
-  }
-
-  static std::vector<uint8_t> ValidFrame(uint8_t op,
-                                         const std::vector<uint8_t>& payload) {
-    return RawFrame(kFrameMagic, kProtocolVersion, op, 0,
-                    static_cast<uint32_t>(payload.size()), payload,
-                    storage::Crc32c(payload.data(), payload.size()));
   }
 
   // Sends raw bytes and expects a typed error frame back.

@@ -2,16 +2,19 @@
 // real TCP, real frames. Pins the acceptance contract of the net
 // subsystem: client search / batch / self-join results are byte-identical
 // to an in-process api::Session over the same snapshot (all four
-// domains), mutations through the server converge identically to direct
-// api::Writer use (down to Save() byte-identity), overload produces typed
-// kResourceExhausted frames, stats expose admission counters and per-op
-// latency histograms, and graceful shutdown drains in-flight ops.
+// domains, a sharded index, and four connections at once), queries of
+// the wrong domain or shape get typed errors, mutations through the
+// server converge identically to direct api::Writer use (down to Save()
+// byte-identity), overload produces typed kResourceExhausted frames,
+// stats expose admission counters and per-op latency histograms, and
+// graceful shutdown drains in-flight ops.
 //
 // Runs under the TSan CI job — keep the datasets small.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <latch>
 #include <optional>
 #include <string>
 #include <thread>
@@ -20,6 +23,7 @@
 
 #include "api/db.h"
 #include "api_test_util.h"
+#include "common/bitvector.h"
 #include "datagen/binary_vectors.h"
 #include "datagen/graphs.h"
 #include "datagen/strings.h"
@@ -37,7 +41,7 @@ api::Db OpenOrDie(const api::IndexSpec& spec, api::Dataset dataset) {
   return std::move(opened).value();
 }
 
-api::Db OpenHamming(uint64_t seed = 3301) {
+api::Db OpenHamming(uint64_t seed = 3301, int shards = 1) {
   datagen::BinaryVectorConfig config;
   config.dimensions = 64;
   config.num_objects = 200;
@@ -49,6 +53,7 @@ api::Db OpenHamming(uint64_t seed = 3301) {
   spec.domain = api::Domain::kHamming;
   spec.tau = 8;
   spec.chain_length = 3;
+  spec.shards = shards;
   return OpenOrDie(spec, api::Dataset(datagen::GenerateBinaryVectors(config)));
 }
 
@@ -182,6 +187,93 @@ TEST(NetSmoke, ClientMatchesInProcessStrings) {
 
 TEST(NetSmoke, ClientMatchesInProcessGraphs) {
   ExpectClientMatchesInProcess(OpenGraphs());
+}
+
+// Served reads reach shard scatter-gather from a connection thread:
+// single searches through ScatterSearchOne, batch and join through the
+// per-shard executors.
+TEST(NetSmoke, ClientMatchesInProcessShardedHamming) {
+  ExpectClientMatchesInProcess(OpenHamming(3301, /*shards=*/4));
+}
+
+// Four connections search at once, so four connection threads run inside
+// searcher code concurrently; every reply must still equal the
+// in-process answer.
+TEST(NetSmoke, ConcurrentConnectionsMatchInProcess) {
+  constexpr int kConnections = 4;
+  api::Db db = OpenHamming();
+  api::Session session = db.NewSession();
+  const std::vector<api::Query> queries = SampleQueries(session, 16);
+  std::vector<std::vector<int>> expected;
+  for (const api::Query& query : queries) {
+    auto in_process = session.Search(query);
+    ASSERT_TRUE(in_process.ok()) << in_process.status().ToString();
+    expected.push_back(in_process->ids);
+  }
+
+  auto server = Server::Start(db);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  std::vector<Client> clients;
+  for (int c = 0; c < kConnections; ++c) {
+    clients.push_back(ConnectOrDie(server->port()));
+  }
+  // Per connection: replies that matched, out of queries.size() + 1.
+  std::vector<int> matched(kConnections, 0);
+  std::latch start(kConnections);
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kConnections; ++c) {
+    threads.emplace_back([&, c] {
+      start.arrive_and_wait();
+      for (size_t q = 0; q < queries.size(); ++q) {
+        auto remote = clients[c].Search(queries[q]);
+        if (remote.ok() && remote->ids == expected[q]) ++matched[c];
+      }
+      auto remote_batch = clients[c].SearchBatch(queries);
+      if (remote_batch.ok() && remote_batch->ids == expected) ++matched[c];
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int c = 0; c < kConnections; ++c) {
+    EXPECT_EQ(matched[c], static_cast<int>(queries.size()) + 1)
+        << "connection " << c;
+  }
+  EXPECT_EQ(server->Snapshot().accepted,
+            kConnections * (static_cast<int64_t>(queries.size()) + 1));
+}
+
+// Well-framed, decodable queries of the wrong domain or shape earn a typed
+// kInvalidArgument on search and batch alike, and the connection keeps
+// serving.
+TEST(NetSmoke, MismatchedQueriesGetTypedErrorsAndKeepConnection) {
+  api::Db db = OpenHamming();  // 64-dimensional codes
+  api::Session session = db.NewSession();
+  const api::Query valid = SampleQueries(session, 1)[0];
+  auto expected = session.Search(valid);
+  ASSERT_TRUE(expected.ok());
+
+  auto server = Server::Start(db);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  Client client = ConnectOrDie(server->port());
+  const std::vector<api::Query> mismatched = {
+      api::Query(std::string("not a code")), api::Query(BitVector(128))};
+  for (const api::Query& wrong : mismatched) {
+    const Status search = client.Search(wrong).status();
+    EXPECT_EQ(search.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(search.message().find("malformed"), std::string::npos)
+        << "must decode, then fail validation: " << search.ToString();
+    auto after_search = client.Search(valid);
+    ASSERT_TRUE(after_search.ok()) << after_search.status().ToString();
+    EXPECT_EQ(after_search->ids, expected->ids);
+
+    const Status batch = client.SearchBatch({valid, wrong}).status();
+    EXPECT_EQ(batch.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(batch.message().find("query 1"), std::string::npos)
+        << batch.ToString();
+    auto after_batch = client.Search(valid);
+    ASSERT_TRUE(after_batch.ok()) << after_batch.status().ToString();
+    EXPECT_EQ(after_batch->ids, expected->ids);
+  }
+  EXPECT_EQ(server->Snapshot().protocol_errors, 0);
 }
 
 // Mutations through the server must converge identically to driving an
