@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <type_traits>
 #include <utility>
 
@@ -29,43 +30,293 @@ namespace pigeonring::api {
 namespace internal {
 namespace {
 
-Status QueryDomainError(Domain query_domain, Domain index_domain) {
-  return Status::InvalidArgument(
-      "query is a " + std::string(DomainName(query_domain)) +
-      " query but the index domain is " + DomainName(index_domain));
+// --- Per-domain rules ---
+//
+// Model<S> below is one class for all five adapters. What really differs
+// between the domains is this handful of overloads on the adapter or the
+// query type; each generic version covers the domains without the rule.
+
+/// The shape rule past a query's domain: a Hamming query must match the
+/// index's width (any width passes on an empty base).
+template <typename S>
+Status CheckShape(const S&, const Query&) {
+  return Status::Ok();
 }
 
-bool RingEnabled(const IndexSpec& spec);  // defined after the models
+Status CheckShape(const engine::HammingAdapter& adapter, const Query& query) {
+  const int d = std::get<BitVector>(query).dimensions();
+  if (adapter.size() == 0) return Status::Ok();
+  const int dimensions = adapter.query(0).dimensions();
+  if (d != dimensions) {
+    return Status::InvalidArgument("query has " + std::to_string(d) +
+                                   " dimensions but the index has " +
+                                   std::to_string(dimensions));
+  }
+  return Status::Ok();
+}
 
-// CRTP base: Derived supplies ToDomain(query) -> S::Query. The model holds
-// the *prototype* adapter, immutable after construction; every cursor gets
+/// Raw, sorted, deduplicated tokens of a set query. A ranked query is
+/// unranked through the base dictionary; a rank outside it (possible only
+/// for hand-built queries) becomes a unique placeholder token, inert for
+/// matching but still counted in set sizes, mirroring MapQuery's treatment
+/// of unseen raw tokens.
+std::vector<int> RawTokens(const setsim::SetCollection& collection,
+                           const SetQuery& query) {
+  std::vector<int> tokens;
+  if (query.ranked) {
+    tokens.reserve(query.tokens.size());
+    int placeholders = 0;
+    for (int rank : query.tokens) {
+      const std::optional<int> token = collection.Token(rank);
+      if (token) {
+        tokens.push_back(*token);
+      } else {
+        tokens.push_back(std::numeric_limits<int>::min() + placeholders++);
+      }
+    }
+  } else {
+    tokens = query.tokens;
+  }
+  std::sort(tokens.begin(), tokens.end());
+  tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
+  return tokens;
+}
+
+/// The canonical stored form of a validated insert, or its insert-only
+/// shape error. Strings and graphs store as given.
+template <typename S>
+StatusOr<Query> InsertForm(const S&, const Query& query) {
+  return query;
+}
+
+StatusOr<Query> InsertForm(const engine::HammingAdapter&, const Query& query) {
+  if (std::get<BitVector>(query).dimensions() < 1) {
+    return Status::InvalidArgument("cannot insert a 0-dimensional vector");
+  }
+  return query;
+}
+
+StatusOr<Query> InsertForm(const engine::EditFastAdapter& adapter,
+                           const Query& query) {
+  // The case-decomposition index only covers one fixed length; inserts
+  // must keep the collection eligible so compaction can rebuild under
+  // the resolved edit_fast_path=on. (On an empty base any legal length
+  // is fine; the writer cross-checks pending inserts against each
+  // other.)
+  const std::string& s = std::get<std::string>(query);
+  const int max_length = editdist::CaseDecSearcher::kMaxLength;
+  if (adapter.size() > 0) {
+    const int length = static_cast<int>(adapter.query(0).size());
+    if (static_cast<int>(s.size()) != length) {
+      return Status::InvalidArgument(
+          "edit_fast_path=on indexes fixed-length strings: cannot insert a " +
+          std::to_string(s.size()) + "-char string into a length-" +
+          std::to_string(length) + " collection");
+    }
+  } else if (s.empty() || static_cast<int>(s.size()) > max_length) {
+    return Status::InvalidArgument(
+        "edit_fast_path=on requires string lengths in [1, " +
+        std::to_string(max_length) + "]");
+  }
+  return query;
+}
+
+/// Sets store raw token ids. A ranked insert only round-trips to tokens
+/// when every rank exists in the base dictionary; a placeholder token
+/// would insert garbage.
+StatusOr<Query> InsertForm(const engine::SetAdapter& adapter,
+                           const Query& query) {
+  const SetQuery& set_query = std::get<SetQuery>(query);
+  const setsim::SetCollection& collection = *adapter.collection();
+  if (set_query.ranked) {
+    for (int rank : set_query.tokens) {
+      if (!collection.Token(rank)) {
+        return Status::InvalidArgument(
+            "cannot insert a ranked set query: rank " + std::to_string(rank) +
+            " is outside the base dictionary [0, " +
+            std::to_string(collection.universe_size()) +
+            "); pass raw token ids instead");
+      }
+    }
+  }
+  return Query(SetQuery{RawTokens(collection, set_query), /*ranked=*/false});
+}
+
+/// The canonical form of a validated probe for Within: set probes unrank
+/// to raw tokens, the rest pass through.
+template <typename S>
+Query ProbeForm(const S&, const Query& query) {
+  return query;
+}
+
+Query ProbeForm(const engine::SetAdapter& adapter, const Query& query) {
+  return Query(SetQuery{
+      RawTokens(*adapter.collection(), std::get<SetQuery>(query)),
+      /*ranked=*/false});
+}
+
+// The exact threshold predicate per query type, between a canonical probe
+// and a canonical delta record. Each is deliberately the same test the
+// searcher's verification step runs, so a record matched out of the delta
+// side table and the same record matched after compaction agree bit for
+// bit.
+
+bool Within(const BitVector& probe, const BitVector& record,
+            const IndexSpec& spec) {
+  // On an empty base a probe of any width validates; a width mismatch
+  // with the pending inserts is simply no match.
+  return probe.dimensions() == record.dimensions() &&
+         probe.HammingDistance(record) <= static_cast<int>(spec.tau);
+}
+
+bool Within(const SetQuery& probe, const SetQuery& record,
+            const IndexSpec& spec) {
+  // The pkwise predicate in token space (overlap is invariant under the
+  // rank relabeling).
+  const std::vector<int>& x = probe.tokens;
+  const std::vector<int>& y = record.tokens;
+  if (spec.measure == setsim::SetMeasure::kJaccard) {
+    return setsim::OverlapAtLeast(
+        x, y,
+        setsim::JaccardOverlapThreshold(static_cast<int>(x.size()),
+                                        static_cast<int>(y.size()), spec.tau));
+  }
+  return setsim::OverlapAtLeast(x, y, static_cast<int>(spec.tau));
+}
+
+bool Within(const std::string& probe, const std::string& record,
+            const IndexSpec& spec) {
+  const int tau = static_cast<int>(spec.tau);
+  return editdist::BandedEditDistance(probe, record, tau) <= tau;
+}
+
+bool Within(const graphed::Graph& probe, const graphed::Graph& record,
+            const IndexSpec& spec) {
+  const int tau = static_cast<int>(spec.tau);
+  return graphed::GraphEditDistanceWithin(probe, record, tau) <= tau;
+}
+
+/// Record `id` in its public form, the RecordQuery and RawDataset element:
+/// set records unrank to raw token ids, the rest read as stored.
+template <typename S>
+const typename S::Query& RawRecord(const S& adapter, int id) {
+  return adapter.query(id);
+}
+
+std::vector<int> RawRecord(const engine::SetAdapter& adapter, int id) {
+  return adapter.collection()->RawRecord(id);
+}
+
+template <typename T>
+Query AsQuery(T record) {
+  return Query(std::move(record));
+}
+
+Query AsQuery(std::vector<int> tokens) {
+  return Query(SetQuery{std::move(tokens), /*ranked=*/false});
+}
+
+/// A validated query in the adapter's representation: raw set queries map
+/// through the frequency-rank dictionary.
+template <typename S>
+const typename S::Query& ToDomain(const S&, const Query& query) {
+  return std::get<typename S::Query>(query);
+}
+
+setsim::RankedSet ToDomain(const engine::SetAdapter& adapter,
+                           const Query& query) {
+  const SetQuery& set_query = std::get<SetQuery>(query);
+  if (set_query.ranked) return set_query.tokens;
+  return adapter.collection()->MapQuery(set_query.tokens);
+}
+
+template <typename S>
+std::vector<typename S::Query> ToDomain(const S& adapter,
+                                        const std::vector<Query>& queries) {
+  std::vector<typename S::Query> domain_queries;
+  domain_queries.reserve(queries.size());
+  for (const Query& query : queries) {
+    domain_queries.push_back(ToDomain(adapter, query));
+  }
+  return domain_queries;
+}
+
+void WriteSections(const engine::HammingAdapter& adapter,
+                   storage::IndexFileWriter& writer) {
+  storage::SaveHammingSections(adapter.searcher(), writer);
+}
+
+void WriteSections(const engine::SetAdapter& adapter,
+                   storage::IndexFileWriter& writer) {
+  storage::SaveSetSections(*adapter.collection(), adapter.searcher(), writer);
+}
+
+void WriteSections(const engine::EditAdapter& adapter,
+                   storage::IndexFileWriter& writer) {
+  storage::SaveEditSections(*adapter.data(), adapter.searcher(), writer);
+}
+
+void WriteSections(const engine::EditFastAdapter& adapter,
+                   storage::IndexFileWriter& writer) {
+  storage::SaveEditFastSections(*adapter.data(), adapter.searcher(), writer);
+}
+
+void WriteSections(const engine::GraphAdapter& adapter,
+                   storage::IndexFileWriter& writer) {
+  storage::SaveGraphSections(*adapter.data(), adapter.searcher(), writer);
+}
+
+// The immutable snapshot behind one Db, for every adapter type. It holds
+// the resolved spec, the *prototype* adapter, `owned` (which keeps alive
+// the collection a set / edit / graph adapter views; null for Hamming,
+// whose searcher owns its objects) and, iff spec.shards > 1, the shard
+// fleet. The prototype is immutable after construction; every cursor gets
 // its own copy (cheap — the searchers share their index state behind
 // shared_ptr) and forwards to the templated engine drivers, so the only
 // erased work per call is the query-list conversion.
 //
-// The delta hooks live on the models too: DeltaMatch is the domain's
-// exact threshold predicate — deliberately the same test the searchers'
-// verification step runs, so a record matched out of the delta side table
-// and the same record matched after compaction agree bit for bit.
-//
-// A model may additionally carry a shard::Fleet (attached by Shard() when
-// spec.shards > 1): the full prototype adapter stays — RecordQuery,
-// RawDataset, SaveSections, and self-join probes all read it, which is
-// what keeps a sharded database's persisted bytes and raw dataset
-// identical to the unsharded ones — and only NewCursor changes, minting a
-// scatter-gather cursor over the fleet instead of a single-adapter one.
-template <typename Derived, engine::Searcher S>
-class ModelBase : public AnySearcher {
+// With a fleet the full prototype stays — RecordQuery, RawDataset,
+// SaveSections, and self-join probes all read it, which is what keeps a
+// sharded database's persisted bytes and raw dataset identical to the
+// unsharded ones — and only NewCursor changes, minting a scatter-gather
+// cursor over the fleet. The fleet is projected out of the full index
+// (shard/split.h), never built independently.
+template <engine::Searcher S>
+class Model final : public AnySearcher {
  public:
-  explicit ModelBase(S adapter) : adapter_(std::move(adapter)) {}
+  Model(IndexSpec spec, S adapter, std::shared_ptr<const void> owned)
+      : spec_(std::move(spec)),
+        owned_(std::move(owned)),
+        adapter_(std::move(adapter)) {
+    if (spec_.shards > 1) {
+      const shard::Partitioner partitioner(shard::PlacementMode::kRoundRobin,
+                                           spec_.shards);
+      fleet_ = shard::MakeFleet(partitioner, adapter_.size(),
+                                shard::Split(adapter_, partitioner));
+    }
+  }
 
   int size() const override { return adapter_.size(); }
 
+  StatusOr<Query> RecordQuery(int id) const override {
+    return AsQuery(RawRecord(adapter_, id));
+  }
+
+  Status ValidateQuery(const Query& query) const override {
+    const Domain domain = QueryDomain(query);
+    if (domain != spec_.domain) {
+      return Status::InvalidArgument(
+          "query is a " + std::string(DomainName(domain)) +
+          " query but the index domain is " + DomainName(spec_.domain));
+    }
+    return CheckShape(adapter_, query);
+  }
+
   std::unique_ptr<AnyCursor> NewCursor() const override {
     if (fleet_ != nullptr) {
-      return std::make_unique<ShardedCursor>(derived(), adapter_, fleet_);
+      return std::make_unique<ShardedCursor>(adapter_, fleet_);
     }
-    return std::make_unique<Cursor>(derived(), adapter_);
+    return std::make_unique<Cursor>(adapter_);
   }
 
   std::vector<int> ShardSizes() const override {
@@ -80,30 +331,53 @@ class ModelBase : public AnySearcher {
     return sizes;
   }
 
-  /// Domains without a ranked/raw duality pass probes through unchanged.
-  Query CanonicalizeProbe(const Query& query) const override { return query; }
+  void SaveSections(storage::IndexFileWriter& writer) const override {
+    WriteSections(adapter_, writer);
+  }
 
- protected:
+  StatusOr<Query> CanonicalizeInsert(const Query& query) const override {
+    Status valid = ValidateQuery(query);
+    if (!valid.ok()) return valid;
+    return InsertForm(adapter_, query);
+  }
+
+  Query CanonicalizeProbe(const Query& query) const override {
+    return ProbeForm(adapter_, query);
+  }
+
+  bool DeltaMatch(const Query& probe, const Query& record) const override {
+    return std::visit(
+        [&](const auto& p) {
+          return Within(p, std::get<std::decay_t<decltype(p)>>(record), spec_);
+        },
+        probe);
+  }
+
+  Dataset RawDataset() const override {
+    std::vector<std::decay_t<decltype(RawRecord(adapter_, 0))>> raw;
+    raw.reserve(adapter_.size());
+    for (int id = 0; id < adapter_.size(); ++id) {
+      raw.push_back(RawRecord(adapter_, id));
+    }
+    return raw;
+  }
+
+ private:
   class Cursor : public AnyCursor {
    public:
-    Cursor(const Derived& model, S adapter)
-        : model_(model), adapter_(std::move(adapter)) {}
+    explicit Cursor(S adapter) : adapter_(std::move(adapter)) {}
 
     std::vector<int> SearchOne(const Query& query,
                                engine::QueryStats* stats) override {
-      return adapter_.Search(model_.ToDomain(query), stats);
+      return adapter_.Search(ToDomain(adapter_, query), stats);
     }
 
     std::vector<std::vector<int>> SearchBatch(
         const std::vector<Query>& queries,
         const engine::ExecutionContext& ctx,
         engine::QueryStats* stats) override {
-      std::vector<typename S::Query> domain_queries;
-      domain_queries.reserve(queries.size());
-      for (const Query& query : queries) {
-        domain_queries.push_back(model_.ToDomain(query));
-      }
-      return engine::SearchBatch(adapter_, domain_queries, ctx, stats);
+      return engine::SearchBatch(adapter_, ToDomain(adapter_, queries), ctx,
+                                 stats);
     }
 
     std::vector<engine::IdPair> SelfJoin(const engine::ExecutionContext& ctx,
@@ -112,9 +386,6 @@ class ModelBase : public AnySearcher {
     }
 
    private:
-    // The owning snapshot outlives every cursor (sessions and in-flight
-    // submissions pin it), so a plain reference is safe.
-    const Derived& model_;
     S adapter_;
   };
 
@@ -123,29 +394,23 @@ class ModelBase : public AnySearcher {
   // byte-identical to the unsharded cursor's at any shard / thread count.
   class ShardedCursor : public AnyCursor {
    public:
-    ShardedCursor(const Derived& model, const S& full,
-                  std::shared_ptr<const shard::Fleet<S>> fleet)
-        : model_(model),
-          full_(full),
+    ShardedCursor(const S& full, std::shared_ptr<const shard::Fleet<S>> fleet)
+        : full_(full),
           fleet_(std::move(fleet)),
           scratch_(shard::CloneShardAdapters(*fleet_)) {}
 
     std::vector<int> SearchOne(const Query& query,
                                engine::QueryStats* stats) override {
       return shard::ScatterSearchOne(*fleet_, scratch_,
-                                     model_.ToDomain(query), stats);
+                                     ToDomain(full_, query), stats);
     }
 
     std::vector<std::vector<int>> SearchBatch(
         const std::vector<Query>& queries,
         const engine::ExecutionContext& ctx,
         engine::QueryStats* stats) override {
-      std::vector<typename S::Query> domain_queries;
-      domain_queries.reserve(queries.size());
-      for (const Query& query : queries) {
-        domain_queries.push_back(model_.ToDomain(query));
-      }
-      return shard::ScatterSearchBatch(*fleet_, scratch_, domain_queries,
+      return shard::ScatterSearchBatch(*fleet_, scratch_,
+                                       ToDomain(full_, queries),
                                        ShardOptions(ctx), stats);
     }
 
@@ -170,430 +435,17 @@ class ModelBase : public AnySearcher {
       return options;
     }
 
-    const Derived& model_;
-    const S& full_;  // the model's prototype: supplies self-join probes
+    // The owning snapshot outlives every cursor (sessions and in-flight
+    // submissions pin it), so a plain reference is safe.
+    const S& full_;  // the model's prototype: maps queries, probes joins
     std::shared_ptr<const shard::Fleet<S>> fleet_;
     std::vector<S> scratch_;  // one mutable clone per shard
   };
 
-  const Derived& derived() const {
-    return static_cast<const Derived&>(*this);
-  }
-
-  void AttachFleet(std::shared_ptr<const shard::Fleet<S>> fleet) {
-    fleet_ = std::move(fleet);
-  }
-
-  S adapter_;  // the prototype; only read and copied after construction
-  // Present iff spec.shards > 1 (see the class comment).
+  IndexSpec spec_;
+  std::shared_ptr<const void> owned_;  // declared first: adapter_ views it
+  S adapter_;
   std::shared_ptr<const shard::Fleet<S>> fleet_;
-};
-
-class HammingModel : public ModelBase<HammingModel, engine::HammingAdapter> {
- public:
-  HammingModel(engine::HammingAdapter adapter, int dimensions, int tau)
-      : ModelBase(std::move(adapter)), dimensions_(dimensions), tau_(tau) {}
-
-  Status ValidateQuery(const Query& query) const override {
-    if (!std::holds_alternative<BitVector>(query)) {
-      return QueryDomainError(QueryDomain(query), Domain::kHamming);
-    }
-    const int d = std::get<BitVector>(query).dimensions();
-    if (adapter_.size() > 0 && d != dimensions_) {
-      return Status::InvalidArgument(
-          "query has " + std::to_string(d) +
-          " dimensions but the index has " + std::to_string(dimensions_));
-    }
-    return Status::Ok();
-  }
-
-  StatusOr<Query> RecordQuery(int id) const override {
-    return Query(adapter_.query(id));
-  }
-
-  StatusOr<Query> CanonicalizeInsert(const Query& query) const override {
-    Status valid = ValidateQuery(query);
-    if (!valid.ok()) return valid;
-    if (std::get<BitVector>(query).dimensions() < 1) {
-      return Status::InvalidArgument(
-          "cannot insert a 0-dimensional vector");
-    }
-    return query;
-  }
-
-  bool DeltaMatch(const Query& probe, const Query& record) const override {
-    // On an empty base a probe of any width validates; a width mismatch
-    // with the pending inserts is simply no match.
-    const BitVector& p = std::get<BitVector>(probe);
-    const BitVector& r = std::get<BitVector>(record);
-    return p.dimensions() == r.dimensions() &&
-           p.HammingDistance(r) <= tau_;
-  }
-
-  Dataset RawDataset() const override {
-    return adapter_.searcher().objects();
-  }
-
-  const BitVector& ToDomain(const Query& query) const {
-    return std::get<BitVector>(query);
-  }
-
-  void SaveSections(storage::IndexFileWriter& writer) const override {
-    storage::SaveHammingSections(adapter_.searcher(), writer);
-  }
-
-  void Shard(const IndexSpec& spec) {
-    const shard::Partitioner partitioner(shard::PlacementMode::kRoundRobin,
-                                         spec.shards);
-    const int chain = RingEnabled(spec) ? spec.chain_length : 1;
-    AttachFleet(shard::MakeFleet(
-        partitioner, adapter_.size(),
-        shard::SplitHamming(adapter_, partitioner, tau_, chain,
-                            spec.allocation)));
-  }
-
- private:
-  int dimensions_;
-  int tau_;
-};
-
-class SetModel : public ModelBase<SetModel, engine::SetAdapter> {
- public:
-  SetModel(std::unique_ptr<setsim::SetCollection> collection,
-           engine::SetAdapter adapter, double tau, setsim::SetMeasure measure)
-      : ModelBase(std::move(adapter)),
-        collection_(std::move(collection)),
-        tau_(tau),
-        measure_(measure),
-        rank_to_token_(collection_->universe_size()) {
-    for (const auto& [token, rank] : collection_->ExportDictionary()) {
-      // A well-formed dictionary is a permutation of [0, universe); a
-      // corrupted-but-decodable index file may not be. Skipping bad ranks
-      // keeps the no-crash contract — the storage tests load such files.
-      if (rank >= 0 && rank < static_cast<int>(rank_to_token_.size())) {
-        rank_to_token_[rank] = token;
-      }
-    }
-  }
-
-  Status ValidateQuery(const Query& query) const override {
-    if (!std::holds_alternative<SetQuery>(query)) {
-      return QueryDomainError(QueryDomain(query), Domain::kSet);
-    }
-    return Status::Ok();
-  }
-
-  StatusOr<Query> RecordQuery(int id) const override {
-    return Query(SetQuery{RawRecord(id), /*ranked=*/false});
-  }
-
-  StatusOr<Query> CanonicalizeInsert(const Query& query) const override {
-    Status valid = ValidateQuery(query);
-    if (!valid.ok()) return valid;
-    const SetQuery& set_query = std::get<SetQuery>(query);
-    std::vector<int> tokens;
-    tokens.reserve(set_query.tokens.size());
-    if (set_query.ranked) {
-      // A ranked query only round-trips to tokens when every rank exists
-      // in the base dictionary; a placeholder token would insert garbage.
-      for (int rank : set_query.tokens) {
-        if (rank < 0 || rank >= static_cast<int>(rank_to_token_.size())) {
-          return Status::InvalidArgument(
-              "cannot insert a ranked set query: rank " +
-              std::to_string(rank) + " is outside the base dictionary [0, " +
-              std::to_string(rank_to_token_.size()) +
-              "); pass raw token ids instead");
-        }
-        tokens.push_back(rank_to_token_[rank]);
-      }
-    } else {
-      tokens = set_query.tokens;
-    }
-    SortUnique(tokens);
-    return Query(SetQuery{std::move(tokens), /*ranked=*/false});
-  }
-
-  Query CanonicalizeProbe(const Query& query) const override {
-    const SetQuery& set_query = std::get<SetQuery>(query);
-    std::vector<int> tokens;
-    tokens.reserve(set_query.tokens.size());
-    if (set_query.ranked) {
-      // Ranks outside the dictionary (possible only for hand-built
-      // queries) become unique placeholder tokens: inert for matching but
-      // still counted in set sizes, mirroring MapQuery's treatment of
-      // unseen raw tokens.
-      int placeholders = 0;
-      for (int rank : set_query.tokens) {
-        if (rank >= 0 && rank < static_cast<int>(rank_to_token_.size())) {
-          tokens.push_back(rank_to_token_[rank]);
-        } else {
-          tokens.push_back(std::numeric_limits<int>::min() + placeholders++);
-        }
-      }
-    } else {
-      tokens = set_query.tokens;
-    }
-    SortUnique(tokens);
-    return Query(SetQuery{std::move(tokens), /*ranked=*/false});
-  }
-
-  bool DeltaMatch(const Query& probe, const Query& record) const override {
-    // Both sides are canonical: raw tokens, sorted and deduplicated.
-    // Exactly the predicate the pkwise searcher verifies with, expressed
-    // in token space (overlap is invariant under the rank relabeling).
-    const std::vector<int>& x = std::get<SetQuery>(probe).tokens;
-    const std::vector<int>& y = std::get<SetQuery>(record).tokens;
-    if (measure_ == setsim::SetMeasure::kJaccard) {
-      return setsim::OverlapAtLeast(
-          x, y,
-          setsim::JaccardOverlapThreshold(static_cast<int>(x.size()),
-                                          static_cast<int>(y.size()), tau_));
-    }
-    return setsim::OverlapAtLeast(x, y, static_cast<int>(tau_));
-  }
-
-  Dataset RawDataset() const override {
-    std::vector<std::vector<int>> raw;
-    raw.reserve(collection_->num_records());
-    for (int id = 0; id < collection_->num_records(); ++id) {
-      raw.push_back(RawRecord(id));
-    }
-    return raw;
-  }
-
-  setsim::RankedSet ToDomain(const Query& query) const {
-    const SetQuery& set_query = std::get<SetQuery>(query);
-    if (set_query.ranked) return set_query.tokens;
-    return collection_->MapQuery(set_query.tokens);
-  }
-
-  void SaveSections(storage::IndexFileWriter& writer) const override {
-    storage::SaveSetSections(*collection_, adapter_.searcher(), writer);
-  }
-
-  void Shard(const IndexSpec& spec) {
-    const shard::Partitioner partitioner(shard::PlacementMode::kRoundRobin,
-                                         spec.shards);
-    const int chain = RingEnabled(spec) ? spec.chain_length : 1;
-    AttachFleet(shard::MakeFleet(
-        partitioner, adapter_.size(),
-        shard::SplitSet(adapter_, partitioner, tau_, measure_, chain)));
-  }
-
- private:
-  static void SortUnique(std::vector<int>& tokens) {
-    std::sort(tokens.begin(), tokens.end());
-    tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
-  }
-
-  /// Record `id` unranked back to raw token ids, sorted ascending. A
-  /// well-formed record's ranks are always within the dictionary; ranks a
-  /// corrupted index file smuggled past the decoder map to themselves
-  /// (no-crash contract — the result is garbage either way).
-  std::vector<int> RawRecord(int id) const {
-    const setsim::RankedSet& ranks = collection_->record(id);
-    std::vector<int> tokens;
-    tokens.reserve(ranks.size());
-    for (int rank : ranks) {
-      tokens.push_back(rank >= 0 &&
-                               rank < static_cast<int>(rank_to_token_.size())
-                           ? rank_to_token_[rank]
-                           : rank);
-    }
-    std::sort(tokens.begin(), tokens.end());
-    return tokens;
-  }
-
-  std::unique_ptr<setsim::SetCollection> collection_;
-  double tau_;
-  setsim::SetMeasure measure_;
-  std::vector<int> rank_to_token_;  // inverse of the frequency dictionary
-};
-
-class EditModel : public ModelBase<EditModel, engine::EditAdapter> {
- public:
-  EditModel(std::unique_ptr<std::vector<std::string>> data,
-            engine::EditAdapter adapter, int tau)
-      : ModelBase(std::move(adapter)), data_(std::move(data)), tau_(tau) {}
-
-  Status ValidateQuery(const Query& query) const override {
-    if (!std::holds_alternative<std::string>(query)) {
-      return QueryDomainError(QueryDomain(query), Domain::kEdit);
-    }
-    return Status::Ok();
-  }
-
-  StatusOr<Query> RecordQuery(int id) const override {
-    return Query((*data_)[id]);
-  }
-
-  StatusOr<Query> CanonicalizeInsert(const Query& query) const override {
-    Status valid = ValidateQuery(query);
-    if (!valid.ok()) return valid;
-    return query;
-  }
-
-  bool DeltaMatch(const Query& probe, const Query& record) const override {
-    const std::string& a = std::get<std::string>(probe);
-    const std::string& b = std::get<std::string>(record);
-    return editdist::BandedEditDistance(a, b, tau_) <= tau_;
-  }
-
-  Dataset RawDataset() const override { return *data_; }
-
-  const std::string& ToDomain(const Query& query) const {
-    return std::get<std::string>(query);
-  }
-
-  void SaveSections(storage::IndexFileWriter& writer) const override {
-    storage::SaveEditSections(*data_, adapter_.searcher(), writer);
-  }
-
-  void Shard(const IndexSpec& spec) {
-    const shard::Partitioner partitioner(shard::PlacementMode::kRoundRobin,
-                                         spec.shards);
-    const editdist::EditFilter filter = RingEnabled(spec)
-                                            ? editdist::EditFilter::kRing
-                                            : editdist::EditFilter::kPivotal;
-    AttachFleet(shard::MakeFleet(
-        partitioner, adapter_.size(),
-        shard::SplitEdit(adapter_, partitioner, spec.kappa, filter,
-                         spec.chain_length)));
-  }
-
- private:
-  std::unique_ptr<std::vector<std::string>> data_;
-  int tau_;
-};
-
-class EditFastModel
-    : public ModelBase<EditFastModel, engine::EditFastAdapter> {
- public:
-  EditFastModel(std::unique_ptr<std::vector<std::string>> data,
-                engine::EditFastAdapter adapter, int tau)
-      : ModelBase(std::move(adapter)), data_(std::move(data)), tau_(tau) {}
-
-  Status ValidateQuery(const Query& query) const override {
-    if (!std::holds_alternative<std::string>(query)) {
-      return QueryDomainError(QueryDomain(query), Domain::kEdit);
-    }
-    return Status::Ok();
-  }
-
-  StatusOr<Query> RecordQuery(int id) const override {
-    return Query((*data_)[id]);
-  }
-
-  StatusOr<Query> CanonicalizeInsert(const Query& query) const override {
-    Status valid = ValidateQuery(query);
-    if (!valid.ok()) return valid;
-    // The case-decomposition index only covers one fixed length; inserts
-    // must keep the collection eligible so compaction can rebuild under
-    // the resolved edit_fast_path=on. (On an empty base any legal length
-    // is fine; the writer cross-checks pending inserts against each
-    // other.)
-    const std::string& s = std::get<std::string>(query);
-    const int max_length = editdist::CaseDecSearcher::kMaxLength;
-    if (!data_->empty()) {
-      const int length = static_cast<int>(data_->front().size());
-      if (static_cast<int>(s.size()) != length) {
-        return Status::InvalidArgument(
-            "edit_fast_path=on indexes fixed-length strings: cannot "
-            "insert a " +
-            std::to_string(s.size()) + "-char string into a length-" +
-            std::to_string(length) + " collection");
-      }
-    } else if (s.empty() ||
-               static_cast<int>(s.size()) > max_length) {
-      return Status::InvalidArgument(
-          "edit_fast_path=on requires string lengths in [1, " +
-          std::to_string(max_length) + "]");
-    }
-    return query;
-  }
-
-  bool DeltaMatch(const Query& probe, const Query& record) const override {
-    const std::string& a = std::get<std::string>(probe);
-    const std::string& b = std::get<std::string>(record);
-    return editdist::BandedEditDistance(a, b, tau_) <= tau_;
-  }
-
-  Dataset RawDataset() const override { return *data_; }
-
-  const std::string& ToDomain(const Query& query) const {
-    return std::get<std::string>(query);
-  }
-
-  void SaveSections(storage::IndexFileWriter& writer) const override {
-    storage::SaveEditFastSections(*data_, adapter_.searcher(), writer);
-  }
-
-  void Shard(const IndexSpec& spec) {
-    const shard::Partitioner partitioner(shard::PlacementMode::kRoundRobin,
-                                         spec.shards);
-    AttachFleet(shard::MakeFleet(
-        partitioner, adapter_.size(),
-        shard::SplitEditFast(adapter_, partitioner, spec.chain_length)));
-  }
-
- private:
-  std::unique_ptr<std::vector<std::string>> data_;
-  int tau_;
-};
-
-class GraphModel : public ModelBase<GraphModel, engine::GraphAdapter> {
- public:
-  GraphModel(std::unique_ptr<std::vector<graphed::Graph>> data,
-             engine::GraphAdapter adapter, int tau)
-      : ModelBase(std::move(adapter)), data_(std::move(data)), tau_(tau) {}
-
-  Status ValidateQuery(const Query& query) const override {
-    if (!std::holds_alternative<graphed::Graph>(query)) {
-      return QueryDomainError(QueryDomain(query), Domain::kGraph);
-    }
-    return Status::Ok();
-  }
-
-  StatusOr<Query> RecordQuery(int id) const override {
-    return Query((*data_)[id]);
-  }
-
-  StatusOr<Query> CanonicalizeInsert(const Query& query) const override {
-    Status valid = ValidateQuery(query);
-    if (!valid.ok()) return valid;
-    return query;
-  }
-
-  bool DeltaMatch(const Query& probe, const Query& record) const override {
-    return graphed::GraphEditDistanceWithin(std::get<graphed::Graph>(probe),
-                                            std::get<graphed::Graph>(record),
-                                            tau_) <= tau_;
-  }
-
-  Dataset RawDataset() const override { return *data_; }
-
-  const graphed::Graph& ToDomain(const Query& query) const {
-    return std::get<graphed::Graph>(query);
-  }
-
-  void SaveSections(storage::IndexFileWriter& writer) const override {
-    storage::SaveGraphSections(*data_, adapter_.searcher(), writer);
-  }
-
-  void Shard(const IndexSpec& spec) {
-    const shard::Partitioner partitioner(shard::PlacementMode::kRoundRobin,
-                                         spec.shards);
-    const graphed::GraphFilter filter = RingEnabled(spec)
-                                            ? graphed::GraphFilter::kRing
-                                            : graphed::GraphFilter::kPars;
-    AttachFleet(shard::MakeFleet(
-        partitioner, adapter_.size(),
-        shard::SplitGraph(adapter_, partitioner, filter, spec.chain_length)));
-  }
-
- private:
-  std::unique_ptr<std::vector<graphed::Graph>> data_;
-  int tau_;
 };
 
 bool RingEnabled(const IndexSpec& spec) {
@@ -608,15 +460,61 @@ bool RingEnabled(const IndexSpec& spec) {
   return spec.chain_length > 1;
 }
 
-/// The tail every Build* / Load* shares: attaches the scatter-gather fleet
-/// when the spec asks for shards, then erases the model. Sharding happens
-/// here — after the full build or load — because the shards are projected
-/// out of the full index (shard/split.h), never built independently.
-template <typename Model>
-std::unique_ptr<const AnySearcher> Finish(std::unique_ptr<Model> model,
-                                          const IndexSpec& spec) {
-  if (spec.shards > 1) model->Shard(spec);
-  return model;
+// --- Spec -> adapter ---
+//
+// One MakeAdapter per adapter type binds the spec's per-query parameters
+// (threshold, chain length, filter, allocation mode). Every build and load
+// path shares it, and shard adapters inherit the result through Rebind.
+
+engine::HammingAdapter MakeAdapter(const IndexSpec& spec,
+                                   hamming::HammingSearcher searcher) {
+  return engine::HammingAdapter(std::move(searcher),
+                                static_cast<int>(spec.tau),
+                                RingEnabled(spec) ? spec.chain_length : 1,
+                                spec.allocation);
+}
+
+engine::SetAdapter MakeAdapter(const IndexSpec& spec,
+                               setsim::PkwiseSearcher searcher,
+                               const setsim::SetCollection* collection) {
+  return engine::SetAdapter(std::move(searcher), collection,
+                            RingEnabled(spec) ? spec.chain_length : 1);
+}
+
+engine::EditAdapter MakeAdapter(const IndexSpec& spec,
+                                editdist::EditDistanceSearcher searcher,
+                                const std::vector<std::string>* data) {
+  return engine::EditAdapter(std::move(searcher), data,
+                             RingEnabled(spec) ? editdist::EditFilter::kRing
+                                               : editdist::EditFilter::kPivotal,
+                             spec.chain_length);
+}
+
+engine::EditFastAdapter MakeAdapter(const IndexSpec& spec,
+                                    editdist::CaseDecSearcher searcher,
+                                    const std::vector<std::string>* data) {
+  return engine::EditFastAdapter(std::move(searcher), data,
+                                 spec.chain_length);
+}
+
+engine::GraphAdapter MakeAdapter(const IndexSpec& spec,
+                                 graphed::GraphSearcher searcher,
+                                 const std::vector<graphed::Graph>* data) {
+  return engine::GraphAdapter(std::move(searcher), data,
+                              RingEnabled(spec) ? graphed::GraphFilter::kRing
+                                                : graphed::GraphFilter::kPars,
+                              spec.chain_length);
+}
+
+/// Erases a bound adapter into its snapshot model. Bind the adapter into a
+/// local first: argument evaluation order is unspecified, so moving
+/// `owned` in the same call that reads its raw pointer may pass null.
+template <engine::Searcher S>
+std::unique_ptr<const AnySearcher> NewModel(
+    const IndexSpec& spec, S adapter,
+    std::shared_ptr<const void> owned = nullptr) {
+  return std::make_unique<Model<S>>(spec, std::move(adapter),
+                                    std::move(owned));
 }
 
 StatusOr<std::unique_ptr<const AnySearcher>> BuildHamming(
@@ -664,26 +562,20 @@ StatusOr<std::unique_ptr<const AnySearcher>> BuildHamming(
           " partitions of a d=" + std::to_string(dimensions) + " index");
     }
   }
-  const int chain = RingEnabled(spec) ? spec.chain_length : 1;
-  engine::HammingAdapter adapter(
-      hamming::HammingSearcher(std::move(objects), num_parts),
-      static_cast<int>(spec.tau), chain, spec.allocation);
-  return Finish(std::make_unique<HammingModel>(std::move(adapter), dimensions,
-                                               static_cast<int>(spec.tau)),
-                spec);
+  return NewModel(spec,
+                  MakeAdapter(spec, hamming::HammingSearcher(
+                                        std::move(objects), num_parts)));
 }
 
 StatusOr<std::unique_ptr<const AnySearcher>> BuildSet(
-    const IndexSpec& spec, std::vector<std::vector<int>> raw) {
-  auto collection = std::make_unique<setsim::SetCollection>(raw);
-  setsim::PkwiseSearcher searcher(collection.get(), spec.tau, spec.num_boxes,
-                                  spec.measure);
-  const int chain = RingEnabled(spec) ? spec.chain_length : 1;
-  engine::SetAdapter adapter(std::move(searcher), collection.get(), chain);
-  return Finish(std::make_unique<SetModel>(std::move(collection),
-                                           std::move(adapter), spec.tau,
-                                           spec.measure),
-                spec);
+    const IndexSpec& spec, const std::vector<std::vector<int>>& raw) {
+  auto collection = std::make_shared<const setsim::SetCollection>(raw);
+  auto adapter = MakeAdapter(
+      spec,
+      setsim::PkwiseSearcher(collection.get(), spec.tau, spec.num_boxes,
+                             spec.measure),
+      collection.get());
+  return NewModel(spec, std::move(adapter), std::move(collection));
 }
 
 /// Resolves edit_fast_path=kAuto against the dataset's shape (kOn / kOff
@@ -726,48 +618,32 @@ Status ResolveEditFastPath(IndexSpec& spec,
 
 StatusOr<std::unique_ptr<const AnySearcher>> BuildEdit(
     IndexSpec& spec, std::vector<std::string> strings) {
-  auto data =
-      std::make_unique<std::vector<std::string>>(std::move(strings));
-  Status resolved = ResolveEditFastPath(spec, *data);
+  Status resolved = ResolveEditFastPath(spec, strings);
   if (!resolved.ok()) return resolved;
+  auto data =
+      std::make_shared<const std::vector<std::string>>(std::move(strings));
+  const int tau = static_cast<int>(spec.tau);
   if (spec.edit_fast_path == EditFastPath::kOn) {
-    editdist::CaseDecSearcher searcher(data.get(),
-                                       static_cast<int>(spec.tau));
-    engine::EditFastAdapter adapter(std::move(searcher), data.get(),
-                                    spec.chain_length);
-    return Finish(std::make_unique<EditFastModel>(std::move(data),
-                                                  std::move(adapter),
-                                                  static_cast<int>(spec.tau)),
-                  spec);
+    auto adapter = MakeAdapter(
+        spec, editdist::CaseDecSearcher(data.get(), tau), data.get());
+    return NewModel(spec, std::move(adapter), std::move(data));
   }
-  editdist::EditDistanceSearcher searcher(
-      data.get(), static_cast<int>(spec.tau), spec.kappa);
-  const editdist::EditFilter filter = RingEnabled(spec)
-                                          ? editdist::EditFilter::kRing
-                                          : editdist::EditFilter::kPivotal;
-  engine::EditAdapter adapter(std::move(searcher), data.get(), filter,
-                              spec.chain_length);
-  return Finish(std::make_unique<EditModel>(std::move(data),
-                                            std::move(adapter),
-                                            static_cast<int>(spec.tau)),
-                spec);
+  auto adapter = MakeAdapter(
+      spec, editdist::EditDistanceSearcher(data.get(), tau, spec.kappa),
+      data.get());
+  return NewModel(spec, std::move(adapter), std::move(data));
 }
 
 StatusOr<std::unique_ptr<const AnySearcher>> BuildGraph(
     const IndexSpec& spec, std::vector<graphed::Graph> graphs) {
   auto data =
-      std::make_unique<std::vector<graphed::Graph>>(std::move(graphs));
-  graphed::GraphSearcher searcher(data.get(), static_cast<int>(spec.tau),
-                                  spec.partition_seed);
-  const graphed::GraphFilter filter = RingEnabled(spec)
-                                          ? graphed::GraphFilter::kRing
-                                          : graphed::GraphFilter::kPars;
-  engine::GraphAdapter adapter(std::move(searcher), data.get(), filter,
-                               spec.chain_length);
-  return Finish(std::make_unique<GraphModel>(std::move(data),
-                                             std::move(adapter),
-                                             static_cast<int>(spec.tau)),
-                spec);
+      std::make_shared<const std::vector<graphed::Graph>>(std::move(graphs));
+  auto adapter = MakeAdapter(
+      spec,
+      graphed::GraphSearcher(data.get(), static_cast<int>(spec.tau),
+                             spec.partition_seed),
+      data.get());
+  return NewModel(spec, std::move(adapter), std::move(data));
 }
 
 // --- Persisted-index support ---
@@ -885,8 +761,6 @@ StatusOr<std::unique_ptr<const AnySearcher>> LoadHamming(
     const IndexSpec& spec, const storage::IndexFileReader& reader) {
   auto loaded = storage::LoadHammingSections(reader);
   if (!loaded.ok()) return loaded.status();
-  const int dimensions =
-      loaded->objects.empty() ? 0 : loaded->objects.front().dimensions();
   const int num_parts = loaded->index->partition().num_parts();
   // The same dataset-dependent check the build path runs: the partition
   // count only becomes known here.
@@ -896,88 +770,60 @@ StatusOr<std::unique_ptr<const AnySearcher>> LoadHamming(
         " exceeds the " + std::to_string(num_parts) +
         " partitions of the saved index");
   }
-  const int chain = RingEnabled(spec) ? spec.chain_length : 1;
-  engine::HammingAdapter adapter(
-      hamming::HammingSearcher::FromBuilt(std::move(loaded->objects),
-                                          std::move(loaded->index)),
-      static_cast<int>(spec.tau), chain, spec.allocation);
-  return Finish(std::make_unique<HammingModel>(std::move(adapter), dimensions,
-                                               static_cast<int>(spec.tau)),
-                spec);
+  return NewModel(spec, MakeAdapter(spec, hamming::HammingSearcher::FromBuilt(
+                                              std::move(loaded->objects),
+                                              std::move(loaded->index))));
 }
 
 StatusOr<std::unique_ptr<const AnySearcher>> LoadSet(
     const IndexSpec& spec, const storage::IndexFileReader& reader) {
   auto loaded = storage::LoadSetSections(reader, spec.num_boxes);
   if (!loaded.ok()) return loaded.status();
-  setsim::PkwiseSearcher searcher = setsim::PkwiseSearcher::FromBuilt(
-      loaded->collection.get(), spec.tau, spec.num_boxes, spec.measure,
-      std::move(loaded->index));
-  const int chain = RingEnabled(spec) ? spec.chain_length : 1;
-  engine::SetAdapter adapter(std::move(searcher), loaded->collection.get(),
-                             chain);
-  return Finish(std::make_unique<SetModel>(std::move(loaded->collection),
-                                           std::move(adapter), spec.tau,
-                                           spec.measure),
-                spec);
-}
-
-StatusOr<std::unique_ptr<const AnySearcher>> LoadEditFast(
-    const IndexSpec& spec, const storage::IndexFileReader& reader) {
-  auto loaded =
-      storage::LoadEditFastSections(reader, static_cast<int>(spec.tau));
-  if (!loaded.ok()) return loaded.status();
-  editdist::CaseDecSearcher searcher = editdist::CaseDecSearcher::FromBuilt(
-      loaded->data.get(), static_cast<int>(spec.tau),
-      std::move(loaded->cases));
-  engine::EditFastAdapter adapter(std::move(searcher), loaded->data.get(),
-                                  spec.chain_length);
-  return Finish(std::make_unique<EditFastModel>(std::move(loaded->data),
-                                                std::move(adapter),
-                                                static_cast<int>(spec.tau)),
-                spec);
+  const setsim::SetCollection* collection = loaded->collection.get();
+  auto adapter = MakeAdapter(
+      spec,
+      setsim::PkwiseSearcher::FromBuilt(collection, spec.tau, spec.num_boxes,
+                                        spec.measure, std::move(loaded->index)),
+      collection);
+  return NewModel(spec, std::move(adapter), std::move(loaded->collection));
 }
 
 StatusOr<std::unique_ptr<const AnySearcher>> LoadEdit(
     const IndexSpec& spec, const storage::IndexFileReader& reader) {
+  const int tau = static_cast<int>(spec.tau);
   if (spec.edit_fast_path == EditFastPath::kOn) {
-    return LoadEditFast(spec, reader);
+    auto loaded = storage::LoadEditFastSections(reader, tau);
+    if (!loaded.ok()) return loaded.status();
+    const std::vector<std::string>* data = loaded->data.get();
+    auto adapter = MakeAdapter(
+        spec,
+        editdist::CaseDecSearcher::FromBuilt(data, tau,
+                                             std::move(loaded->cases)),
+        data);
+    return NewModel(spec, std::move(adapter), std::move(loaded->data));
   }
-  auto loaded = storage::LoadEditSections(reader, static_cast<int>(spec.tau),
-                                          spec.kappa);
+  auto loaded = storage::LoadEditSections(reader, tau, spec.kappa);
   if (!loaded.ok()) return loaded.status();
-  editdist::EditDistanceSearcher searcher =
-      editdist::EditDistanceSearcher::FromBuilt(
-          loaded->data.get(), static_cast<int>(spec.tau), spec.kappa,
-          std::move(loaded->index));
-  const editdist::EditFilter filter = RingEnabled(spec)
-                                          ? editdist::EditFilter::kRing
-                                          : editdist::EditFilter::kPivotal;
-  engine::EditAdapter adapter(std::move(searcher), loaded->data.get(),
-                              filter, spec.chain_length);
-  return Finish(std::make_unique<EditModel>(std::move(loaded->data),
-                                            std::move(adapter),
-                                            static_cast<int>(spec.tau)),
-                spec);
+  const std::vector<std::string>* data = loaded->data.get();
+  auto adapter = MakeAdapter(
+      spec,
+      editdist::EditDistanceSearcher::FromBuilt(data, tau, spec.kappa,
+                                                std::move(loaded->index)),
+      data);
+  return NewModel(spec, std::move(adapter), std::move(loaded->data));
 }
 
 StatusOr<std::unique_ptr<const AnySearcher>> LoadGraph(
     const IndexSpec& spec, const storage::IndexFileReader& reader) {
-  auto loaded =
-      storage::LoadGraphSections(reader, static_cast<int>(spec.tau));
+  const int tau = static_cast<int>(spec.tau);
+  auto loaded = storage::LoadGraphSections(reader, tau);
   if (!loaded.ok()) return loaded.status();
-  graphed::GraphSearcher searcher = graphed::GraphSearcher::FromBuilt(
-      loaded->data.get(), static_cast<int>(spec.tau),
-      std::move(loaded->state));
-  const graphed::GraphFilter filter = RingEnabled(spec)
-                                          ? graphed::GraphFilter::kRing
-                                          : graphed::GraphFilter::kPars;
-  engine::GraphAdapter adapter(std::move(searcher), loaded->data.get(),
-                               filter, spec.chain_length);
-  return Finish(std::make_unique<GraphModel>(std::move(loaded->data),
-                                             std::move(adapter),
-                                             static_cast<int>(spec.tau)),
-                spec);
+  const std::vector<graphed::Graph>* data = loaded->data.get();
+  auto adapter = MakeAdapter(
+      spec,
+      graphed::GraphSearcher::FromBuilt(data, tau, std::move(loaded->state)),
+      data);
+  return NewModel(spec, std::move(adapter), std::move(loaded->data));
 }
 
 /// Wraps a fresh searcher + executor into an epoch-0 hub.
@@ -1097,28 +943,21 @@ StatusOr<Db> Db::Open(const IndexSpec& spec,
   if (storage::LooksLikeIndexFile(dataset_path)) {
     return OpenIndex(spec, dataset_path);
   }
+  auto open = [&spec](auto loaded) -> StatusOr<Db> {
+    if (!loaded.ok()) return loaded.status();
+    return Open(spec, Dataset(std::move(loaded).value()));
+  };
   switch (spec.domain) {
-    case Domain::kHamming: {
-      auto loaded = io::LoadBitVectors(dataset_path);
-      if (!loaded.ok()) return loaded.status();
-      return Open(spec, Dataset(std::move(loaded).value()));
-    }
-    case Domain::kSet: {
-      auto loaded = io::LoadTokenSets(dataset_path);
-      if (!loaded.ok()) return loaded.status();
-      return Open(spec, Dataset(std::move(loaded).value()));
-    }
-    case Domain::kEdit: {
-      auto loaded = io::LoadStrings(dataset_path);
-      if (!loaded.ok()) return loaded.status();
-      return Open(spec, Dataset(std::move(loaded).value()));
-    }
+    case Domain::kHamming:
+      return open(io::LoadBitVectors(dataset_path));
+    case Domain::kSet:
+      return open(io::LoadTokenSets(dataset_path));
+    case Domain::kEdit:
+      return open(io::LoadStrings(dataset_path));
     case Domain::kGraph:
       break;
   }
-  auto loaded = io::LoadGraphs(dataset_path);
-  if (!loaded.ok()) return loaded.status();
-  return Open(spec, Dataset(std::move(loaded).value()));
+  return open(io::LoadGraphs(dataset_path));
 }
 
 StatusOr<Db> Db::OpenIndex(const IndexSpec& spec,

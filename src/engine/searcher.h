@@ -2,8 +2,10 @@
 //
 // A Searcher is a copyable, self-contained handle over one domain searcher
 // with every per-domain parameter (threshold, chain length, filter mode)
-// bound at construction. It exposes the uniform surface the batch drivers
-// in engine/engine.h need:
+// bound at construction. Each adapter's Rebind(searcher[, data]) makes a
+// new adapter with the same parameters over another searcher (how shard
+// adapters inherit the full adapter's, shard/split.h). It exposes the
+// uniform surface the batch drivers in engine/engine.h need:
 //
 //   size()       — number of records in the joined/probed collection
 //   query(i)     — record i viewed as a query object
@@ -66,6 +68,9 @@ class HammingAdapter {
   int size() const { return searcher_.num_objects(); }
   const Query& query(int i) const { return searcher_.objects()[i]; }
   const hamming::HammingSearcher& searcher() const { return searcher_; }
+  HammingAdapter Rebind(hamming::HammingSearcher searcher) const {
+    return HammingAdapter(std::move(searcher), tau_, chain_length_, mode_);
+  }
   std::vector<int> Search(const Query& query, QueryStats* stats = nullptr) {
     return searcher_.Search(query, tau_, chain_length_, mode_, stats);
   }
@@ -93,6 +98,10 @@ class SetAdapter {
   const Query& query(int i) const { return collection_->record(i); }
   const setsim::PkwiseSearcher& searcher() const { return searcher_; }
   const setsim::SetCollection* collection() const { return collection_; }
+  SetAdapter Rebind(setsim::PkwiseSearcher searcher,
+                    const setsim::SetCollection* collection) const {
+    return SetAdapter(std::move(searcher), collection, chain_length_);
+  }
   std::vector<int> Search(const Query& query, QueryStats* stats = nullptr) {
     return searcher_.Search(query, chain_length_, stats);
   }
@@ -121,6 +130,10 @@ class EditAdapter {
   const Query& query(int i) const { return (*data_)[i]; }
   const editdist::EditDistanceSearcher& searcher() const { return searcher_; }
   const std::vector<std::string>* data() const { return data_; }
+  EditAdapter Rebind(editdist::EditDistanceSearcher searcher,
+                     const std::vector<std::string>* data) const {
+    return EditAdapter(std::move(searcher), data, filter_, chain_length_);
+  }
   std::vector<int> Search(const Query& query, QueryStats* stats = nullptr) {
     return searcher_.Search(query, filter_, chain_length_, stats);
   }
@@ -151,6 +164,10 @@ class EditFastAdapter {
   const Query& query(int i) const { return (*data_)[i]; }
   const editdist::CaseDecSearcher& searcher() const { return searcher_; }
   const std::vector<std::string>* data() const { return data_; }
+  EditFastAdapter Rebind(editdist::CaseDecSearcher searcher,
+                         const std::vector<std::string>* data) const {
+    return EditFastAdapter(std::move(searcher), data, chain_length_);
+  }
   std::vector<int> Search(const Query& query, QueryStats* stats = nullptr) {
     return searcher_.Search(query, chain_length_, stats);
   }
@@ -179,6 +196,10 @@ class GraphAdapter {
   const Query& query(int i) const { return (*data_)[i]; }
   const graphed::GraphSearcher& searcher() const { return searcher_; }
   const std::vector<graphed::Graph>* data() const { return data_; }
+  GraphAdapter Rebind(graphed::GraphSearcher searcher,
+                      const std::vector<graphed::Graph>* data) const {
+    return GraphAdapter(std::move(searcher), data, filter_, chain_length_);
+  }
   std::vector<int> Search(const Query& query, QueryStats* stats = nullptr) {
     return searcher_.Search(query, filter_, chain_length_, stats);
   }

@@ -72,7 +72,9 @@ class PkwiseSearcher {
                                   int num_boxes, SetMeasure measure,
                                   std::shared_ptr<const Index> index);
 
+  double tau() const { return tau_; }
   int num_boxes() const { return num_boxes_; }
+  SetMeasure measure() const { return measure_; }
   const Index& index() const { return *index_; }
 
   /// Finds ids of all records with J(record, query) >= tau. `query` must be

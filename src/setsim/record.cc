@@ -69,8 +69,10 @@ SetCollection::SetCollection(const std::vector<std::vector<int>>& raw) {
   for (const auto& [token, f] : freq) order.emplace_back(f, token);
   std::sort(order.begin(), order.end());
   token_to_rank_.reserve(order.size());
+  rank_to_token_.reserve(order.size());
   for (size_t rank = 0; rank < order.size(); ++rank) {
     token_to_rank_[order[rank].second] = static_cast<int>(rank);
+    rank_to_token_.push_back(order[rank].second);
   }
   universe_size_ = static_cast<int>(order.size());
   // Convert records.
@@ -89,8 +91,13 @@ SetCollection SetCollection::FromBuilt(
   PR_CHECK(static_cast<int>(dictionary.size()) == universe_size);
   SetCollection c;
   c.token_to_rank_.reserve(dictionary.size());
+  c.rank_to_token_.assign(dictionary.size(), 0);
   for (const auto& [token, rank] : dictionary) {
     c.token_to_rank_[token] = rank;
+    // A well-formed dictionary is a permutation of [0, universe); a
+    // corrupted-but-decodable index file may not be. Skipping bad ranks
+    // keeps the no-crash contract — the storage tests load such files.
+    if (rank >= 0 && rank < universe_size) c.rank_to_token_[rank] = token;
   }
   c.records_ = std::move(records);
   c.universe_size_ = universe_size;
@@ -118,6 +125,21 @@ RankedSet SetCollection::MapQuery(const std::vector<int>& raw_query) const {
   }
   std::sort(mapped.begin(), mapped.end());
   return mapped;
+}
+
+std::optional<int> SetCollection::Token(int rank) const {
+  if (rank < 0 || rank >= static_cast<int>(rank_to_token_.size())) {
+    return std::nullopt;
+  }
+  return rank_to_token_[rank];
+}
+
+std::vector<int> SetCollection::RawRecord(int id) const {
+  std::vector<int> tokens;
+  tokens.reserve(records_[id].size());
+  for (int rank : records_[id]) tokens.push_back(Token(rank).value_or(rank));
+  std::sort(tokens.begin(), tokens.end());
+  return tokens;
 }
 
 }  // namespace pigeonring::setsim

@@ -12,6 +12,7 @@
 #define PIGEONRING_SETSIM_RECORD_H_
 
 #include <cmath>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -77,10 +78,21 @@ class SetCollection {
   /// receive unique negative ids (inert for index probing).
   RankedSet MapQuery(const std::vector<int>& raw_query) const;
 
+  /// The raw token behind `rank`; nullopt for a rank outside the
+  /// dictionary [0, universe_size()).
+  std::optional<int> Token(int rank) const;
+
+  /// Record `id` as raw token ids, sorted ascending. A well-formed record's
+  /// ranks are all in the dictionary; a rank a corrupted index file
+  /// smuggled past the decoder maps to itself (no-crash contract — the
+  /// result is garbage either way).
+  std::vector<int> RawRecord(int id) const;
+
  private:
   SetCollection() = default;  // for FromBuilt
 
   std::unordered_map<int, int> token_to_rank_;
+  std::vector<int> rank_to_token_;  // the inverse dictionary
   std::vector<RankedSet> records_;
   int universe_size_ = 0;
 };

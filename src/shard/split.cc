@@ -48,9 +48,8 @@ std::vector<Posting> FilterPostings(const std::vector<Posting>& postings,
 
 }  // namespace
 
-std::vector<ShardPart<engine::HammingAdapter>> SplitHamming(
-    const engine::HammingAdapter& full, const Partitioner& partitioner,
-    int tau, int chain_length, hamming::AllocationMode mode) {
+std::vector<ShardPart<engine::HammingAdapter>> Split(
+    const engine::HammingAdapter& full, const Partitioner& partitioner) {
   const hamming::HammingSearcher& fs = full.searcher();
   const auto full_index = fs.shared_partition_index();
   const auto owned = partitioner.Partition(fs.num_objects());
@@ -63,23 +62,19 @@ std::vector<ShardPart<engine::HammingAdapter>> SplitHamming(
     std::vector<BitVector> objects = Subset(fs.objects(), global_ids);
     auto index = std::make_shared<const hamming::PartitionIndex>(
         objects, full_index->partition());
-    parts.push_back(
-        {global_ids,
-         engine::HammingAdapter(
-             hamming::HammingSearcher::FromBuilt(std::move(objects),
-                                                 std::move(index), full_index),
-             tau, chain_length, mode),
-         nullptr});
+    parts.push_back({global_ids,
+                     full.Rebind(hamming::HammingSearcher::FromBuilt(
+                         std::move(objects), std::move(index), full_index)),
+                     nullptr});
   }
   return parts;
 }
 
-std::vector<ShardPart<engine::SetAdapter>> SplitSet(
-    const engine::SetAdapter& full, const Partitioner& partitioner, double tau,
-    setsim::SetMeasure measure, int chain_length) {
+std::vector<ShardPart<engine::SetAdapter>> Split(
+    const engine::SetAdapter& full, const Partitioner& partitioner) {
   const setsim::SetCollection& fc = *full.collection();
-  const setsim::PkwiseSearcher::Index& findex = full.searcher().index();
-  const int num_boxes = full.searcher().num_boxes();
+  const setsim::PkwiseSearcher& fs = full.searcher();
+  const setsim::PkwiseSearcher::Index& findex = fs.index();
   const auto dictionary = fc.ExportDictionary();
   const auto owned = partitioner.Partition(fc.num_records());
   std::vector<ShardPart<engine::SetAdapter>> parts;
@@ -104,18 +99,17 @@ std::vector<ShardPart<engine::SetAdapter>> SplitSet(
       }
     }
     auto searcher = setsim::PkwiseSearcher::FromBuilt(
-        collection.get(), tau, num_boxes, measure, std::move(index));
+        collection.get(), fs.tau(), fs.num_boxes(), fs.measure(),
+        std::move(index));
     parts.push_back({global_ids,
-                     engine::SetAdapter(std::move(searcher), collection.get(),
-                                        chain_length),
+                     full.Rebind(std::move(searcher), collection.get()),
                      collection});
   }
   return parts;
 }
 
-std::vector<ShardPart<engine::EditAdapter>> SplitEdit(
-    const engine::EditAdapter& full, const Partitioner& partitioner, int kappa,
-    editdist::EditFilter filter, int chain_length) {
+std::vector<ShardPart<engine::EditAdapter>> Split(
+    const engine::EditAdapter& full, const Partitioner& partitioner) {
   using Index = editdist::EditDistanceSearcher::Index;
   const editdist::EditDistanceSearcher& fs = full.searcher();
   const Index& findex = fs.index();
@@ -164,19 +158,15 @@ std::vector<ShardPart<engine::EditAdapter>> SplitEdit(
       }
     }
     auto searcher = editdist::EditDistanceSearcher::FromBuilt(
-        data.get(), fs.tau(), kappa, std::move(index));
+        data.get(), fs.tau(), findex.dictionary.kappa(), std::move(index));
     parts.push_back(
-        {global_ids,
-         engine::EditAdapter(std::move(searcher), data.get(), filter,
-                             chain_length),
-         data});
+        {global_ids, full.Rebind(std::move(searcher), data.get()), data});
   }
   return parts;
 }
 
-std::vector<ShardPart<engine::EditFastAdapter>> SplitEditFast(
-    const engine::EditFastAdapter& full, const Partitioner& partitioner,
-    int chain_length) {
+std::vector<ShardPart<engine::EditFastAdapter>> Split(
+    const engine::EditFastAdapter& full, const Partitioner& partitioner) {
   using Case = editdist::CaseDecSearcher::Case;
   const editdist::CaseDecSearcher& fs = full.searcher();
   const int length = fs.length();
@@ -206,17 +196,14 @@ std::vector<ShardPart<engine::EditFastAdapter>> SplitEditFast(
     }
     auto searcher = editdist::CaseDecSearcher::FromBuilt(data.get(), fs.tau(),
                                                          std::move(cases));
-    parts.push_back({global_ids,
-                     engine::EditFastAdapter(std::move(searcher), data.get(),
-                                             chain_length),
-                     data});
+    parts.push_back(
+        {global_ids, full.Rebind(std::move(searcher), data.get()), data});
   }
   return parts;
 }
 
-std::vector<ShardPart<engine::GraphAdapter>> SplitGraph(
-    const engine::GraphAdapter& full, const Partitioner& partitioner,
-    graphed::GraphFilter filter, int chain_length) {
+std::vector<ShardPart<engine::GraphAdapter>> Split(
+    const engine::GraphAdapter& full, const Partitioner& partitioner) {
   using State = graphed::GraphSearcher::State;
   const graphed::GraphSearcher& fs = full.searcher();
   const auto owned = partitioner.Partition(static_cast<int>(full.data()->size()));
@@ -230,10 +217,8 @@ std::vector<ShardPart<engine::GraphAdapter>> SplitGraph(
               Subset(fs.state().histograms, global_ids)});
     auto searcher =
         graphed::GraphSearcher::FromBuilt(data.get(), fs.tau(), state);
-    parts.push_back({global_ids,
-                     engine::GraphAdapter(std::move(searcher), data.get(),
-                                          filter, chain_length),
-                     data});
+    parts.push_back(
+        {global_ids, full.Rebind(std::move(searcher), data.get()), data});
   }
   return parts;
 }

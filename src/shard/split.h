@@ -56,27 +56,23 @@ struct ShardPart {
 };
 
 /// Splits `full` into the partitioner's nonempty shards, in ascending shard
-/// order. Parameters the adapters do not expose (threshold, chain length,
-/// mode) are passed through and must match the full adapter's.
-std::vector<ShardPart<engine::HammingAdapter>> SplitHamming(
-    const engine::HammingAdapter& full, const Partitioner& partitioner,
-    int tau, int chain_length, hamming::AllocationMode mode);
+/// order. Each shard adapter is `full.Rebind(...)` over the shard's
+/// projected searcher, so it inherits full's threshold, chain length,
+/// filter and allocation mode.
+std::vector<ShardPart<engine::HammingAdapter>> Split(
+    const engine::HammingAdapter& full, const Partitioner& partitioner);
 
-std::vector<ShardPart<engine::SetAdapter>> SplitSet(
-    const engine::SetAdapter& full, const Partitioner& partitioner, double tau,
-    setsim::SetMeasure measure, int chain_length);
+std::vector<ShardPart<engine::SetAdapter>> Split(
+    const engine::SetAdapter& full, const Partitioner& partitioner);
 
-std::vector<ShardPart<engine::EditAdapter>> SplitEdit(
-    const engine::EditAdapter& full, const Partitioner& partitioner, int kappa,
-    editdist::EditFilter filter, int chain_length);
+std::vector<ShardPart<engine::EditAdapter>> Split(
+    const engine::EditAdapter& full, const Partitioner& partitioner);
 
-std::vector<ShardPart<engine::EditFastAdapter>> SplitEditFast(
-    const engine::EditFastAdapter& full, const Partitioner& partitioner,
-    int chain_length);
+std::vector<ShardPart<engine::EditFastAdapter>> Split(
+    const engine::EditFastAdapter& full, const Partitioner& partitioner);
 
-std::vector<ShardPart<engine::GraphAdapter>> SplitGraph(
-    const engine::GraphAdapter& full, const Partitioner& partitioner,
-    graphed::GraphFilter filter, int chain_length);
+std::vector<ShardPart<engine::GraphAdapter>> Split(
+    const engine::GraphAdapter& full, const Partitioner& partitioner);
 
 }  // namespace pigeonring::shard
 

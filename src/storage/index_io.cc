@@ -79,9 +79,10 @@ Status DecodeHammingObjects(ByteReader reader,
   return CheckConsumed(reader, SectionId::kHammingObjects);
 }
 
-std::vector<uint8_t> EncodeHammingPartition(
-    const hamming::Partition& partition) {
-  ByteWriter w;
+// One partition + postings codec, shared by the Hamming sections and the
+// edit fast path's per-case sections.
+
+void EncodePartition(ByteWriter& w, const hamming::Partition& partition) {
   w.I32(partition.dimensions());
   std::vector<int> bounds;
   bounds.reserve(partition.num_parts() + 1);
@@ -90,33 +91,27 @@ std::vector<uint8_t> EncodeHammingPartition(
     bounds.push_back(partition.end(p));
   }
   w.VecI32(bounds);
-  return std::move(w).Take();
 }
 
-Status DecodeHammingPartition(ByteReader reader, int* dimensions,
-                              std::vector<int>* bounds) {
-  *dimensions = reader.I32();
-  *bounds = reader.VecI32();
-  Status consumed = CheckConsumed(reader, SectionId::kHammingPartition);
-  if (!consumed.ok()) return consumed;
-  if (*dimensions < 1 || bounds->size() < 2 || bounds->front() != 0 ||
-      bounds->back() != *dimensions ||
-      bounds->size() > 65) {  // <= 64 parts (chain bitmask limit)
-    return SectionCorrupt(SectionId::kHammingPartition, "bad geometry");
+// Decoded partition bounds must run 0 = b_0 < ... < b_m = dims with every
+// part 1..64 bits wide and m <= 64 (the chain bitmask limit). `bad_shape`
+// names a violation of anything but the part widths.
+Status CheckBounds(int dims, const std::vector<int>& bounds, SectionId id,
+                   const char* bad_shape) {
+  if (dims < 1 || bounds.size() < 2 || bounds.front() != 0 ||
+      bounds.back() != dims || bounds.size() > 65) {
+    return SectionCorrupt(id, bad_shape);
   }
-  for (size_t i = 1; i < bounds->size(); ++i) {
-    const int width = (*bounds)[i] - (*bounds)[i - 1];
+  for (size_t i = 1; i < bounds.size(); ++i) {
+    const int width = bounds[i] - bounds[i - 1];
     if (width < 1 || width > 64) {
-      return SectionCorrupt(SectionId::kHammingPartition,
-                            "part width outside [1, 64]");
+      return SectionCorrupt(id, "part width outside [1, 64]");
     }
   }
   return Status::Ok();
 }
 
-std::vector<uint8_t> EncodeHammingPostings(
-    const hamming::PartitionIndex& index) {
-  ByteWriter w;
+void EncodePostings(ByteWriter& w, const hamming::PartitionIndex& index) {
   const int m = index.partition().num_parts();
   w.U32(static_cast<uint32_t>(m));
   for (int p = 0; p < m; ++p) {
@@ -132,46 +127,41 @@ std::vector<uint8_t> EncodeHammingPostings(
                                 w.VecI32(ids);
                               });
   }
-  return std::move(w).Take();
 }
 
-Status DecodeHammingPostings(
-    ByteReader reader, int num_parts, int num_objects,
+// Decodes one EncodePostings dump whose posting ids index `num_rows` rows.
+// Errors name the section holding the partition and the kind of id.
+Status DecodePostings(
+    ByteReader& reader, SectionId id, int num_parts, int64_t num_rows,
+    const std::string& partition_section, const std::string& row,
     std::vector<hamming::PartitionIndex::Buckets>* part_buckets) {
   const uint32_t m = reader.U32();
   if (!reader.ok() || static_cast<int>(m) != num_parts) {
-    return SectionCorrupt(SectionId::kHammingPostings,
-                          "part count disagrees with the partition section");
+    return SectionCorrupt(id, "part count disagrees with the " +
+                                  partition_section + " section");
   }
   part_buckets->resize(num_parts);
   for (int p = 0; p < num_parts; ++p) {
     // Each bucket needs at least key (8) + id-count (8) bytes.
     const uint64_t num_buckets = reader.Count(16);
-    if (!reader.ok()) {
-      return SectionCorrupt(SectionId::kHammingPostings, "bad bucket count");
-    }
+    if (!reader.ok()) return SectionCorrupt(id, "bad bucket count");
     auto& buckets = (*part_buckets)[p];
     buckets.reserve(static_cast<size_t>(num_buckets));
     for (uint64_t b = 0; b < num_buckets; ++b) {
       const uint64_t key = reader.U64();
       std::vector<int> ids = reader.VecI32();
-      if (!reader.ok()) {
-        return SectionCorrupt(SectionId::kHammingPostings,
-                              "truncated bucket");
-      }
-      for (int id : ids) {
-        if (id < 0 || id >= num_objects) {
-          return SectionCorrupt(SectionId::kHammingPostings,
-                                "posting id outside the collection");
+      if (!reader.ok()) return SectionCorrupt(id, "truncated bucket");
+      for (int i : ids) {
+        if (i < 0 || i >= num_rows) {
+          return SectionCorrupt(id, row + " outside the collection");
         }
       }
       if (!buckets.emplace(key, std::move(ids)).second) {
-        return SectionCorrupt(SectionId::kHammingPostings,
-                              "duplicate bucket key");
+        return SectionCorrupt(id, "duplicate bucket key");
       }
     }
   }
-  return CheckConsumed(reader, SectionId::kHammingPostings);
+  return Status::Ok();
 }
 
 // --- Sets ---
@@ -434,10 +424,13 @@ void SaveHammingSections(const hamming::HammingSearcher& searcher,
   const hamming::PartitionIndex& index = searcher.partition_index();
   writer.AddSection(SectionId::kHammingObjects,
                     EncodeHammingObjects(searcher.objects()));
+  ByteWriter partition;
+  EncodePartition(partition, index.partition());
   writer.AddSection(SectionId::kHammingPartition,
-                    EncodeHammingPartition(index.partition()));
-  writer.AddSection(SectionId::kHammingPostings,
-                    EncodeHammingPostings(index));
+                    std::move(partition).Take());
+  ByteWriter postings;
+  EncodePostings(postings, index);
+  writer.AddSection(SectionId::kHammingPostings, std::move(postings).Take());
 }
 
 StatusOr<LoadedHamming> LoadHammingSections(const IndexFileReader& reader) {
@@ -449,9 +442,13 @@ StatusOr<LoadedHamming> LoadHammingSections(const IndexFileReader& reader) {
 
   auto partition_section = reader.Section(SectionId::kHammingPartition);
   if (!partition_section.ok()) return partition_section.status();
-  int dimensions = 0;
-  std::vector<int> bounds;
-  s = DecodeHammingPartition(*partition_section, &dimensions, &bounds);
+  ByteReader partition_reader = *partition_section;
+  const int dimensions = partition_reader.I32();
+  std::vector<int> bounds = partition_reader.VecI32();
+  s = CheckConsumed(partition_reader, SectionId::kHammingPartition);
+  if (!s.ok()) return s;
+  s = CheckBounds(dimensions, bounds, SectionId::kHammingPartition,
+                  "bad geometry");
   if (!s.ok()) return s;
   if (!loaded.objects.empty() &&
       loaded.objects.front().dimensions() != dimensions) {
@@ -465,10 +462,13 @@ StatusOr<LoadedHamming> LoadHammingSections(const IndexFileReader& reader) {
 
   auto postings_section = reader.Section(SectionId::kHammingPostings);
   if (!postings_section.ok()) return postings_section.status();
+  ByteReader postings_reader = *postings_section;
   std::vector<hamming::PartitionIndex::Buckets> part_buckets;
-  s = DecodeHammingPostings(*postings_section, num_parts,
-                            static_cast<int>(loaded.objects.size()),
-                            &part_buckets);
+  s = DecodePostings(postings_reader, SectionId::kHammingPostings, num_parts,
+                     static_cast<int64_t>(loaded.objects.size()), "partition",
+                     "posting id", &part_buckets);
+  if (!s.ok()) return s;
+  s = CheckConsumed(postings_reader, SectionId::kHammingPostings);
   if (!s.ok()) return s;
 
   loaded.index = std::make_shared<const hamming::PartitionIndex>(
@@ -858,71 +858,27 @@ StatusOr<LoadedEdit> LoadEditSections(const IndexFileReader& reader, int tau,
 
 // --- Fixed-length edit distance fast path ---
 
-namespace {
-
-std::vector<uint8_t> EncodeEditFastStrings(
-    const std::vector<std::string>& data, int length) {
-  ByteWriter w;
-  w.U32(static_cast<uint32_t>(data.size()));
-  w.I32(length);
-  for (const std::string& s : data) w.Bytes(s.data(), s.size());
-  return std::move(w).Take();
-}
-
-std::vector<uint8_t> EncodeEditFastMeta(
-    const std::vector<editdist::CaseDecSearcher::Case>& cases) {
-  ByteWriter w;
-  w.U32(static_cast<uint32_t>(cases.size()));
-  for (const editdist::CaseDecSearcher::Case& c : cases) {
-    const hamming::Partition& partition =
-        c.searcher.partition_index().partition();
-    w.I32(c.indels);
-    w.I32(c.hamming_tau);
-    w.I32(partition.dimensions());
-    std::vector<int> bounds;
-    bounds.reserve(partition.num_parts() + 1);
-    bounds.push_back(0);
-    for (int p = 0; p < partition.num_parts(); ++p) {
-      bounds.push_back(partition.end(p));
-    }
-    w.VecI32(bounds);
-  }
-  return std::move(w).Take();
-}
-
-std::vector<uint8_t> EncodeEditFastPostings(
-    const std::vector<editdist::CaseDecSearcher::Case>& cases) {
-  ByteWriter w;
-  for (const editdist::CaseDecSearcher::Case& c : cases) {
-    const hamming::PartitionIndex& index = c.searcher.partition_index();
-    const int m = index.partition().num_parts();
-    w.U32(static_cast<uint32_t>(m));
-    for (int p = 0; p < m; ++p) {
-      size_t num_buckets = 0;
-      index.ForEachBucketSorted(
-          p, [&](uint64_t, const std::vector<int>&) { ++num_buckets; });
-      w.U64(num_buckets);
-      index.ForEachBucketSorted(
-          p, [&](uint64_t key, const std::vector<int>& rows) {
-            w.U64(key);
-            w.VecI32(rows);
-          });
-    }
-  }
-  return std::move(w).Take();
-}
-
-}  // namespace
-
 void SaveEditFastSections(const std::vector<std::string>& data,
                           const editdist::CaseDecSearcher& searcher,
                           IndexFileWriter& writer) {
-  writer.AddSection(SectionId::kEditFastStrings,
-                    EncodeEditFastStrings(data, searcher.length()));
-  writer.AddSection(SectionId::kEditFastMeta,
-                    EncodeEditFastMeta(searcher.cases()));
+  ByteWriter strings;
+  strings.U32(static_cast<uint32_t>(data.size()));
+  strings.I32(searcher.length());
+  for (const std::string& s : data) strings.Bytes(s.data(), s.size());
+  writer.AddSection(SectionId::kEditFastStrings, std::move(strings).Take());
+  ByteWriter meta;
+  ByteWriter postings;
+  meta.U32(static_cast<uint32_t>(searcher.cases().size()));
+  for (const editdist::CaseDecSearcher::Case& c : searcher.cases()) {
+    const hamming::PartitionIndex& index = c.searcher.partition_index();
+    meta.I32(c.indels);
+    meta.I32(c.hamming_tau);
+    EncodePartition(meta, index.partition());
+    EncodePostings(postings, index);
+  }
+  writer.AddSection(SectionId::kEditFastMeta, std::move(meta).Take());
   writer.AddSection(SectionId::kEditFastPostings,
-                    EncodeEditFastPostings(searcher.cases()));
+                    std::move(postings).Take());
 }
 
 StatusOr<LoadedEditFast> LoadEditFastSections(const IndexFileReader& reader,
@@ -979,18 +935,9 @@ StatusOr<LoadedEditFast> LoadEditFastSections(const IndexFileReader& reader,
       return SectionCorrupt(SectionId::kEditFastMeta,
                             "case geometry disagrees with the spec");
     }
-    if (meta.bounds.size() < 2 || meta.bounds.front() != 0 ||
-        meta.bounds.back() != meta.dims ||
-        meta.bounds.size() > 65) {  // <= 64 parts (chain bitmask limit)
-      return SectionCorrupt(SectionId::kEditFastMeta, "bad partition bounds");
-    }
-    for (size_t i = 1; i < meta.bounds.size(); ++i) {
-      const int width = meta.bounds[i] - meta.bounds[i - 1];
-      if (width < 1 || width > 64) {
-        return SectionCorrupt(SectionId::kEditFastMeta,
-                              "part width outside [1, 64]");
-      }
-    }
+    s = CheckBounds(meta.dims, meta.bounds, SectionId::kEditFastMeta,
+                    "bad partition bounds");
+    if (!s.ok()) return s;
     metas.push_back(std::move(meta));
   }
   s = CheckConsumed(meta_reader, SectionId::kEditFastMeta);
@@ -1009,41 +956,11 @@ StatusOr<LoadedEditFast> LoadEditFastSections(const IndexFileReader& reader,
                             "case would exceed 2^31 signature rows");
     }
     const int num_parts = static_cast<int>(metas[j].bounds.size()) - 1;
-    const uint32_t file_parts = postings_reader.U32();
-    if (!postings_reader.ok() ||
-        static_cast<int>(file_parts) != num_parts) {
-      return SectionCorrupt(SectionId::kEditFastPostings,
-                            "part count disagrees with the meta section");
-    }
-    std::vector<hamming::PartitionIndex::Buckets> part_buckets(num_parts);
-    for (int p = 0; p < num_parts; ++p) {
-      // Each bucket needs at least key (8) + row-count (8) bytes.
-      const uint64_t num_buckets = postings_reader.Count(16);
-      if (!postings_reader.ok()) {
-        return SectionCorrupt(SectionId::kEditFastPostings,
-                              "bad bucket count");
-      }
-      auto& buckets = part_buckets[p];
-      buckets.reserve(static_cast<size_t>(num_buckets));
-      for (uint64_t b = 0; b < num_buckets; ++b) {
-        const uint64_t key = postings_reader.U64();
-        std::vector<int> rows = postings_reader.VecI32();
-        if (!postings_reader.ok()) {
-          return SectionCorrupt(SectionId::kEditFastPostings,
-                                "truncated bucket");
-        }
-        for (int row : rows) {
-          if (row < 0 || row >= num_rows) {
-            return SectionCorrupt(SectionId::kEditFastPostings,
-                                  "signature row outside the collection");
-          }
-        }
-        if (!buckets.emplace(key, std::move(rows)).second) {
-          return SectionCorrupt(SectionId::kEditFastPostings,
-                                "duplicate bucket key");
-        }
-      }
-    }
+    std::vector<hamming::PartitionIndex::Buckets> part_buckets;
+    s = DecodePostings(postings_reader, SectionId::kEditFastPostings,
+                       num_parts, num_rows, "meta", "signature row",
+                       &part_buckets);
+    if (!s.ok()) return s;
     // The signature rows are a pure re-encoding of the strings; rebuild
     // them and adopt the saved partition + postings without re-hashing.
     hamming::Partition partition = hamming::Partition::FromBounds(

@@ -403,30 +403,78 @@ TEST(DbTest, RawSetQueriesAreMappedThroughTheDictionary) {
 }
 
 TEST(DbTest, QueryDomainMismatchIsTyped) {
-  IndexSpec spec;
-  spec.domain = Domain::kHamming;
-  spec.tau = 4;
-  auto db = Db::Open(spec, Dataset(MakeVectors(50, 64, 5)));
-  ASSERT_TRUE(db.ok());
-  Session session = db->NewSession();
+  // Every model kind, unsharded and sharded, rejects a query of every
+  // other domain with the same typed message (and never PR_CHECK-aborts).
+  struct Kind {
+    std::string tag;
+    IndexSpec spec;
+    Dataset data;
+  };
+  auto spec_for = [](Domain domain, double tau) {
+    IndexSpec spec;
+    spec.domain = domain;
+    spec.tau = tau;
+    return spec;
+  };
+  IndexSpec pivotal = spec_for(Domain::kEdit, 1);
+  pivotal.edit_fast_path = EditFastPath::kOff;
+  IndexSpec fast = spec_for(Domain::kEdit, 1);
+  fast.edit_fast_path = EditFastPath::kOn;
+  datagen::StringConfig fixed;
+  fixed.num_records = 40;
+  fixed.fixed_length = 12;
+  fixed.seed = 9;
+  const std::vector<Kind> kinds = {
+      {"hamming", spec_for(Domain::kHamming, 4),
+       Dataset(MakeVectors(50, 64, 5))},
+      {"sets", spec_for(Domain::kSet, 0.7), Dataset(MakeSets(50, 6))},
+      {"strings", pivotal, Dataset(MakeStrings(50, 7))},
+      {"strings_fast", fast, Dataset(datagen::GenerateStrings(fixed))},
+      {"graphs", spec_for(Domain::kGraph, 1), Dataset(MakeGraphs(20, 8))},
+  };
+  const std::vector<Query> queries = {
+      Query(BitVector(64)), Query(SetQuery{{1, 2, 3}, /*ranked=*/false}),
+      Query(std::string("abc")), Query(MakeGraphs(1, 9).front())};
 
-  auto bad = session.Search(Query(std::string("not a bit vector")));
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  for (const Kind& kind : kinds) {
+    for (int shards : {1, 2}) {
+      const std::string where =
+          kind.tag + " shards=" + std::to_string(shards);
+      IndexSpec spec = kind.spec;
+      spec.shards = shards;
+      auto db = Db::Open(spec, kind.data);
+      ASSERT_TRUE(db.ok()) << where << ": " << db.status().ToString();
+      Session session = db->NewSession();
+      for (const Query& query : queries) {
+        if (QueryDomain(query) == spec.domain) continue;
+        const std::string expected =
+            std::string("query is a ") + DomainName(QueryDomain(query)) +
+            " query but the index domain is " + DomainName(spec.domain);
+        auto bad = session.Search(query);
+        ASSERT_FALSE(bad.ok()) << where;
+        EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument) << where;
+        EXPECT_EQ(bad.status().message(), expected) << where;
 
-  // Wrong dimensionality is rejected, not PR_CHECK-aborted.
-  auto narrow = session.Search(Query(BitVector(32)));
-  ASSERT_FALSE(narrow.ok());
-  EXPECT_EQ(narrow.status().code(), StatusCode::kInvalidArgument);
-
-  // A mismatched query anywhere in a batch fails the whole batch with its
-  // index in the message.
-  std::vector<Query> queries = {std::move(db->RecordQuery(0)).value(),
-                                Query(std::string("oops"))};
-  auto batch = session.SearchBatch(queries);
-  ASSERT_FALSE(batch.ok());
-  EXPECT_NE(batch.status().message().find("query 1"), std::string::npos)
-      << batch.status().ToString();
+        // A mismatched query anywhere in a batch fails the whole batch
+        // with its index in the message.
+        std::vector<Query> batch_queries = {
+            std::move(db->RecordQuery(0)).value(), query};
+        auto batch = session.SearchBatch(batch_queries);
+        ASSERT_FALSE(batch.ok()) << where;
+        EXPECT_EQ(batch.status().message(), "query 1: " + expected) << where;
+      }
+      if (spec.domain == Domain::kHamming) {
+        // Wrong dimensionality is rejected, not PR_CHECK-aborted.
+        auto narrow = session.Search(Query(BitVector(32)));
+        ASSERT_FALSE(narrow.ok()) << where;
+        EXPECT_EQ(narrow.status().code(), StatusCode::kInvalidArgument)
+            << where;
+        EXPECT_EQ(narrow.status().message(),
+                  "query has 32 dimensions but the index has 64")
+            << where;
+      }
+    }
+  }
 }
 
 TEST(DbTest, RecordQueryRangeChecked) {

@@ -414,41 +414,73 @@ TEST(WriterTest, SingleWriterExclusivity) {
 }
 
 TEST(WriterTest, InsertValidatesDomainAndShape) {
-  const Db hamming = OpenOrDie(HammingSpec(), HammingData(20));
-  Writer hamming_writer = WriterOrDie(hamming);
-  // Wrong domain.
-  auto wrong_domain = hamming_writer.Insert(Query(std::string("abc")));
-  ASSERT_FALSE(wrong_domain.ok());
-  EXPECT_EQ(wrong_domain.status().code(), StatusCode::kInvalidArgument);
-  // Wrong dimensionality.
-  auto wrong_dims = hamming_writer.Insert(Query(BitVector(16)));
-  ASSERT_FALSE(wrong_dims.ok());
-  EXPECT_EQ(wrong_dims.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(wrong_dims.status().message().find("dimensions"),
-            std::string::npos);
+  // The insert rules hold unsharded and sharded alike.
+  for (int shards : {1, 2}) {
+    const std::string where = "shards=" + std::to_string(shards);
+    auto sharded = [shards](IndexSpec spec) {
+      spec.shards = shards;
+      return spec;
+    };
+    const Db hamming = OpenOrDie(sharded(HammingSpec()), HammingData(20));
+    Writer hamming_writer = WriterOrDie(hamming);
+    // Wrong domain.
+    auto wrong_domain = hamming_writer.Insert(Query(std::string("abc")));
+    ASSERT_FALSE(wrong_domain.ok()) << where;
+    EXPECT_EQ(wrong_domain.status().code(), StatusCode::kInvalidArgument);
+    // Wrong dimensionality.
+    auto wrong_dims = hamming_writer.Insert(Query(BitVector(16)));
+    ASSERT_FALSE(wrong_dims.ok()) << where;
+    EXPECT_EQ(wrong_dims.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(wrong_dims.status().message().find("dimensions"),
+              std::string::npos);
 
-  // Ranked set queries only insert when every rank maps into the base
-  // dictionary; raw token ids are always accepted.
-  const Db sets = OpenOrDie(SetSpec(), SetData(20));
-  Writer sets_writer = WriterOrDie(sets);
-  auto bad_rank = sets_writer.Insert(
-      Query(SetQuery{{0, 1, 1000000}, /*ranked=*/true}));
-  ASSERT_FALSE(bad_rank.ok());
-  EXPECT_EQ(bad_rank.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(bad_rank.status().message().find("raw token ids"),
-            std::string::npos);
-  EXPECT_TRUE(
-      sets_writer.Insert(Query(SetQuery{{0, 1, 1000000}, /*ranked=*/false}))
-          .ok());
+    // An empty base takes any width except none at all.
+    const Db hamming_empty = OpenOrDie(sharded(HammingSpec()),
+                                       Dataset(std::vector<BitVector>{}));
+    Writer empty_writer = WriterOrDie(hamming_empty);
+    auto zero_dims = empty_writer.Insert(Query(BitVector(0)));
+    ASSERT_FALSE(zero_dims.ok()) << where;
+    EXPECT_EQ(zero_dims.status().message(),
+              "cannot insert a 0-dimensional vector")
+        << where;
 
-  // The edit fast path only takes strings of the collection's length.
-  const Db fast = OpenOrDie(EditFastSpec(), EditFastData(20));
-  Writer fast_writer = WriterOrDie(fast);
-  auto wrong_length = fast_writer.Insert(Query(std::string("short")));
-  ASSERT_FALSE(wrong_length.ok());
-  EXPECT_EQ(wrong_length.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(wrong_length.status().message().find("fixed-length"),
-            std::string::npos);
+    // Ranked set queries only insert when every rank maps into the base
+    // dictionary; raw token ids are always accepted.
+    const Db sets = OpenOrDie(sharded(SetSpec()), SetData(20));
+    Writer sets_writer = WriterOrDie(sets);
+    auto bad_rank = sets_writer.Insert(
+        Query(SetQuery{{0, 1, 1000000}, /*ranked=*/true}));
+    ASSERT_FALSE(bad_rank.ok()) << where;
+    EXPECT_EQ(bad_rank.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(bad_rank.status().message().find("raw token ids"),
+              std::string::npos);
+    EXPECT_TRUE(
+        sets_writer
+            .Insert(Query(SetQuery{{0, 1, 1000000}, /*ranked=*/false}))
+            .ok())
+        << where;
+
+    // The edit fast path only takes strings of the collection's length...
+    const Db fast = OpenOrDie(sharded(EditFastSpec()), EditFastData(20));
+    Writer fast_writer = WriterOrDie(fast);
+    auto wrong_length = fast_writer.Insert(Query(std::string("short")));
+    ASSERT_FALSE(wrong_length.ok()) << where;
+    EXPECT_EQ(wrong_length.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(wrong_length.status().message().find("fixed-length"),
+              std::string::npos);
+
+    // ...and, on an empty base, only lengths it can index.
+    const Db fast_empty = OpenOrDie(sharded(EditFastSpec()),
+                                    Dataset(std::vector<std::string>{}));
+    Writer fast_empty_writer = WriterOrDie(fast_empty);
+    for (const std::string& s : {std::string(), std::string(129, 'a')}) {
+      auto bad_length = fast_empty_writer.Insert(Query(s));
+      ASSERT_FALSE(bad_length.ok()) << where << " length " << s.size();
+      EXPECT_EQ(bad_length.status().message(),
+                "edit_fast_path=on requires string lengths in [1, 128]")
+          << where << " length " << s.size();
+    }
+  }
 }
 
 TEST(WriterTest, SessionsPinTheirEpochAcrossCompactions) {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "common/random.h"
 #include "datagen/token_sets.h"
 #include "setsim/baselines.h"
@@ -87,6 +90,28 @@ TEST(RecordTest, MapQueryHandlesUnknownTokens) {
 TEST(RecordTest, RecordsAreDeduplicated) {
   SetCollection collection({{4, 4, 4, 2}});
   EXPECT_EQ(collection.record(0).size(), 2u);
+}
+
+TEST(RecordTest, TokenInvertsTheDictionary) {
+  // Ranks 9 -> 0, 5 -> 1, 7 -> 2 (see CollectionRanksByIncreasingFrequency).
+  SetCollection collection({{7, 5}, {7, 5, 9}, {7}});
+  EXPECT_EQ(collection.Token(0), 9);
+  EXPECT_EQ(collection.Token(1), 5);
+  EXPECT_EQ(collection.Token(2), 7);
+  EXPECT_EQ(collection.Token(-1), std::nullopt);
+  EXPECT_EQ(collection.Token(3), std::nullopt);
+  EXPECT_EQ(collection.RawRecord(1), (std::vector<int>{5, 7, 9}));
+
+  // A bulk-loaded collection inverts the same dictionary.
+  const SetCollection loaded = SetCollection::FromBuilt(
+      collection.ExportDictionary(), collection.records(),
+      collection.universe_size());
+  for (int rank = 0; rank < collection.universe_size(); ++rank) {
+    EXPECT_EQ(loaded.Token(rank), collection.Token(rank)) << rank;
+  }
+  for (int id = 0; id < collection.num_records(); ++id) {
+    EXPECT_EQ(loaded.RawRecord(id), collection.RawRecord(id)) << id;
+  }
 }
 
 // ---------------------------------------------------------------------------

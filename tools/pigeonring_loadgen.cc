@@ -59,7 +59,10 @@ void Usage() {
 /// the shared query pool, latencies into `latency`, sheds counted but not
 /// recorded. The first fatal error is stored and ends the loop.
 struct WorkerResult {
-  Histogram latency;  // milliseconds per completed request
+  // Microseconds per completed request: the histogram's bucket 0 spans
+  // [0, 1), so milliseconds would lump every sub-millisecond request
+  // together. Printed in milliseconds.
+  Histogram latency;
   long long completed = 0;
   long long shed = 0;
   std::optional<Status> fatal;
@@ -79,7 +82,7 @@ WorkerResult RunWorker(const std::string& host, int port,
     StopWatch watch;
     auto reply = client->Search(query);
     if (reply.ok()) {
-      out.latency.Record(watch.ElapsedMillis());
+      out.latency.Record(watch.ElapsedMillis() * 1000);
       ++out.completed;
     } else if (reply.status().code() == StatusCode::kResourceExhausted) {
       ++out.shed;
@@ -193,15 +196,15 @@ int main(int argc, char** argv) {
     std::printf("stat.shed=%lld\n", shed);
     std::printf("stat.wall_millis=%.4f\n", wall_millis);
     std::printf("stat.qps=%.2f\n", qps);
-    std::printf("stat.p50_millis=%.4f\n", latency.P50());
-    std::printf("stat.p99_millis=%.4f\n", latency.P99());
+    std::printf("stat.p50_millis=%.4f\n", latency.P50() / 1000);
+    std::printf("stat.p99_millis=%.4f\n", latency.P99() / 1000);
   } else {
     std::printf(
         "%lld connections x %lld requests: %lld completed, %lld shed, "
         "%.1f ms wall\n",
         connections, requests, completed, shed, wall_millis);
-    std::printf("qps=%.1f p50=%.3fms p99=%.3fms\n", qps, latency.P50(),
-                latency.P99());
+    std::printf("qps=%.1f p50=%.3fms p99=%.3fms\n", qps,
+                latency.P50() / 1000, latency.P99() / 1000);
   }
   return 0;
 }
