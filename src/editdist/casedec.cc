@@ -5,6 +5,7 @@
 #include <memory>
 #include <utility>
 
+#include "common/epoch.h"
 #include "common/timer.h"
 #include "editdist/verify.h"
 
@@ -212,7 +213,7 @@ std::vector<int> CaseDecSearcher::Search(const std::string& query,
     candidates.resize(n);
     for (int id = 0; id < n; ++id) candidates[id] = id;
   } else {
-    ++epoch_;
+    AdvanceEpoch(&epoch_, &seen_epoch_);
     for (Case& c : cases_) {
       const int64_t variants = VariantsPerRecord(length_, c.indels);
       const auto admit_row = [&](int64_t row) {

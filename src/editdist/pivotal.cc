@@ -1,85 +1,194 @@
 #include "editdist/pivotal.h"
 
 #include <algorithm>
+#include <array>
+#include <numeric>
 
 #include "common/bitvector.h"
+#include "common/epoch.h"
 #include "common/timer.h"
 #include "editdist/verify.h"
 #include "kernels/kernels.h"
 
 namespace pigeonring::editdist {
 
+namespace {
+
+using Index = EditDistanceSearcher::Index;
+
+/// Appends the per-position window masks of `s` (mask of s[u .. u+kappa))
+/// to `out`.
+void AppendWindowMasks(const std::string& s, int kappa,
+                       std::vector<uint64_t>* out) {
+  for (int u = 0; u < static_cast<int>(s.size()); ++u) {
+    const int sub_len = std::min<int>(kappa, static_cast<int>(s.size()) - u);
+    out->push_back(AlphabetMask(std::string_view(s).substr(u, sub_len)));
+  }
+}
+
+/// Builds CSR lists over keys [0, num_keys) from the (key, entry) pairs
+/// that `for_each(emit)` produces, keeping emission order within each
+/// list: one pass counts, a second fills.
+template <typename Entry, typename ForEach>
+void BuildLists(size_t num_keys, ForEach&& for_each,
+                std::vector<size_t>* offsets, std::vector<Entry>* entries) {
+  offsets->assign(num_keys + 1, 0);
+  for_each([&](size_t key, const Entry&) { ++(*offsets)[key + 1]; });
+  std::partial_sum(offsets->begin(), offsets->end(), offsets->begin());
+  entries->resize(offsets->back());
+  std::vector<size_t> next(offsets->begin(), offsets->end() - 1);
+  for_each([&](size_t key, const Entry& entry) {
+    (*entries)[next[key]++] = entry;
+  });
+}
+
+std::shared_ptr<Index> BuildIndex(const std::vector<std::string>* data,
+                                  int tau, int kappa) {
+  PR_CHECK(data != nullptr);
+  PR_CHECK(tau >= 0);
+  const int n = static_cast<int>(data->size());
+  auto index = std::make_shared<Index>(*data, kappa);
+  index->profiles.reserve(n);
+  index->padded.reserve(n);
+  size_t total_padded = 0;
+  for (const std::string& s : *data) {
+    total_padded += s.size() + 2 * static_cast<size_t>(kappa - 1);
+  }
+  index->window_masks.reserve(total_padded);
+  index->window_offsets.reserve(n + 1);
+  index->window_offsets.push_back(0);
+  int max_length = 0;
+  for (int id = 0; id < n; ++id) {
+    const std::string& s = (*data)[id];
+    max_length = std::max(max_length, static_cast<int>(s.size()));
+    index->profiles.push_back(index->dictionary.Profile(s, tau));
+    index->padded.push_back(PadForGrams(s, kappa));
+    AppendWindowMasks(index->padded.back(), kappa, &index->window_masks);
+    index->window_offsets.push_back(index->window_masks.size());
+    if (index->profiles.back().is_short) index->short_ids.push_back(id);
+  }
+  // Short profiles carry no grams, so they post nothing.
+  const size_t universe = index->dictionary.universe_size();
+  BuildLists(
+      universe,
+      [&](auto emit) {
+        for (int id = 0; id < n; ++id) {
+          const std::vector<Gram>& pivotal = index->profiles[id].pivotal;
+          for (size_t j = 0; j < pivotal.size(); ++j) {
+            emit(pivotal[j].rank,
+                 EditDistanceSearcher::PivotalPosting{
+                     id, static_cast<int>(j), pivotal[j].position, 0, 0});
+          }
+        }
+      },
+      &index->pivotal_offsets, &index->pivotal_postings);
+  BuildLists(
+      universe,
+      [&](auto emit) {
+        for (int id = 0; id < n; ++id) {
+          for (const Gram& g : index->profiles[id].prefix) {
+            emit(g.rank,
+                 EditDistanceSearcher::PrefixPosting{id, g.position, 0, 0});
+          }
+        }
+      },
+      &index->prefix_offsets, &index->prefix_postings);
+  BuildLists(
+      static_cast<size_t>(max_length) + 1,
+      [&](auto emit) {
+        for (int id = 0; id < n; ++id) emit((*data)[id].size(), id);
+      },
+      &index->length_offsets, &index->length_ids);
+  return index;
+}
+
+/// Fills the derived state of a built, loaded or projected index: the ring
+/// arrays and every posting's length and prefix_last_rank.
+void DeriveIndex(const std::vector<std::string>& data, int tau,
+                 Index* index) {
+  const size_t m = static_cast<size_t>(tau) + 1;
+  index->ring_masks.assign(data.size() * m, 0);
+  index->ring_positions.assign(data.size() * m, 0);
+  for (size_t id = 0; id < data.size(); ++id) {
+    const GramProfile& profile = index->profiles[id];
+    PR_CHECK(profile.pivotal.size() == (profile.is_short ? 0 : m) &&
+             profile.pivotal_masks.size() == profile.pivotal.size());
+    for (size_t j = 0; j < profile.pivotal.size(); ++j) {
+      index->ring_masks[id * m + j] = profile.pivotal_masks[j];
+      index->ring_positions[id * m + j] = profile.pivotal[j].position;
+    }
+  }
+  auto derive = [&](auto& postings) {
+    for (auto& posting : postings) {
+      posting.length = static_cast<int>(data[posting.id].size());
+      posting.prefix_last_rank = index->profiles[posting.id].prefix_last_rank;
+    }
+  };
+  derive(index->pivotal_postings);
+  derive(index->prefix_postings);
+}
+
+/// Scans one posting list in order and writes the list offsets of the
+/// postings that pass the prefix-order side test, the +-tau position test
+/// and the length test to `selected`; returns how many passed. Branch-free:
+/// every offset is written, and the count advances only for survivors.
+/// `x_side` selects Case A (the record's prefix ends first: its
+/// prefix-last rank is <= the query's) or Case B (strictly greater).
+template <typename Posting>
+int SelectPostings(std::span<const Posting> list, bool x_side,
+                   int q_prefix_last_rank, int q_position, int q_len,
+                   int tau, int* selected) {
+  int count = 0;
+  for (int k = 0; k < static_cast<int>(list.size()); ++k) {
+    const Posting& p = list[k];
+    selected[count] = k;
+    count += static_cast<int>(
+        ((p.prefix_last_rank <= q_prefix_last_rank) == x_side) &
+        (std::abs(p.position - q_position) <= tau) &
+        (std::abs(p.length - q_len) <= tau));
+  }
+  return count;
+}
+
+template <typename Entry>
+std::span<const Entry> List(const std::vector<size_t>& offsets,
+                            const std::vector<Entry>& entries, size_t key) {
+  return std::span<const Entry>(entries).subspan(
+      offsets[key], offsets[key + 1] - offsets[key]);
+}
+
+}  // namespace
+
 EditDistanceSearcher::EditDistanceSearcher(
     const std::vector<std::string>* data, int tau, int kappa)
+    : EditDistanceSearcher(data, tau, kappa, BuildIndex(data, tau, kappa)) {}
+
+EditDistanceSearcher EditDistanceSearcher::FromBuilt(
+    const std::vector<std::string>* data, int tau, int kappa,
+    std::shared_ptr<Index> index) {
+  return EditDistanceSearcher(data, tau, kappa, std::move(index));
+}
+
+EditDistanceSearcher::EditDistanceSearcher(
+    const std::vector<std::string>* data, int tau, int kappa,
+    std::shared_ptr<Index> index)
     : data_(data), tau_(tau), kappa_(kappa) {
   PR_CHECK(data_ != nullptr);
   PR_CHECK(tau_ >= 0);
   PR_CHECK_MSG(tau_ + 1 <= 64, "ruled-out bitmask supports at most 64 boxes");
-  const int n = static_cast<int>(data_->size());
-  auto index = std::make_shared<Index>(*data, kappa);
-  index->profiles.reserve(n);
-  index->padded.reserve(n);
-  index->window_masks.reserve(n);
-  for (int id = 0; id < n; ++id) {
-    const std::string& s = (*data_)[id];
-    index->profiles.push_back(index->dictionary.Profile(s, tau_));
-    index->padded.push_back(PadForGrams(s, kappa_));
-    index->window_masks.push_back(WindowMasks(index->padded.back()));
-    index->ids_by_length[static_cast<int>(s.size())].push_back(id);
-    const GramProfile& profile = index->profiles.back();
-    if (profile.is_short) {
-      index->short_ids.push_back(id);
-      continue;
-    }
-    for (size_t j = 0; j < profile.pivotal.size(); ++j) {
-      index->pivotal_index[profile.pivotal[j].rank].push_back(
-          {id, static_cast<int>(j), profile.pivotal[j].position});
-    }
-    for (const Gram& g : profile.prefix) {
-      index->prefix_index[g.rank].push_back({id, g.position});
-    }
-  }
-  index_ = std::move(index);
-  seen_epoch_.assign(n, 0);
-  decided_.assign(n, 0);
-  ruled_out_.assign(n, 0);
-}
-
-EditDistanceSearcher EditDistanceSearcher::FromBuilt(
-    const std::vector<std::string>* data, int tau, int kappa,
-    std::shared_ptr<const Index> index) {
-  PR_CHECK(data != nullptr);
-  PR_CHECK(tau >= 0);
-  PR_CHECK_MSG(tau + 1 <= 64, "ruled-out bitmask supports at most 64 boxes");
   PR_CHECK(index != nullptr);
-  PR_CHECK(index->profiles.size() == data->size());
-  EditDistanceSearcher s(data, tau, kappa, std::move(index));
-  return s;
-}
-
-EditDistanceSearcher::EditDistanceSearcher(
-    const std::vector<std::string>* data, int tau, int kappa,
-    std::shared_ptr<const Index> index)
-    : data_(data), tau_(tau), kappa_(kappa), index_(std::move(index)) {
+  PR_CHECK(index->profiles.size() == data_->size());
+  DeriveIndex(*data_, tau_, index.get());
+  index_ = std::move(index);
   const int n = static_cast<int>(data_->size());
   seen_epoch_.assign(n, 0);
   decided_.assign(n, 0);
   ruled_out_.assign(n, 0);
-}
-
-std::vector<uint64_t> EditDistanceSearcher::WindowMasks(
-    const std::string& s) const {
-  std::vector<uint64_t> masks(s.size());
-  for (int u = 0; u < static_cast<int>(s.size()); ++u) {
-    const int sub_len = std::min<int>(kappa_, static_cast<int>(s.size()) - u);
-    masks[u] = AlphabetMask(std::string_view(s).substr(u, sub_len));
-  }
-  return masks;
 }
 
 int EditDistanceSearcher::ContentLowerBound(
-    uint64_t gram_mask, int gram_pos,
-    const std::vector<uint64_t>& other_masks, int good_enough) const {
+    uint64_t gram_mask, int gram_pos, std::span<const uint64_t> other_masks,
+    int good_enough) const {
   const int len = static_cast<int>(other_masks.size());
   if (len == 0) return kappa_;
   const int lo = std::max(0, gram_pos - tau_);
@@ -115,7 +224,7 @@ std::vector<int> EditDistanceSearcher::Search(const std::string& query,
   const int q_len = static_cast<int>(query.size());
   const GramProfile q_profile = index.dictionary.Profile(query, tau_);
 
-  ++epoch_;
+  AdvanceEpoch(&epoch_, &seen_epoch_);
   auto touch = [&](int id) {
     if (seen_epoch_[id] != epoch_) {
       seen_epoch_[id] = epoch_;
@@ -135,10 +244,12 @@ std::vector<int> EditDistanceSearcher::Search(const std::string& query,
   if (q_profile.is_short) {
     // Too few query grams for the pivotal scheme: fall back to the length
     // filter for the whole collection.
-    for (int len = q_len - tau_; len <= q_len + tau_; ++len) {
-      auto it = index.ids_by_length.find(len);
-      if (it == index.ids_by_length.end()) continue;
-      for (int id : it->second) add_candidate(id);
+    const int max_length = static_cast<int>(index.length_offsets.size()) - 2;
+    for (int len = std::max(0, q_len - tau_);
+         len <= std::min(q_len + tau_, max_length); ++len) {
+      for (int id : List(index.length_offsets, index.length_ids, len)) {
+        add_candidate(id);
+      }
     }
   } else {
     // Short data strings are always candidates (within the length window).
@@ -148,14 +259,19 @@ std::vector<int> EditDistanceSearcher::Search(const std::string& query,
     }
 
     const std::string q_padded = PadForGrams(query, kappa_);
-    const std::vector<uint64_t> q_masks = WindowMasks(q_padded);
+    std::vector<uint64_t> q_masks;
+    q_masks.reserve(q_padded.size());
+    AppendWindowMasks(q_padded, kappa_, &q_masks);
+    std::array<int, 64> q_positions{};
+    for (int j = 0; j < m; ++j) q_positions[j] = q_profile.pivotal[j].position;
 
     // The chain check from an exact-match entry box, shared by both probe
-    // cases. `side` owns the ring (pivotal grams + masks); `other_masks`
-    // provides the windows (Corollary 2 bookkeeping happens inside).
-    auto ring_check = [&](int id, const GramProfile& side_profile,
-                          const std::vector<uint64_t>& other_masks,
-                          int entry) {
+    // cases. The side string owns the ring (`side_masks` / `side_positions`
+    // of its pivotal grams); `other_masks` provides the windows (Corollary 2
+    // bookkeeping happens inside).
+    auto ring_check = [&](int id, const uint64_t* side_masks,
+                          const int* side_positions,
+                          std::span<const uint64_t> other_masks, int entry) {
       if (decided_[id]) return;
       if (ruled_out_[id] & (uint64_t{1} << entry)) return;
       if (filter == EditFilter::kPivotal || l == 1) {
@@ -174,8 +290,7 @@ std::vector<int> EditDistanceSearcher::Search(const std::string& query,
         // (the true minimum) may stop the scan there.
         const int budget = len * tau_ / m - sum;
         const int good_enough = len == l ? std::max(0, budget) : 0;
-        sum += ContentLowerBound(side_profile.pivotal_masks[box],
-                                 side_profile.pivotal[box].position,
+        sum += ContentLowerBound(side_masks[box], side_positions[box],
                                  other_masks, good_enough);
         if (sum * m > len * tau_) {
           failed_at = len;
@@ -191,42 +306,45 @@ std::vector<int> EditDistanceSearcher::Search(const std::string& query,
       add_candidate(id);
     };
 
+    // Each posting list is scanned into `selected_` first; the survivors
+    // are then touched and ring-checked in list order, so the per-record
+    // scratch sees them exactly as a one-pass scan would.
+    auto select = [&](auto list, bool x_side, const Gram& g) {
+      local.index_hits += static_cast<int64_t>(list.size());
+      if (selected_.size() < list.size()) selected_.resize(list.size());
+      return SelectPostings(list, x_side, q_profile.prefix_last_rank,
+                            g.position, q_len, tau_, selected_.data());
+    };
+
     // Case A: x's prefix ends first; probe q's prefix grams against data
-    // pivotal grams.
+    // pivotal grams. The ring is x's.
     for (const Gram& g : q_profile.prefix) {
       if (g.rank < 0) continue;
-      auto it = index.pivotal_index.find(g.rank);
-      if (it == index.pivotal_index.end()) continue;
-      for (const PivotalPosting& posting : it->second) {
-        ++local.index_hits;
-        const GramProfile& x_profile = index.profiles[posting.id];
-        if (x_profile.prefix_last_rank > q_profile.prefix_last_rank) continue;
-        if (std::abs(posting.position - g.position) > tau_) continue;
-        const int x_len = static_cast<int>((*data_)[posting.id].size());
-        if (std::abs(x_len - q_len) > tau_) continue;
+      const auto list =
+          List(index.pivotal_offsets, index.pivotal_postings, g.rank);
+      const int count = select(list, true, g);
+      for (int s = 0; s < count; ++s) {
+        const PivotalPosting& posting = list[selected_[s]];
+        const size_t ring = static_cast<size_t>(posting.id) * m;
         touch(posting.id);
-        ring_check(posting.id, x_profile, q_masks, posting.pivotal_index);
+        ring_check(posting.id, &index.ring_masks[ring],
+                   &index.ring_positions[ring], q_masks,
+                   posting.pivotal_index);
       }
     }
     // Case B: q's prefix ends first; probe q's pivotal grams against data
     // prefix grams. The ring is q's.
-    for (size_t j = 0; j < q_profile.pivotal.size(); ++j) {
+    for (int j = 0; j < m; ++j) {
       const Gram& g = q_profile.pivotal[j];
       if (g.rank < 0) continue;
-      auto it = index.prefix_index.find(g.rank);
-      if (it == index.prefix_index.end()) continue;
-      for (const PrefixPosting& posting : it->second) {
-        ++local.index_hits;
-        const GramProfile& x_profile = index.profiles[posting.id];
-        if (x_profile.prefix_last_rank <= q_profile.prefix_last_rank) {
-          continue;
-        }
-        if (std::abs(posting.position - g.position) > tau_) continue;
-        const int x_len = static_cast<int>((*data_)[posting.id].size());
-        if (std::abs(x_len - q_len) > tau_) continue;
-        touch(posting.id);
-        ring_check(posting.id, q_profile, index.window_masks[posting.id],
-                   static_cast<int>(j));
+      const auto list =
+          List(index.prefix_offsets, index.prefix_postings, g.rank);
+      const int count = select(list, false, g);
+      for (int s = 0; s < count; ++s) {
+        const int id = list[selected_[s]].id;
+        touch(id);
+        ring_check(id, q_profile.pivotal_masks.data(), q_positions.data(),
+                   List(index.window_offsets, index.window_masks, id), j);
       }
     }
   }
@@ -234,8 +352,10 @@ std::vector<int> EditDistanceSearcher::Search(const std::string& query,
 
   // Alignment filter (Pivotal baseline only): exact per-box minimum edit
   // distances summed against tau — the l = m basic form of the principle.
+  // Ring verifies its candidates directly.
+  const bool align = filter == EditFilter::kPivotal && !q_profile.is_short;
   std::vector<int> stage2;
-  if (filter == EditFilter::kPivotal && !q_profile.is_short) {
+  if (align) {
     const std::string q_padded = PadForGrams(query, kappa_);
     for (int id : candidates) {
       const GramProfile& x_profile = index.profiles[id];
@@ -255,15 +375,14 @@ std::vector<int> EditDistanceSearcher::Search(const std::string& query,
       }
       if (sum <= tau_) stage2.push_back(id);
     }
-  } else {
-    stage2 = candidates;
   }
-  local.candidates_stage2 = static_cast<int64_t>(stage2.size());
+  const std::vector<int>& to_verify = align ? stage2 : candidates;
+  local.candidates_stage2 = static_cast<int64_t>(to_verify.size());
   local.filter_millis = phase_watch.ElapsedMillis();
 
   phase_watch.Restart();
   std::vector<int> results;
-  for (int id : stage2) {
+  for (int id : to_verify) {
     if (BandedEditDistance((*data_)[id], query, tau_) <= tau_) {
       results.push_back(id);
     }

@@ -20,14 +20,21 @@
 //
 // Strings with fewer than kappa*tau + 1 grams bypass the gram machinery and
 // are matched by length-window scanning (both as data and as queries).
+//
+// The filter phase reads flat arrays only (layout in Index): a probe walks
+// rank-indexed CSR posting lists whose postings carry their record's length
+// and prefix-last rank inline, selects each list's survivors of the side,
+// position and length tests branch-free into a per-copy buffer, and then
+// chain-checks them in list order against the records' contiguous rings
+// and window masks — never loading a profile or a string.
 
 #ifndef PIGEONRING_EDITDIST_PIVOTAL_H_
 #define PIGEONRING_EDITDIST_PIVOTAL_H_
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "editdist/qgram.h"
@@ -44,27 +51,53 @@ enum class EditFilter {
 /// Searcher for ed(x, q) <= tau over a fixed string collection.
 ///
 /// Copies are cheap and parallel-safe: the gram dictionary, per-record
-/// profiles, padded strings, window masks, and the pivotal / prefix /
-/// length indexes are immutable after construction and shared between
-/// copies behind a shared_ptr (concurrent reads, no locks); only the
-/// epoch-stamped per-query scratch is per-copy. The engine's per-thread
-/// clones and the api layer's per-session cursors rely on this.
+/// profiles, padded strings, window masks, ring arrays, and the pivotal /
+/// prefix / length indexes are immutable after construction and shared
+/// between copies behind a shared_ptr (concurrent reads, no locks); only
+/// the epoch-stamped per-query scratch and the selection buffer are
+/// per-copy. The engine's per-thread clones and the api layer's
+/// per-session cursors rely on this.
 class EditDistanceSearcher {
  public:
+  /// Record `id`'s pivotal gram `pivotal_index`, at `position` of its
+  /// padded string. `length` (the record's length) and `prefix_last_rank`
+  /// (its profile's) are derived copies, inline so that the scan rejects a
+  /// posting without loading the record's profile or string.
   struct PivotalPosting {
     int id;
     int pivotal_index;
     int position;
+    int length;
+    int prefix_last_rank;
   };
+  /// Record `id`'s prefix gram at `position`, with the same derived fields.
   struct PrefixPosting {
     int id;
     int position;
+    int length;
+    int prefix_last_rank;
   };
 
-  /// The built gram machinery: dictionary, per-record profiles, padded
-  /// strings, window masks, and the pivotal / prefix / length indexes.
-  /// Immutable after construction, shared between searcher copies; exposed
-  /// so the storage layer can serialize and bulk-load it.
+  /// The built gram machinery. Immutable after construction, shared between
+  /// searcher copies; exposed so the storage layer can serialize and
+  /// bulk-load it and the shard layer can project it.
+  ///
+  /// Every index is flat. A CSR list is a half-open slice of one entry
+  /// array: list k of (offsets, entries) is entries[offsets[k] ..
+  /// offsets[k + 1]), in build order (ids ascending).
+  ///  * pivotal / prefix: one list per gram rank (universe_size + 1
+  ///    offsets);
+  ///  * length: one list of ids per record length (max length + 2
+  ///    offsets).
+  /// Record id's window masks are window_masks[window_offsets[id] ..
+  /// window_offsets[id + 1]), one per position of its padded string. Its
+  /// ring — the masks and positions of its tau + 1 pivotal grams — sits at
+  /// ring_masks / ring_positions[id * (tau + 1) + j] (zero for short
+  /// records).
+  ///
+  /// The ring arrays and the postings' length / prefix_last_rank are
+  /// derived from the profiles and the strings (see FromBuilt); everything
+  /// else is what the storage layer saves.
   struct Index {
     Index(const std::vector<std::string>& data, int kappa)
         : dictionary(data, kappa) {}
@@ -75,11 +108,17 @@ class EditDistanceSearcher {
 
     GramDictionary dictionary;
     std::vector<GramProfile> profiles;
-    std::vector<std::string> padded;                  // PadForGrams(record)
-    std::vector<std::vector<uint64_t>> window_masks;  // over padded records
-    std::unordered_map<int, std::vector<PivotalPosting>> pivotal_index;
-    std::unordered_map<int, std::vector<PrefixPosting>> prefix_index;
-    std::unordered_map<int, std::vector<int>> ids_by_length;
+    std::vector<std::string> padded;  // PadForGrams(record)
+    std::vector<uint64_t> window_masks;
+    std::vector<size_t> window_offsets;
+    std::vector<uint64_t> ring_masks;
+    std::vector<int> ring_positions;
+    std::vector<size_t> pivotal_offsets;
+    std::vector<PivotalPosting> pivotal_postings;
+    std::vector<size_t> prefix_offsets;
+    std::vector<PrefixPosting> prefix_postings;
+    std::vector<size_t> length_offsets;
+    std::vector<int> length_ids;
     std::vector<int> short_ids;
   };
 
@@ -90,11 +129,13 @@ class EditDistanceSearcher {
                        int kappa);
 
   /// Assembles a searcher around an already-built index (the storage
-  /// layer's bulk-load path) — no profiles or postings are re-derived.
-  /// `index` must describe exactly `data` under the same tau and kappa.
+  /// layer's bulk-load path and the shard projection): no profiles or
+  /// postings are re-derived, only the ring arrays and the postings'
+  /// derived fields are filled in. `index` must describe exactly `data`
+  /// under the same tau and kappa.
   static EditDistanceSearcher FromBuilt(const std::vector<std::string>* data,
                                         int tau, int kappa,
-                                        std::shared_ptr<const Index> index);
+                                        std::shared_ptr<Index> index);
 
   int tau() const { return tau_; }
   int num_boxes() const { return tau_ + 1; }
@@ -109,7 +150,7 @@ class EditDistanceSearcher {
 
  private:
   EditDistanceSearcher(const std::vector<std::string>* data, int tau,
-                       int kappa, std::shared_ptr<const Index> index);
+                       int kappa, std::shared_ptr<Index> index);
 
   /// Content-filter lower bound for the box of `gram_mask`@`gram_pos`
   /// against windows of the other string, whose per-position alphabet masks
@@ -119,11 +160,8 @@ class EditDistanceSearcher {
   /// change the chain decision at the current length and a smaller lower
   /// bound is always sound.
   int ContentLowerBound(uint64_t gram_mask, int gram_pos,
-                        const std::vector<uint64_t>& other_masks,
+                        std::span<const uint64_t> other_masks,
                         int good_enough) const;
-
-  /// Precomputes the per-position window masks of `s`.
-  std::vector<uint64_t> WindowMasks(const std::string& s) const;
 
   /// Exact alignment-filter box value (min substring edit distance).
   int ExactBox(const std::string& side, const Gram& gram,
@@ -138,6 +176,7 @@ class EditDistanceSearcher {
   std::vector<uint32_t> seen_epoch_;
   std::vector<uint8_t> decided_;
   std::vector<uint64_t> ruled_out_;
+  std::vector<int> selected_;  // one posting list's survivors, list order
 };
 
 /// Reference result set by exhaustive banded-DP scan.

@@ -16,8 +16,16 @@ int BandedEditDistance(std::string_view a, std::string_view b, int tau) {
   if (lb == 0) return la;
   const int big = tau + 1;
   // dp[j] = edit distance for prefixes a[0..i), b[0..j), banded to
-  // |i - j| <= tau.
-  std::vector<int> dp(lb + 1, big);
+  // |i - j| <= tau. The row lives on the stack unless b is long.
+  constexpr int kStackRow = 256;
+  int stack_row[kStackRow];
+  std::vector<int> heap_row;
+  int* dp = stack_row;
+  if (lb + 1 > kStackRow) {
+    heap_row.resize(lb + 1);
+    dp = heap_row.data();
+  }
+  std::fill(dp, dp + lb + 1, big);
   for (int j = 0; j <= std::min(lb, tau); ++j) dp[j] = j;
   for (int i = 1; i <= la; ++i) {
     const int lo = std::max(1, i - tau);

@@ -4,6 +4,7 @@
 #include <queue>
 #include <tuple>
 
+#include "common/epoch.h"
 #include "common/timer.h"
 #include "kernels/kernels.h"
 
@@ -127,7 +128,7 @@ std::vector<int> HammingSearcher::Search(const BitVector& query, int tau,
   std::vector<int> t_prefix(2 * m + 1, 0);
   for (int i = 0; i < 2 * m; ++i) t_prefix[i + 1] = t_prefix[i] + t[i % m];
 
-  ++epoch_;
+  AdvanceEpoch(&epoch_, &seen_epoch_);
   engine::QueryStats local;
   std::vector<int> candidate_ids;
 

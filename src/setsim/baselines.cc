@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/epoch.h"
 #include "common/timer.h"
 #include "setsim/prefix.h"
 
@@ -48,7 +49,7 @@ std::vector<int> AllPairsSearcher::Search(const RankedSet& query,
   const int min_size = JaccardMinSize(q_size, tau_);
   const int max_size = JaccardMaxSize(q_size, tau_);
 
-  ++epoch_;
+  AdvanceEpoch(&epoch_, &seen_epoch_);
   std::vector<int> candidates;
   for (int p = 0; p < q_prefix; ++p) {
     const int rank = query[p];
@@ -121,7 +122,7 @@ std::vector<int> PartAllocSearcher::Search(const RankedSet& query,
     t[k] = budget / num_parts_ + (k < budget % num_parts_ ? 1 : 0);
   }
 
-  ++epoch_;
+  AdvanceEpoch(&epoch_, &seen_epoch_);
   touched_.clear();
   for (int rank : query) {
     if (rank < 0 || rank >= static_cast<int>(inverted_.size())) continue;

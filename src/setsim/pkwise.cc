@@ -4,6 +4,7 @@
 #include <cstring>
 #include <limits>
 
+#include "common/epoch.h"
 #include "common/timer.h"
 
 namespace pigeonring::setsim {
@@ -107,7 +108,7 @@ std::vector<int> PkwiseSearcher::Search(const RankedSet& query,
   const PrefixInfo q_info = ComputePrefixInfo(query, o_q, num_classes_);
   const auto [min_size, max_size] = SizeWindow(q_size);
 
-  ++epoch_;
+  AdvanceEpoch(&epoch_, &seen_epoch_);
   touched_.clear();
 
   // Step 1: accumulate per-class shared prefix counts (= class box values).

@@ -1,7 +1,6 @@
 #include "shard/split.h"
 
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
@@ -30,20 +29,28 @@ std::vector<T> Subset(const std::vector<T>& full,
   return out;
 }
 
-/// Keeps only postings owned by the shard, remapped to local ids via
-/// `project` (which must preserve the posting's id order — ascending global
-/// ids map to ascending local ids, so filtering preserves the FromBuilt
-/// loaders' id-ascending invariant).
-template <typename Posting, typename Project>
-std::vector<Posting> FilterPostings(const std::vector<Posting>& postings,
-                                    const std::vector<int>& local_of,
-                                    Project&& project) {
-  std::vector<Posting> out;
-  for (const Posting& p : postings) {
-    Posting q = p;
-    if (project(q, local_of)) out.push_back(q);
+/// Projects every list of a CSR array onto one shard: keeps the entries
+/// whose record (`id_of(entry)`) the shard owns, remapped to local ids.
+/// Ascending global ids map to ascending local ids, so each list keeps the
+/// id-ascending build order the FromBuilt loaders require.
+template <typename Entry, typename IdOf>
+void ProjectLists(const std::vector<size_t>& offsets,
+                  const std::vector<Entry>& entries,
+                  const std::vector<int>& local_of, IdOf&& id_of,
+                  std::vector<size_t>* out_offsets,
+                  std::vector<Entry>* out_entries) {
+  out_offsets->assign(1, 0);
+  out_offsets->reserve(offsets.size());
+  for (size_t list = 0; list + 1 < offsets.size(); ++list) {
+    for (size_t k = offsets[list]; k < offsets[list + 1]; ++k) {
+      Entry entry = entries[k];
+      int& id = id_of(entry);
+      if (local_of[static_cast<size_t>(id)] < 0) continue;
+      id = local_of[static_cast<size_t>(id)];
+      out_entries->push_back(entry);
+    }
+    out_offsets->push_back(out_entries->size());
   }
-  return out;
 }
 
 }  // namespace
@@ -124,39 +131,30 @@ std::vector<ShardPart<engine::EditAdapter>> Split(
     auto index = std::make_shared<Index>(findex.dictionary);
     index->profiles = Subset(findex.profiles, global_ids);
     index->padded = Subset(findex.padded, global_ids);
-    index->window_masks = Subset(findex.window_masks, global_ids);
-    for (const auto& [rank, postings] : findex.pivotal_index) {
-      auto filtered = FilterPostings(
-          postings, local_of, [](auto& p, const std::vector<int>& local) {
-            if (local[static_cast<size_t>(p.id)] < 0) return false;
-            p.id = local[static_cast<size_t>(p.id)];
-            return true;
-          });
-      if (!filtered.empty()) index->pivotal_index.emplace(rank, std::move(filtered));
+    index->window_offsets.assign(1, 0);
+    for (int g : global_ids) {
+      index->window_masks.insert(
+          index->window_masks.end(),
+          findex.window_masks.begin() + findex.window_offsets[g],
+          findex.window_masks.begin() + findex.window_offsets[g + 1]);
+      index->window_offsets.push_back(index->window_masks.size());
     }
-    for (const auto& [rank, postings] : findex.prefix_index) {
-      auto filtered = FilterPostings(
-          postings, local_of, [](auto& p, const std::vector<int>& local) {
-            if (local[static_cast<size_t>(p.id)] < 0) return false;
-            p.id = local[static_cast<size_t>(p.id)];
-            return true;
-          });
-      if (!filtered.empty()) index->prefix_index.emplace(rank, std::move(filtered));
-    }
-    for (const auto& [length, ids] : findex.ids_by_length) {
-      std::vector<int> filtered;
-      for (int id : ids) {
-        if (local_of[static_cast<size_t>(id)] >= 0) {
-          filtered.push_back(local_of[static_cast<size_t>(id)]);
-        }
-      }
-      if (!filtered.empty()) index->ids_by_length.emplace(length, std::move(filtered));
-    }
+    auto posting_id = [](auto& posting) -> int& { return posting.id; };
+    ProjectLists(findex.pivotal_offsets, findex.pivotal_postings, local_of,
+                 posting_id, &index->pivotal_offsets,
+                 &index->pivotal_postings);
+    ProjectLists(findex.prefix_offsets, findex.prefix_postings, local_of,
+                 posting_id, &index->prefix_offsets, &index->prefix_postings);
+    ProjectLists(findex.length_offsets, findex.length_ids, local_of,
+                 [](int& id) -> int& { return id; }, &index->length_offsets,
+                 &index->length_ids);
     for (int id : findex.short_ids) {
       if (local_of[static_cast<size_t>(id)] >= 0) {
         index->short_ids.push_back(local_of[static_cast<size_t>(id)]);
       }
     }
+    // The ring arrays and the postings' derived fields are re-derived by
+    // FromBuilt from the projected profiles and strings.
     auto searcher = editdist::EditDistanceSearcher::FromBuilt(
         data.get(), fs.tau(), findex.dictionary.kappa(), std::move(index));
     parts.push_back(

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
+#include <numeric>
 #include <utility>
 
 #include "editdist/qgram.h"
@@ -275,70 +275,72 @@ std::vector<uint8_t> EncodeEditPadded(const std::vector<std::string>& padded) {
 }
 
 std::vector<uint8_t> EncodeEditWindowMasks(
-    const std::vector<std::vector<uint64_t>>& masks) {
+    const std::vector<size_t>& offsets, const std::vector<uint64_t>& masks) {
   ByteWriter w;
-  w.U32(static_cast<uint32_t>(masks.size()));
-  for (const std::vector<uint64_t>& m : masks) w.VecU64(m);
+  const size_t n = offsets.size() - 1;
+  w.U32(static_cast<uint32_t>(n));
+  for (size_t id = 0; id < n; ++id) {
+    w.U64(offsets[id + 1] - offsets[id]);
+    for (size_t k = offsets[id]; k < offsets[id + 1]; ++k) w.U64(masks[k]);
+  }
   return std::move(w).Take();
 }
 
-std::vector<uint8_t> EncodeEditPivotalIndex(
-    const std::unordered_map<
-        int, std::vector<editdist::EditDistanceSearcher::PivotalPosting>>&
-        index) {
-  // Sorted key order for determinism; posting lists keep build order.
-  std::map<int, const std::vector<
-                    editdist::EditDistanceSearcher::PivotalPosting>*>
-      sorted;
-  for (const auto& [rank, postings] : index) sorted[rank] = &postings;
-  ByteWriter w;
-  w.U64(sorted.size());
-  for (const auto& [rank, postings] : sorted) {
-    w.I32(rank);
-    w.U64(postings->size());
-    for (const auto& p : *postings) {
-      w.I32(p.id);
-      w.I32(p.pivotal_index);
-      w.I32(p.position);
+// The keyed-list codec of the edit sections: the nonempty lists of a CSR
+// array, keys ascending, each as i32 key + u64 entry count + the entries
+// (`write` encodes one) in build order.
+template <typename Entry, typename Write>
+void EncodeEditLists(ByteWriter& w, const std::vector<size_t>& offsets,
+                     const std::vector<Entry>& entries, Write&& write) {
+  uint64_t nonempty = 0;
+  for (size_t key = 0; key + 1 < offsets.size(); ++key) {
+    nonempty += offsets[key + 1] > offsets[key] ? 1 : 0;
+  }
+  w.U64(nonempty);
+  for (size_t key = 0; key + 1 < offsets.size(); ++key) {
+    if (offsets[key + 1] == offsets[key]) continue;
+    w.I32(static_cast<int>(key));
+    w.U64(offsets[key + 1] - offsets[key]);
+    for (size_t k = offsets[key]; k < offsets[key + 1]; ++k) {
+      write(entries[k]);
     }
   }
-  return std::move(w).Take();
 }
 
-std::vector<uint8_t> EncodeEditPrefixIndex(
-    const std::unordered_map<
-        int, std::vector<editdist::EditDistanceSearcher::PrefixPosting>>&
-        index) {
-  std::map<int,
-           const std::vector<editdist::EditDistanceSearcher::PrefixPosting>*>
-      sorted;
-  for (const auto& [rank, postings] : index) sorted[rank] = &postings;
-  ByteWriter w;
-  w.U64(sorted.size());
-  for (const auto& [rank, postings] : sorted) {
-    w.I32(rank);
-    w.U64(postings->size());
-    for (const auto& p : *postings) {
-      w.I32(p.id);
-      w.I32(p.position);
+// Decodes EncodeEditLists' form straight into CSR `offsets` + `entries`
+// over keys [0, num_keys). Keys must ascend strictly, which also rules out
+// duplicates. `read(key, &entry)` decodes one entry of `entry_bytes` bytes
+// and returns nullptr, or what is wrong with it.
+template <typename Entry, typename Read>
+Status DecodeEditLists(ByteReader& reader, SectionId id, size_t num_keys,
+                       size_t entry_bytes, const char* bad_key, Read&& read,
+                       std::vector<size_t>* offsets,
+                       std::vector<Entry>* entries) {
+  const uint64_t keys = reader.Count(12);  // i32 key + u64 entry count
+  if (!reader.ok()) return SectionCorrupt(id, "bad key count");
+  offsets->assign(num_keys + 1, 0);
+  entries->reserve(reader.remaining() / entry_bytes);
+  int64_t next_key = 0;
+  for (uint64_t k = 0; k < keys; ++k) {
+    const int key = reader.I32();
+    const uint64_t count = reader.Count(entry_bytes);
+    if (!reader.ok()) return SectionCorrupt(id, "bad entry count");
+    if (key < 0 || static_cast<size_t>(key) >= num_keys) {
+      return SectionCorrupt(id, bad_key);
+    }
+    if (key < next_key) return SectionCorrupt(id, "keys out of order");
+    next_key = int64_t{key} + 1;
+    (*offsets)[static_cast<size_t>(key) + 1] = count;
+    for (uint64_t i = 0; i < count; ++i) {
+      Entry entry{};
+      const char* bad_entry = read(key, &entry);
+      if (!reader.ok()) return SectionCorrupt(id, "truncated list");
+      if (bad_entry != nullptr) return SectionCorrupt(id, bad_entry);
+      entries->push_back(entry);
     }
   }
-  return std::move(w).Take();
-}
-
-std::vector<uint8_t> EncodeEditLengths(
-    const std::unordered_map<int, std::vector<int>>& ids_by_length,
-    const std::vector<int>& short_ids) {
-  std::map<int, const std::vector<int>*> sorted;
-  for (const auto& [len, ids] : ids_by_length) sorted[len] = &ids;
-  ByteWriter w;
-  w.U64(sorted.size());
-  for (const auto& [len, ids] : sorted) {
-    w.I32(len);
-    w.VecI32(*ids);
-  }
-  w.VecI32(short_ids);
-  return std::move(w).Take();
+  std::partial_sum(offsets->begin(), offsets->end(), offsets->begin());
+  return Status::Ok();
 }
 
 // --- Graphs ---
@@ -599,25 +601,42 @@ StatusOr<LoadedSet> LoadSetSections(const IndexFileReader& reader,
 void SaveEditSections(const std::vector<std::string>& data,
                       const editdist::EditDistanceSearcher& searcher,
                       IndexFileWriter& writer) {
-  const editdist::EditDistanceSearcher::Index& index = searcher.index();
+  using editdist::EditDistanceSearcher;
+  const EditDistanceSearcher::Index& index = searcher.index();
   writer.AddSection(SectionId::kEditStrings, EncodeEditStrings(data));
   writer.AddSection(SectionId::kEditDictionary,
                     EncodeEditDictionary(index.dictionary));
   writer.AddSection(SectionId::kEditProfiles,
                     EncodeEditProfiles(index.profiles));
   writer.AddSection(SectionId::kEditPadded, EncodeEditPadded(index.padded));
-  writer.AddSection(SectionId::kEditWindowMasks,
-                    EncodeEditWindowMasks(index.window_masks));
-  writer.AddSection(SectionId::kEditPivotalIndex,
-                    EncodeEditPivotalIndex(index.pivotal_index));
-  writer.AddSection(SectionId::kEditPrefixIndex,
-                    EncodeEditPrefixIndex(index.prefix_index));
-  writer.AddSection(SectionId::kEditLengths,
-                    EncodeEditLengths(index.ids_by_length, index.short_ids));
+  writer.AddSection(
+      SectionId::kEditWindowMasks,
+      EncodeEditWindowMasks(index.window_offsets, index.window_masks));
+  ByteWriter pivotal;
+  EncodeEditLists(pivotal, index.pivotal_offsets, index.pivotal_postings,
+                  [&](const EditDistanceSearcher::PivotalPosting& p) {
+                    pivotal.I32(p.id);
+                    pivotal.I32(p.pivotal_index);
+                    pivotal.I32(p.position);
+                  });
+  writer.AddSection(SectionId::kEditPivotalIndex, std::move(pivotal).Take());
+  ByteWriter prefix;
+  EncodeEditLists(prefix, index.prefix_offsets, index.prefix_postings,
+                  [&](const EditDistanceSearcher::PrefixPosting& p) {
+                    prefix.I32(p.id);
+                    prefix.I32(p.position);
+                  });
+  writer.AddSection(SectionId::kEditPrefixIndex, std::move(prefix).Take());
+  ByteWriter lengths;
+  EncodeEditLists(lengths, index.length_offsets, index.length_ids,
+                  [&](int id) { lengths.I32(id); });
+  lengths.VecI32(index.short_ids);
+  writer.AddSection(SectionId::kEditLengths, std::move(lengths).Take());
 }
 
 StatusOr<LoadedEdit> LoadEditSections(const IndexFileReader& reader, int tau,
                                       int kappa) {
+  using editdist::EditDistanceSearcher;
   auto strings_section = reader.Section(SectionId::kEditStrings);
   if (!strings_section.ok()) return strings_section.status();
   ByteReader strings_reader = *strings_section;
@@ -656,8 +675,25 @@ StatusOr<LoadedEdit> LoadEditSections(const IndexFileReader& reader, int tau,
   }
   s = CheckConsumed(dict_reader, SectionId::kEditDictionary);
   if (!s.ok()) return s;
-  auto index = std::make_shared<editdist::EditDistanceSearcher::Index>(
+  // The ranks index the posting lists: they must be a permutation of
+  // [0, entry count), over distinct grams.
+  std::vector<uint8_t> rank_seen(static_cast<size_t>(dict_count), 0);
+  for (const auto& [gram, rank] : entries) {
+    if (rank < 0 || static_cast<uint64_t>(rank) >= dict_count) {
+      return SectionCorrupt(SectionId::kEditDictionary,
+                            "gram rank outside [0, entry count)");
+    }
+    if (rank_seen[static_cast<size_t>(rank)]++ != 0) {
+      return SectionCorrupt(SectionId::kEditDictionary, "repeated gram rank");
+    }
+  }
+  auto index = std::make_shared<EditDistanceSearcher::Index>(
       editdist::GramDictionary::FromBuilt(kappa, std::move(entries)));
+  const size_t universe =
+      static_cast<size_t>(index->dictionary.universe_size());
+  if (universe != dict_count) {
+    return SectionCorrupt(SectionId::kEditDictionary, "repeated gram");
+  }
 
   // Padded strings next — profile gram positions are validated against
   // their lengths.
@@ -680,6 +716,11 @@ StatusOr<LoadedEdit> LoadEditSections(const IndexFileReader& reader, int tau,
   }
   s = CheckConsumed(padded_reader, SectionId::kEditPadded);
   if (!s.ok()) return s;
+  // A gram at `position` must lie inside record `id`'s padded string.
+  auto gram_fits = [&](int id, int position) {
+    return position >= 0 &&
+           position <= static_cast<int>(index->padded[id].size()) - kappa;
+  };
 
   auto profiles_section = reader.Section(SectionId::kEditProfiles);
   if (!profiles_section.ok()) return profiles_section.status();
@@ -733,14 +774,21 @@ StatusOr<LoadedEdit> LoadEditSections(const IndexFileReader& reader, int tau,
     return SectionCorrupt(SectionId::kEditWindowMasks,
                           "row count disagrees with the strings section");
   }
-  index->window_masks.reserve(n);
+  size_t total_masks = 0;
+  for (const std::string& padded : index->padded) total_masks += padded.size();
+  index->window_masks.reserve(total_masks);
+  index->window_offsets.reserve(static_cast<size_t>(n) + 1);
+  index->window_offsets.push_back(0);
   for (uint32_t i = 0; i < n; ++i) {
-    std::vector<uint64_t> masks = masks_reader.VecU64();
-    if (!masks_reader.ok() || masks.size() != index->padded[i].size()) {
+    const uint64_t count = masks_reader.Count(8);
+    if (!masks_reader.ok() || count != index->padded[i].size()) {
       return SectionCorrupt(SectionId::kEditWindowMasks,
                             "mask count disagrees with the padded string");
     }
-    index->window_masks.push_back(std::move(masks));
+    for (uint64_t k = 0; k < count; ++k) {
+      index->window_masks.push_back(masks_reader.U64());
+    }
+    index->window_offsets.push_back(index->window_masks.size());
   }
   s = CheckConsumed(masks_reader, SectionId::kEditWindowMasks);
   if (!s.ok()) return s;
@@ -748,98 +796,74 @@ StatusOr<LoadedEdit> LoadEditSections(const IndexFileReader& reader, int tau,
   auto pivotal_section = reader.Section(SectionId::kEditPivotalIndex);
   if (!pivotal_section.ok()) return pivotal_section.status();
   ByteReader pivotal_reader = *pivotal_section;
-  const uint64_t pivotal_keys = pivotal_reader.Count(12);
-  if (!pivotal_reader.ok()) {
-    return SectionCorrupt(SectionId::kEditPivotalIndex, "bad key count");
-  }
-  for (uint64_t k = 0; k < pivotal_keys; ++k) {
-    const int rank = pivotal_reader.I32();
-    const uint64_t count = pivotal_reader.Count(12);  // 3 i32 per posting
-    if (!pivotal_reader.ok()) {
-      return SectionCorrupt(SectionId::kEditPivotalIndex,
-                            "bad posting count");
-    }
-    auto& postings = index->pivotal_index[rank];
-    if (!postings.empty()) {
-      return SectionCorrupt(SectionId::kEditPivotalIndex, "duplicate key");
-    }
-    postings.reserve(static_cast<size_t>(count));
-    for (uint64_t i = 0; i < count; ++i) {
-      editdist::EditDistanceSearcher::PivotalPosting p;
-      p.id = pivotal_reader.I32();
-      p.pivotal_index = pivotal_reader.I32();
-      p.position = pivotal_reader.I32();
-      if (!pivotal_reader.ok() || p.id < 0 || p.id >= num_records ||
-          index->profiles[p.id].is_short || p.pivotal_index < 0 ||
-          p.pivotal_index >=
-              static_cast<int>(index->profiles[p.id].pivotal.size())) {
-        return SectionCorrupt(SectionId::kEditPivotalIndex,
-                              "posting outside the collection");
-      }
-      postings.push_back(p);
-    }
-  }
+  s = DecodeEditLists(
+      pivotal_reader, SectionId::kEditPivotalIndex, universe,
+      12,  // 3 i32 per posting
+      "posting rank outside the dictionary",
+      [&](int, EditDistanceSearcher::PivotalPosting* p) -> const char* {
+        p->id = pivotal_reader.I32();
+        p->pivotal_index = pivotal_reader.I32();
+        p->position = pivotal_reader.I32();
+        if (p->id < 0 || p->id >= num_records ||
+            index->profiles[p->id].is_short || p->pivotal_index < 0 ||
+            p->pivotal_index >=
+                static_cast<int>(index->profiles[p->id].pivotal.size())) {
+          return "posting outside the collection";
+        }
+        if (!gram_fits(p->id, p->position)) {
+          return "posting position outside the padded string";
+        }
+        return nullptr;
+      },
+      &index->pivotal_offsets, &index->pivotal_postings);
+  if (!s.ok()) return s;
   s = CheckConsumed(pivotal_reader, SectionId::kEditPivotalIndex);
   if (!s.ok()) return s;
 
   auto prefix_section = reader.Section(SectionId::kEditPrefixIndex);
   if (!prefix_section.ok()) return prefix_section.status();
   ByteReader prefix_reader = *prefix_section;
-  const uint64_t prefix_keys = prefix_reader.Count(12);
-  if (!prefix_reader.ok()) {
-    return SectionCorrupt(SectionId::kEditPrefixIndex, "bad key count");
-  }
-  for (uint64_t k = 0; k < prefix_keys; ++k) {
-    const int rank = prefix_reader.I32();
-    const uint64_t count = prefix_reader.Count(8);  // 2 i32 per posting
-    if (!prefix_reader.ok()) {
-      return SectionCorrupt(SectionId::kEditPrefixIndex,
-                            "bad posting count");
-    }
-    auto& postings = index->prefix_index[rank];
-    if (!postings.empty()) {
-      return SectionCorrupt(SectionId::kEditPrefixIndex, "duplicate key");
-    }
-    postings.reserve(static_cast<size_t>(count));
-    for (uint64_t i = 0; i < count; ++i) {
-      editdist::EditDistanceSearcher::PrefixPosting p;
-      p.id = prefix_reader.I32();
-      p.position = prefix_reader.I32();
-      if (!prefix_reader.ok() || p.id < 0 || p.id >= num_records) {
-        return SectionCorrupt(SectionId::kEditPrefixIndex,
-                              "posting outside the collection");
-      }
-      postings.push_back(p);
-    }
-  }
+  s = DecodeEditLists(
+      prefix_reader, SectionId::kEditPrefixIndex, universe,
+      8,  // 2 i32 per posting
+      "posting rank outside the dictionary",
+      [&](int, EditDistanceSearcher::PrefixPosting* p) -> const char* {
+        p->id = prefix_reader.I32();
+        p->position = prefix_reader.I32();
+        if (p->id < 0 || p->id >= num_records) {
+          return "posting outside the collection";
+        }
+        if (!gram_fits(p->id, p->position)) {
+          return "posting position outside the padded string";
+        }
+        return nullptr;
+      },
+      &index->prefix_offsets, &index->prefix_postings);
+  if (!s.ok()) return s;
   s = CheckConsumed(prefix_reader, SectionId::kEditPrefixIndex);
   if (!s.ok()) return s;
 
   auto lengths_section = reader.Section(SectionId::kEditLengths);
   if (!lengths_section.ok()) return lengths_section.status();
   ByteReader lengths_reader = *lengths_section;
-  const uint64_t length_keys = lengths_reader.Count(12);
-  if (!lengths_reader.ok()) {
-    return SectionCorrupt(SectionId::kEditLengths, "bad bucket count");
+  size_t max_length = 0;
+  for (const std::string& record : *data) {
+    max_length = std::max(max_length, record.size());
   }
-  for (uint64_t k = 0; k < length_keys; ++k) {
-    const int length = lengths_reader.I32();
-    std::vector<int> ids = lengths_reader.VecI32();
-    if (!lengths_reader.ok()) {
-      return SectionCorrupt(SectionId::kEditLengths, "truncated bucket");
-    }
-    for (int id : ids) {
-      if (id < 0 || id >= num_records) {
-        return SectionCorrupt(SectionId::kEditLengths,
-                              "id outside the collection");
-      }
-    }
-    auto& bucket = index->ids_by_length[length];
-    if (!bucket.empty()) {
-      return SectionCorrupt(SectionId::kEditLengths, "duplicate bucket");
-    }
-    bucket = std::move(ids);
-  }
+  s = DecodeEditLists(
+      lengths_reader, SectionId::kEditLengths, max_length + 1,
+      4,  // i32 id
+      "bucket length outside the collection",
+      [&](int length, int* id) -> const char* {
+        *id = lengths_reader.I32();
+        if (*id < 0 || *id >= num_records) return "id outside the collection";
+        if (static_cast<int>((*data)[*id].size()) != length) {
+          return "id in the wrong length bucket";
+        }
+        return nullptr;
+      },
+      &index->length_offsets, &index->length_ids);
+  if (!s.ok()) return s;
   index->short_ids = lengths_reader.VecI32();
   s = CheckConsumed(lengths_reader, SectionId::kEditLengths);
   if (!s.ok()) return s;

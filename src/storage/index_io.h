@@ -71,7 +71,7 @@ void SaveEditSections(const std::vector<std::string>& data,
 
 struct LoadedEdit {
   std::unique_ptr<std::vector<std::string>> data;
-  std::shared_ptr<const editdist::EditDistanceSearcher::Index> index;
+  std::shared_ptr<editdist::EditDistanceSearcher::Index> index;
 };
 /// `tau` and `kappa` are the opening spec's values — profile and posting
 /// geometry is validated against them.

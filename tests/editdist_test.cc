@@ -163,6 +163,26 @@ struct EditCase {
   int chain_length;
 };
 
+// Applies `edits` random edits to `s`: kind 0 inserts, kind 1 deletes
+// (while characters remain), kind 2 mixes insertions, deletions and
+// substitutions. Inserted and substituted characters are lowercase or
+// uppercase letters.
+std::string WithRandomEdits(std::string s, int edits, int kind, Rng& rng) {
+  for (int e = 0; e < edits; ++e) {
+    const int op = kind == 2 ? static_cast<int>(rng.NextBounded(3)) : kind;
+    const char c = static_cast<char>((rng.NextBounded(2) == 0 ? 'a' : 'A') +
+                                     rng.NextBounded(26));
+    if (op == 0 || s.empty()) {
+      s.insert(rng.NextBounded(s.size() + 1), 1, c);
+    } else if (op == 1) {
+      s.erase(rng.NextBounded(s.size()), 1);
+    } else {
+      s[rng.NextBounded(s.size())] = c;
+    }
+  }
+  return s;
+}
+
 class EditSearchCorrectness : public ::testing::TestWithParam<EditCase> {};
 
 TEST_P(EditSearchCorrectness, MatchesBruteForce) {
@@ -176,8 +196,22 @@ TEST_P(EditSearchCorrectness, MatchesBruteForce) {
   const auto data = GenerateStrings(config);
   EditDistanceSearcher searcher(&data, tau, kappa);
   Rng rng(19);
+  std::vector<std::string> queries;
   for (int i = 0; i < 12; ++i) {
-    const std::string& query = data[rng.NextBounded(data.size())];
+    queries.push_back(data[rng.NextBounded(data.size())]);
+  }
+  // Queries outside the collection: sampled records with tau + 1 random
+  // edits (all insertions, all deletions, or mixed, so lengths reach the
+  // +-tau window edges; uppercase inserts make grams the dictionary has
+  // never seen, which get negative ranks), and one string of bytes >= 0x80.
+  for (int i = 0; i < 6; ++i) {
+    queries.push_back(
+        WithRandomEdits(data[rng.NextBounded(data.size())], tau + 1, i % 3,
+                        rng));
+  }
+  queries.push_back(std::string(static_cast<size_t>(avg_length), '\xC3') +
+                    "\x80\xFF\xA9");
+  for (const std::string& query : queries) {
     const auto expected = BruteForceEditSearch(data, query, tau);
     EXPECT_EQ(searcher.Search(query, filter, chain_length), expected)
         << "query=" << query << " tau=" << tau;

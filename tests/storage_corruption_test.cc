@@ -12,6 +12,8 @@
 //   * a stale format version (header CRC repaired, so only the version
 //     check can reject it);
 //   * a mismatched spec fingerprint (header CRC repaired);
+//   * out-of-range edit gram ranks and posting positions (all checksums
+//     repaired, strings domain only);
 //   * corrupted magic;
 //   * a missing / unreadable path.
 
@@ -164,6 +166,33 @@ SectionRangesOf(const std::vector<uint8_t>& image) {
   return reader->SectionRanges();
 }
 
+uint64_t ReadU64(const std::vector<uint8_t>& image, size_t offset) {
+  uint64_t value = 0;
+  for (int i = 0; i < 8; ++i) {
+    value |= static_cast<uint64_t>(image[offset + i]) << (8 * i);
+  }
+  return value;
+}
+
+// Re-checksums section `s` of an image whose payloads were edited in place
+// (its TOC entry CRC), then the TOC CRC, then the header CRC — the file is
+// "valid" down to the section decoders.
+void RepairChecksums(
+    std::vector<uint8_t>& image, size_t s,
+    const std::vector<std::pair<storage::SectionId,
+                                std::pair<uint64_t, uint64_t>>>& ranges) {
+  const uint64_t toc = ReadU64(image, storage::kTocOffsetOffset);
+  const auto& range = ranges[s].second;
+  const uint32_t crc =
+      storage::Crc32c(image.data() + range.first,
+                      static_cast<size_t>(range.second - range.first));
+  PatchU32(image, toc + s * storage::kTocEntrySize + 24, crc);
+  const uint32_t toc_crc = storage::Crc32c(
+      image.data() + toc, ranges.size() * storage::kTocEntrySize);
+  PatchU32(image, storage::kTocCrcOffset, toc_crc);
+  storage::RepairHeaderCrc(image);
+}
+
 TEST(StorageCorruptionTest, TruncationAtEverySectionBoundary) {
   for (const DomainIndex& base : AllDomains()) {
     const auto ranges = SectionRangesOf(base.image);
@@ -215,16 +244,6 @@ TEST(StorageCorruptionTest, FlippedByteInEverySection) {
 TEST(StorageCorruptionTest, RepairedCrcReachesDecoderValidation) {
   for (const DomainIndex& base : AllDomains()) {
     const auto ranges = SectionRangesOf(base.image);
-    // TOC location, for re-checksumming after each payload edit.
-    auto toc_offset = [&](const std::vector<uint8_t>& image) {
-      uint64_t value = 0;
-      for (int i = 0; i < 8; ++i) {
-        value |= static_cast<uint64_t>(image[storage::kTocOffsetOffset + i])
-                 << (8 * i);
-      }
-      return value;
-    };
-    const uint64_t toc = toc_offset(base.image);
     for (size_t s = 0; s < ranges.size(); ++s) {
       const auto& [id, range] = ranges[s];
       if (range.second == range.first) continue;
@@ -232,18 +251,7 @@ TEST(StorageCorruptionTest, RepairedCrcReachesDecoderValidation) {
            {uint64_t{0}, (range.second - range.first) / 2}) {
         std::vector<uint8_t> image = base.image;
         image[range.first + delta] ^= 0xFF;
-        const uint32_t crc =
-            storage::Crc32c(image.data() + range.first,
-                            static_cast<size_t>(range.second - range.first));
-        // Patch this section's TOC entry CRC, then the TOC CRC, then the
-        // header CRC — the file is now "valid" down to the decoder.
-        const size_t entry = toc + s * storage::kTocEntrySize;
-        PatchU32(image, entry + 24, crc);
-        const uint32_t toc_crc = storage::Crc32c(
-            image.data() + toc,
-            ranges.size() * storage::kTocEntrySize);
-        PatchU32(image, storage::kTocCrcOffset, toc_crc);
-        storage::RepairHeaderCrc(image);
+        RepairChecksums(image, s, ranges);
 
         SCOPED_TRACE(std::string(base.name) + ": decoder-level flip in " +
                      std::to_string(static_cast<uint32_t>(id)) + "+" +
@@ -262,6 +270,86 @@ TEST(StorageCorruptionTest, RepairedCrcReachesDecoderValidation) {
         // structurally valid index. The invariant is "no crash, no abort".
       }
     }
+  }
+}
+
+// The edit sections' ranks and positions index the searcher's flat
+// arrays, so the decoder range-checks every one. Each crafted image edits a
+// single i32 of a 40-record strings index (checksums repaired) and must be
+// refused as kDataLoss.
+TEST(StorageCorruptionTest, EditRanksAndPositionsAreValidated) {
+  IndexSpec spec;
+  spec.domain = Domain::kEdit;
+  spec.tau = 2;
+  spec.chain_length = 2;
+  spec.kappa = 2;
+  datagen::StringConfig config;
+  config.num_records = 40;
+  config.avg_length = 10;
+  config.seed = 101;
+  auto db = Db::Open(spec, Dataset(datagen::GenerateStrings(config)));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const DomainIndex base{"strings40", spec, SavedBytes(*db, "base.pgri")};
+  const auto ranges = SectionRangesOf(base.image);
+  auto section_of = [&](storage::SectionId id) {
+    for (size_t s = 0; s < ranges.size(); ++s) {
+      if (ranges[s].first == id) return s;
+    }
+    ADD_FAILURE() << "no section " << static_cast<uint32_t>(id);
+    return size_t{0};
+  };
+  auto read_i32 = [&](storage::SectionId id, size_t at) {
+    const size_t start = ranges[section_of(id)].second.first + at;
+    uint32_t value = 0;
+    for (int i = 0; i < 4; ++i) {
+      value |= static_cast<uint32_t>(base.image[start + i]) << (8 * i);
+    }
+    return static_cast<int32_t>(value);
+  };
+  // Payload offsets. A posting section opens with a u64 list count, then
+  // the first list's i32 rank and u64 length, then its first posting
+  // (pivotal: i32 id, pivotal index, position; prefix: i32 id, position).
+  // The dictionary opens with i32 kappa and a u64 entry count; each entry
+  // is a u64 gram length, the kappa gram bytes and an i32 rank.
+  constexpr size_t kFirstRank = 8;
+  constexpr size_t kFirstPosting = 8 + 4 + 8;
+  const size_t kappa = static_cast<size_t>(spec.kappa);
+  const size_t first_dict_rank = 4 + 8 + 8 + kappa;
+  const size_t dict_entry = 8 + kappa + 4;
+  const int32_t dict_count = read_i32(storage::SectionId::kEditDictionary, 4);
+  ASSERT_GT(dict_count, 1);
+  struct Edit {
+    const char* label;
+    storage::SectionId section;
+    size_t offset;
+    int32_t value;
+  };
+  const std::vector<Edit> edits = {
+      {"pivotal posting rank 0x7FFFFFF0",
+       storage::SectionId::kEditPivotalIndex, kFirstRank, 0x7FFFFFF0},
+      {"pivotal posting position INT_MIN + 1",
+       storage::SectionId::kEditPivotalIndex, kFirstPosting + 8,
+       INT32_MIN + 1},
+      {"prefix posting rank -16", storage::SectionId::kEditPrefixIndex,
+       kFirstRank, -16},
+      {"prefix posting position 0x7FFFFF00",
+       storage::SectionId::kEditPrefixIndex, kFirstPosting + 4, 0x7FFFFF00},
+      {"negative dictionary rank", storage::SectionId::kEditDictionary,
+       first_dict_rank, -1},
+      {"dictionary rank = entry count", storage::SectionId::kEditDictionary,
+       first_dict_rank, dict_count},
+      {"repeated dictionary rank", storage::SectionId::kEditDictionary,
+       first_dict_rank + dict_entry,
+       read_i32(storage::SectionId::kEditDictionary, first_dict_rank)},
+  };
+  for (const Edit& edit : edits) {
+    const size_t s = section_of(edit.section);
+    std::vector<uint8_t> image = base.image;
+    PatchU32(image, ranges[s].second.first + edit.offset,
+             static_cast<uint32_t>(edit.value));
+    RepairChecksums(image, s, ranges);
+    ExpectOpenFails(base, std::move(image), StatusCode::kDataLoss,
+                    edit.label);
   }
 }
 

@@ -12,7 +12,8 @@
 //     checksum + geometry validation);
 //   * "repaired" mutations that recompute section, TOC, and header CRCs
 //     after each edit, so the payload reaches the section decoders (the
-//     allocation guards and range checks in storage/index_io.cc).
+//     allocation guards and range checks in storage/index_io.cc); every
+//     edit-domain image that still opens is then searched and self-joined.
 
 #include <algorithm>
 #include <cstdint>
@@ -33,8 +34,10 @@ namespace pigeonring::api {
 namespace {
 
 // Every open must settle to ok or a typed error; nothing else to assert —
-// the sanitizers and the process surviving are the test.
-void ExpectSettles(const IndexSpec& spec, const std::vector<uint8_t>& image) {
+// the sanitizers and the process surviving are the test. Returns the open
+// result for callers that go on to query what was let through.
+StatusOr<Db> ExpectSettles(const IndexSpec& spec,
+                           const std::vector<uint8_t>& image) {
   auto reader = storage::IndexFileReader::OpenFromBuffer(image);
   if (!reader.ok()) {
     EXPECT_FALSE(reader.status().message().empty());
@@ -45,6 +48,26 @@ void ExpectSettles(const IndexSpec& spec, const std::vector<uint8_t>& image) {
   if (!db.ok()) {
     EXPECT_FALSE(db.status().message().empty());
   }
+  return db;
+}
+
+// An accepted-but-mutated index must also survive being searched: every
+// record as a query, then one self-join. The answers may differ from the
+// unmutated index's; each call must still settle to a result or a typed
+// error.
+void SearchEverything(const Db& db) {
+  Session session = db.NewSession();
+  for (int id = 0; id < session.num_records(); ++id) {
+    auto query = session.RecordQuery(id);
+    if (!query.ok()) {
+      EXPECT_FALSE(query.status().message().empty());
+      continue;
+    }
+    auto found = session.Search(*query);
+    if (!found.ok()) EXPECT_FALSE(found.status().message().empty());
+  }
+  auto joined = session.SelfJoin();
+  if (!joined.ok()) EXPECT_FALSE(joined.status().message().empty());
 }
 
 std::vector<uint8_t> BaseImage(IndexSpec& spec_out) {
@@ -215,7 +238,8 @@ TEST(StorageFuzzTest, RepairedMutationsReachTheDecoders) {
       }
     }
     repair(image);
-    ExpectSettles(spec, image);
+    auto db = ExpectSettles(spec, image);
+    if (db.ok()) SearchEverything(*db);
   }
 }
 
