@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -49,25 +48,27 @@ struct Avg {
   double Mean() const { return n == 0 ? 0 : sum / n; }
 };
 
-/// One row of a join-scaling run: wall time at a thread count.
-struct JoinTiming {
-  int threads = 1;
-  double millis = 0;
-};
-
-namespace internal {
-
-/// Shared join-scaling harness: `run` executes one self-join at a thread
-/// count. The sequential run comes first, every parallel run must
-/// reproduce its pairs exactly, and the table reports the speedups.
-inline std::vector<JoinTiming> JoinScalingTable(
-    const std::string& title,
-    const std::function<std::vector<engine::IdPair>(int, engine::JoinStats*)>&
-        run,
-    const std::vector<int>& thread_counts, int64_t* pairs_out) {
+/// Self-joins `db` through the public api::Db facade sequentially and at
+/// each count in `thread_counts`, aborts if a call fails or any parallel
+/// run diverges from the sequential pairs, and prints a threads / pairs /
+/// time / speedup table titled `title`.
+inline void RunDbJoinScalingTable(const std::string& title, const api::Db& db,
+                                  const std::vector<int>& thread_counts) {
+  auto run = [&db](int threads, engine::JoinStats* stats) {
+    api::RunOptions options;
+    options.num_threads = threads;
+    api::Session session = db.NewSession();
+    auto join = session.SelfJoin(options);
+    if (!join.ok()) {
+      std::fprintf(stderr, "FATAL: SelfJoin failed: %s\n",
+                   join.status().ToString().c_str());
+      std::exit(1);
+    }
+    *stats = join->stats;
+    return std::move(join->pairs);
+  };
   engine::JoinStats seq_stats;
   const auto expected = run(1, &seq_stats);
-  std::vector<JoinTiming> timings = {{1, seq_stats.total_millis}};
   Table table(title, {"threads", "pairs", "time (ms)", "speedup"});
   table.AddRow({"1", Table::Int(seq_stats.pairs),
                 Table::Num(seq_stats.total_millis, 1), "1.00x"});
@@ -79,7 +80,6 @@ inline std::vector<JoinTiming> JoinScalingTable(
                    threads);
       std::exit(1);
     }
-    timings.push_back({threads, stats.total_millis});
     table.AddRow({Table::Int(threads), Table::Int(stats.pairs),
                   Table::Num(stats.total_millis, 1),
                   Table::Num(seq_stats.total_millis /
@@ -89,52 +89,6 @@ inline std::vector<JoinTiming> JoinScalingTable(
   }
   table.Print();
   std::printf("\n");
-  if (pairs_out != nullptr) *pairs_out = seq_stats.pairs;
-  return timings;
-}
-
-}  // namespace internal
-
-/// Self-joins `adapter` sequentially and at each count in `thread_counts`,
-/// aborts if any parallel run diverges from the sequential pairs, and
-/// prints a threads / pairs / time / speedup table titled `title`. Returns
-/// the timings (sequential run first) so callers can export them.
-template <engine::Searcher S>
-inline std::vector<JoinTiming> RunJoinScalingTable(
-    const std::string& title, S& adapter,
-    const std::vector<int>& thread_counts, int64_t* pairs_out = nullptr) {
-  return internal::JoinScalingTable(
-      title,
-      [&](int threads, engine::JoinStats* stats) {
-        engine::ExecutionOptions options;
-        options.num_threads = threads;
-        return engine::SelfJoin(adapter, options, stats);
-      },
-      thread_counts, pairs_out);
-}
-
-/// The same scaling table through the public api::Db facade — what the
-/// engine-extension join panels run so they measure the path library
-/// users actually get.
-inline std::vector<JoinTiming> RunDbJoinScalingTable(
-    const std::string& title, api::Db& db,
-    const std::vector<int>& thread_counts, int64_t* pairs_out = nullptr) {
-  return internal::JoinScalingTable(
-      title,
-      [&](int threads, engine::JoinStats* stats) {
-        api::RunOptions options;
-        options.num_threads = threads;
-        api::Session session = db.NewSession();
-        auto join = session.SelfJoin(options);
-        if (!join.ok()) {
-          std::fprintf(stderr, "FATAL: SelfJoin failed: %s\n",
-                       join.status().ToString().c_str());
-          std::exit(1);
-        }
-        *stats = join->stats;
-        return std::move(join->pairs);
-      },
-      thread_counts, pairs_out);
 }
 
 /// Unwraps a StatusOr in bench context, aborting on error.

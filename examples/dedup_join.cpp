@@ -16,6 +16,10 @@
 
 int main() {
   using namespace pigeonring;
+  // One executor serves every join below; a one-thread context runs each
+  // join inline on this thread.
+  engine::Executor executor;
+  const engine::ExecutionContext sequential(executor, {});
 
   // --- Binary-code dedup ----------------------------------------------
   datagen::BinaryVectorConfig vec_config;
@@ -46,7 +50,7 @@ int main() {
   for (int l : {1, advised_l}) {
     engine::HammingAdapter adapter(code_searcher, tau, l);
     engine::JoinStats stats;
-    engine::SelfJoin(adapter, {}, &stats);
+    engine::SelfJoin(adapter, sequential, &stats);
     table.AddRow({l == 1 ? "GPH baseline" : "Ring (advised l)",
                   Table::Int(stats.pairs), Table::Int(stats.candidates),
                   Table::Num(stats.total_millis, 1)});
@@ -69,7 +73,7 @@ int main() {
     engine::EditAdapter adapter(name_searcher, &names,
                                 editdist::EditFilter::kPivotal, 1);
     engine::JoinStats stats;
-    engine::SelfJoin(adapter, {}, &stats);
+    engine::SelfJoin(adapter, sequential, &stats);
     table2.AddRow({"Pivotal", Table::Int(stats.pairs),
                    Table::Int(stats.candidates),
                    Table::Num(stats.total_millis, 1)});
@@ -78,7 +82,7 @@ int main() {
     engine::EditAdapter adapter(name_searcher, &names,
                                 editdist::EditFilter::kRing, 3);
     engine::JoinStats stats;
-    const auto pairs = engine::SelfJoin(adapter, {}, &stats);
+    const auto pairs = engine::SelfJoin(adapter, sequential, &stats);
     table2.AddRow({"Ring (l=3)", Table::Int(stats.pairs),
                    Table::Int(stats.candidates),
                    Table::Num(stats.total_millis, 1)});

@@ -37,9 +37,9 @@
 // conversion of the query list into the domain representation; inside, the
 // templated engine::SearchBatch / engine::SelfJoin drivers, their loop
 // sharding, and the per-candidate kernels run unchanged and fully inlined.
-// Search costs one virtual call per query — fine for interactive use;
-// batch paths stay within noise of the templated drivers
-// (bench_engine_scaling's facade panel measures this).
+// Search costs one virtual call per query — fine for interactive use.
+// DbGoldenDiffTest pins the facade's ids, pairs and counters to the
+// templated drivers'; perfbench's api.search_us_p50 prices one Search.
 //
 // Threading: spec.num_threads / spec.chunk are the defaults; RunOptions
 // overrides them per call. Every call borrows the snapshot's persistent

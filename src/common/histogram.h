@@ -18,7 +18,6 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 namespace pigeonring {
 
@@ -29,7 +28,10 @@ class Histogram {
   /// Records one value. Negative values clamp to 0; NaN is ignored.
   void Record(double value);
 
-  /// Adds `other`'s counters into this histogram.
+  /// Adds `other`'s counters into this histogram. Merging is exact: split
+  /// a stream of recordings over any number of histograms, and merging
+  /// them gives the counters, extrema, and percentiles of one histogram
+  /// that recorded the whole stream (the sum agrees to rounding).
   void Merge(const Histogram& other);
 
   /// The value at quantile `q` in [0, 1] (0.5 = median): linearly
@@ -56,13 +58,6 @@ class Histogram {
   double min_ = 0;
   double max_ = 0;
 };
-
-/// Merges `parts` into one aggregate — the scatter-gather reduction for
-/// per-shard (or per-connection, per-thread) recordings. Equivalent to
-/// recording every value into a single histogram: counters, extrema, and
-/// percentiles all match exactly, regardless of how the recordings were
-/// distributed over the parts (Merge is commutative and associative).
-Histogram MergedHistogram(const std::vector<Histogram>& parts);
 
 }  // namespace pigeonring
 

@@ -14,12 +14,10 @@
 // A loop width of 1 is the sequential reference path: no worker threads
 // run and the loop executes inline on the caller.
 //
-// The ExecutionContext overloads are the steady-state path: they borrow a
-// persistent engine::Executor (api::Db keeps one per opened snapshot) and
-// construct no ThreadPool. The ExecutionOptions overloads are
-// conveniences for one-shot callers (tests, benches, examples): they stand
-// up a transient Executor for the call — fine for a single measurement,
-// wrong for a server loop.
+// Both drivers borrow a persistent engine::Executor through the
+// ExecutionContext and construct no ThreadPool: api::Db keeps one
+// executor per opened snapshot, and a direct caller builds one Executor
+// and reuses it across calls.
 
 #ifndef PIGEONRING_ENGINE_ENGINE_H_
 #define PIGEONRING_ENGINE_ENGINE_H_
@@ -83,16 +81,6 @@ std::vector<std::vector<int>> SearchBatch(
   return results;
 }
 
-/// One-shot convenience: runs the batch on a transient Executor.
-template <Searcher S>
-std::vector<std::vector<int>> SearchBatch(
-    S& prototype, const std::vector<typename S::Query>& queries,
-    const ExecutionOptions& options = {}, QueryStats* stats = nullptr) {
-  Executor executor(options.num_threads);
-  return SearchBatch(prototype, queries, ExecutionContext(executor, options),
-                     stats);
-}
-
 /// Probes every record of `prototype`'s collection against the collection
 /// itself and returns each unordered matching pair (i, j) with i < j
 /// exactly once, sorted — the same canonical order at any loop width.
@@ -144,15 +132,6 @@ std::vector<IdPair> SelfJoin(S& prototype, const ExecutionContext& context,
     stats->total_millis = watch.ElapsedMillis();
   }
   return pairs;
-}
-
-/// One-shot convenience: runs the join on a transient Executor.
-template <Searcher S>
-std::vector<IdPair> SelfJoin(S& prototype,
-                             const ExecutionOptions& options = {},
-                             JoinStats* stats = nullptr) {
-  Executor executor(options.num_threads);
-  return SelfJoin(prototype, ExecutionContext(executor, options), stats);
 }
 
 }  // namespace pigeonring::engine

@@ -2,7 +2,9 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <system_error>
 
 #include "storage/crc32c.h"
 
@@ -100,6 +102,13 @@ StatusOr<IndexFileReader> IndexFileReader::Open(const std::string& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) {
     return Status::NotFound("cannot open index file '" + path + "'");
+  }
+  // A directory opens too, and its tellg() is no file size: reject
+  // anything but a regular file before sizing the buffer from it.
+  std::error_code ignored;
+  if (!std::filesystem::is_regular_file(path, ignored)) {
+    return Status::InvalidArgument("index path '" + path +
+                                   "' is not a regular file");
   }
   const std::streamsize size = in.tellg();
   in.seekg(0);

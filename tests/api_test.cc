@@ -92,9 +92,11 @@ void ExpectFacadeMatchesAdapter(S& adapter, StatusOr<Db> opened,
     ASSERT_TRUE(query.ok()) << query.status().ToString();
     db_queries.push_back(std::move(query).value());
   }
+  engine::Executor executor;
+  const engine::ExecutionContext sequential(executor, {});
   engine::QueryStats adapter_stats;
   const auto expected_ids =
-      engine::SearchBatch(adapter, adapter_queries, {}, &adapter_stats);
+      engine::SearchBatch(adapter, adapter_queries, sequential, &adapter_stats);
   auto batch = session.SearchBatch(db_queries);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   EXPECT_EQ(batch->ids, expected_ids);
@@ -107,7 +109,8 @@ void ExpectFacadeMatchesAdapter(S& adapter, StatusOr<Db> opened,
 
   // Self-join: pairs + counters.
   engine::JoinStats adapter_join;
-  const auto expected_pairs = engine::SelfJoin(adapter, {}, &adapter_join);
+  const auto expected_pairs =
+      engine::SelfJoin(adapter, sequential, &adapter_join);
   auto join = session.SelfJoin();
   ASSERT_TRUE(join.ok()) << join.status().ToString();
   EXPECT_EQ(join->pairs, expected_pairs);

@@ -125,6 +125,8 @@ expect_fail(1 "NotFound"
   search hamming --index "${WORK_DIR}/missing.pgri" --tau 8)
 expect_fail(1 "InvalidArgument"  # a raw dataset is not an index file
   search hamming --index "${dataset}" --tau 8)
+expect_fail(1 "InvalidArgument"  # nor is a directory
+  search hamming --index "${WORK_DIR}" --tau 8)
 expect_fail(1 "FailedPrecondition.*tau"  # tau is baked into the index
   search hamming --index "${WORK_DIR}/vectors.pgri" --tau 6)
 expect_fail(1 "FailedPrecondition"  # wrong domain for this index

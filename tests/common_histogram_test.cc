@@ -138,10 +138,15 @@ TEST(HistogramTest, QuantileArgumentIsClamped) {
 }
 
 // The scatter-gather reduction pin: recording a stream scattered over S
-// per-shard histograms and reducing with MergedHistogram must match the
+// per-shard histograms and reducing them with a Merge loop must match the
 // histogram of the whole stream exactly — every counter, extremum, and
 // percentile — no matter how the stream was split.
-TEST(HistogramTest, MergedHistogramMatchesCombinedRecording) {
+TEST(HistogramTest, MergeOfScatteredPartsMatchesCombinedRecording) {
+  const auto merge_all = [](const std::vector<Histogram>& parts) {
+    Histogram merged;
+    for (const Histogram& part : parts) merged.Merge(part);
+    return merged;
+  };
   Rng rng(19);
   const int kValues = 500;
   for (int num_parts : {1, 3, 8}) {
@@ -153,7 +158,7 @@ TEST(HistogramTest, MergedHistogramMatchesCombinedRecording) {
       combined.Record(value);
       parts[rng.NextBounded(num_parts)].Record(value);
     }
-    const Histogram merged = MergedHistogram(parts);
+    const Histogram merged = merge_all(parts);
     EXPECT_EQ(merged.count(), combined.count());
     // Summation order differs between the split and combined streams, so
     // the sums agree only to rounding.
@@ -166,8 +171,8 @@ TEST(HistogramTest, MergedHistogramMatchesCombinedRecording) {
     }
   }
   // Degenerate reductions: no parts, and all-empty parts.
-  EXPECT_EQ(MergedHistogram({}).count(), 0);
-  EXPECT_EQ(MergedHistogram(std::vector<Histogram>(4)).count(), 0);
+  EXPECT_EQ(merge_all({}).count(), 0);
+  EXPECT_EQ(merge_all(std::vector<Histogram>(4)).count(), 0);
 }
 
 }  // namespace

@@ -29,14 +29,17 @@ namespace {
 // run. Timing fields are excluded: wall clock is never deterministic.
 template <Searcher S>
 void ExpectParallelJoinMatchesSequential(S& adapter) {
+  Executor executor;
+  const ExecutionContext sequential(executor, {});
   JoinStats seq_stats;
-  const auto seq = SelfJoin(adapter, {}, &seq_stats);
+  const auto seq = SelfJoin(adapter, sequential, &seq_stats);
   for (int threads : {2, 4}) {
     ExecutionOptions options;
     options.num_threads = threads;
     options.chunk = 3;
+    const ExecutionContext parallel(executor, options);
     JoinStats par_stats;
-    const auto par = SelfJoin(adapter, options, &par_stats);
+    const auto par = SelfJoin(adapter, parallel, &par_stats);
     EXPECT_EQ(par, seq) << "pairs diverged at " << threads << " threads";
     EXPECT_EQ(par_stats.pairs, seq_stats.pairs);
     EXPECT_EQ(par_stats.candidates, seq_stats.candidates);
@@ -111,8 +114,10 @@ TEST(EngineTest, EditFastJoinMatchesPivotalJoin) {
   EditAdapter pivotal(editdist::EditDistanceSearcher(&data, 3, 2), &data,
                       editdist::EditFilter::kRing, 3);
   EditFastAdapter fast(editdist::CaseDecSearcher(&data, 3), &data, 3);
-  const auto expected = SelfJoin(pivotal, {});
-  const auto got = SelfJoin(fast, {});
+  Executor executor;
+  const ExecutionContext sequential(executor, {});
+  const auto expected = SelfJoin(pivotal, sequential);
+  const auto got = SelfJoin(fast, sequential);
   EXPECT_EQ(got, expected);
 }
 
@@ -145,17 +150,20 @@ TEST(EngineTest, JoinCandidatesExcludeSelfMatches) {
       if (id == i) --expected;
     }
   }
+  Executor executor;
   JoinStats stats;
-  SelfJoin(adapter, {}, &stats);
+  SelfJoin(adapter, ExecutionContext(executor, {}), &stats);
   EXPECT_EQ(stats.candidates, expected);
 }
 
 TEST(EngineTest, EmptyCollectionsJoinToNothing) {
+  Executor executor;
+  const ExecutionContext sequential(executor, {});
   {
     HammingAdapter adapter(
         hamming::HammingSearcher(std::vector<BitVector>{}, 1), 2, 2);
     JoinStats stats;
-    EXPECT_TRUE(SelfJoin(adapter, {}, &stats).empty());
+    EXPECT_TRUE(SelfJoin(adapter, sequential, &stats).empty());
     EXPECT_EQ(stats.pairs, 0);
     EXPECT_EQ(stats.candidates, 0);
   }
@@ -163,30 +171,32 @@ TEST(EngineTest, EmptyCollectionsJoinToNothing) {
     setsim::SetCollection collection{std::vector<std::vector<int>>{}};
     SetAdapter adapter(setsim::PkwiseSearcher(&collection, 0.8, 5),
                        &collection, 2);
-    EXPECT_TRUE(SelfJoin(adapter).empty());
+    EXPECT_TRUE(SelfJoin(adapter, sequential).empty());
   }
   {
     const std::vector<std::string> data;
     EditAdapter adapter(editdist::EditDistanceSearcher(&data, 2, 2), &data,
                         editdist::EditFilter::kRing, 3);
-    EXPECT_TRUE(SelfJoin(adapter).empty());
+    EXPECT_TRUE(SelfJoin(adapter, sequential).empty());
   }
   {
     const std::vector<graphed::Graph> data;
     GraphAdapter adapter(graphed::GraphSearcher(&data, 1), &data,
                          graphed::GraphFilter::kRing, 1);
-    EXPECT_TRUE(SelfJoin(adapter).empty());
+    EXPECT_TRUE(SelfJoin(adapter, sequential).empty());
   }
 }
 
 TEST(EngineTest, SingleRecordJoinsToNothing) {
   ExecutionOptions options;
   options.num_threads = 4;
+  Executor executor;
+  const ExecutionContext context(executor, options);
   {
     HammingAdapter adapter(
         hamming::HammingSearcher(MakeVectors(1, 97), 2), 4, 2);
     JoinStats stats;
-    EXPECT_TRUE(SelfJoin(adapter, options, &stats).empty());
+    EXPECT_TRUE(SelfJoin(adapter, context, &stats).empty());
     EXPECT_EQ(stats.pairs, 0);
     EXPECT_EQ(stats.candidates, 0) << "the self-match must not be counted";
   }
@@ -196,7 +206,7 @@ TEST(EngineTest, SingleRecordJoinsToNothing) {
     SetAdapter adapter(setsim::PkwiseSearcher(&collection, 0.8, 5),
                        &collection, 2);
     JoinStats stats;
-    EXPECT_TRUE(SelfJoin(adapter, options, &stats).empty());
+    EXPECT_TRUE(SelfJoin(adapter, context, &stats).empty());
     EXPECT_EQ(stats.candidates, 0);
   }
 }
@@ -263,15 +273,18 @@ TEST(EngineTest, SearchBatchPreservesInputOrder) {
   std::vector<BitVector> queries(objects.begin(), objects.begin() + 50);
   HammingAdapter adapter(hamming::HammingSearcher(std::move(objects), 4), 10,
                          3);
+  Executor executor;
+  const ExecutionContext sequential(executor, {});
   QueryStats seq_stats;
-  const auto seq = SearchBatch(adapter, queries, {}, &seq_stats);
+  const auto seq = SearchBatch(adapter, queries, sequential, &seq_stats);
   ASSERT_EQ(seq.size(), queries.size());
 
   ExecutionOptions options;
   options.num_threads = 4;
   options.chunk = 3;
+  const ExecutionContext parallel(executor, options);
   QueryStats par_stats;
-  const auto par = SearchBatch(adapter, queries, options, &par_stats);
+  const auto par = SearchBatch(adapter, queries, parallel, &par_stats);
   EXPECT_EQ(par, seq);
   EXPECT_EQ(par_stats.candidates, seq_stats.candidates);
   EXPECT_EQ(par_stats.results, seq_stats.results);
@@ -423,7 +436,9 @@ TEST(ExecutorTest, DriversReuseThePersistentExecutorAcrossCalls) {
   HammingAdapter adapter(hamming::HammingSearcher(objects), 8, 3);
   std::vector<BitVector> queries(objects.begin(), objects.begin() + 30);
 
-  const auto expected = SearchBatch(adapter, queries);
+  Executor reference;
+  const ExecutionContext sequential(reference, {});
+  const auto expected = SearchBatch(adapter, queries, sequential);
   Executor executor(2);
   ExecutionOptions options;
   options.num_threads = 2;
@@ -434,8 +449,7 @@ TEST(ExecutorTest, DriversReuseThePersistentExecutorAcrossCalls) {
   }
   EXPECT_EQ(executor.num_threads(), 2) << "no pool rebuild between calls";
   ExecutionContext context(executor, options);
-  EXPECT_EQ(SelfJoin(adapter, context),
-            SelfJoin(adapter, ExecutionOptions{}));
+  EXPECT_EQ(SelfJoin(adapter, context), SelfJoin(adapter, sequential));
 }
 
 }  // namespace

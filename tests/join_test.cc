@@ -46,10 +46,12 @@ TEST(SelfJoinTest, HammingJoinMatchesBruteForce) {
         return objects[i].HammingDistance(objects[j]) <= tau;
       });
   ASSERT_FALSE(expected.empty()) << "workload should contain close pairs";
+  Executor executor;
+  const ExecutionContext sequential(executor, {});
   for (int l : {1, 3}) {
     HammingAdapter adapter(searcher, tau, l);
     JoinStats stats;
-    EXPECT_EQ(SelfJoin(adapter, {}, &stats), expected);
+    EXPECT_EQ(SelfJoin(adapter, sequential, &stats), expected);
     EXPECT_EQ(stats.pairs, static_cast<int64_t>(expected.size()));
   }
 }
@@ -62,6 +64,8 @@ TEST(SelfJoinTest, SetJoinMatchesBruteForceBothMeasures) {
   config.duplicate_fraction = 0.4;
   config.seed = 73;
   setsim::SetCollection collection(datagen::GenerateTokenSets(config));
+  Executor executor;
+  const ExecutionContext sequential(executor, {});
   {
     const double tau = 0.7;
     SetAdapter adapter(setsim::PkwiseSearcher(&collection, tau, 5),
@@ -71,7 +75,7 @@ TEST(SelfJoinTest, SetJoinMatchesBruteForceBothMeasures) {
           return setsim::Jaccard(collection.record(i),
                                  collection.record(j)) >= tau - 1e-12;
         });
-    EXPECT_EQ(SelfJoin(adapter), expected);
+    EXPECT_EQ(SelfJoin(adapter, sequential), expected);
   }
   {
     const int overlap = 8;
@@ -83,7 +87,7 @@ TEST(SelfJoinTest, SetJoinMatchesBruteForceBothMeasures) {
           return setsim::Overlap(collection.record(i),
                                  collection.record(j)) >= overlap;
         });
-    EXPECT_EQ(SelfJoin(adapter), expected);
+    EXPECT_EQ(SelfJoin(adapter, sequential), expected);
   }
 }
 
@@ -104,8 +108,10 @@ TEST(SelfJoinTest, EditJoinMatchesBruteForce) {
   ASSERT_FALSE(expected.empty());
   EditAdapter ring(searcher, &data, editdist::EditFilter::kRing, 3);
   EditAdapter pivotal(searcher, &data, editdist::EditFilter::kPivotal, 1);
-  EXPECT_EQ(SelfJoin(ring), expected);
-  EXPECT_EQ(SelfJoin(pivotal), expected);
+  Executor executor;
+  const ExecutionContext sequential(executor, {});
+  EXPECT_EQ(SelfJoin(ring, sequential), expected);
+  EXPECT_EQ(SelfJoin(pivotal, sequential), expected);
 }
 
 TEST(SelfJoinTest, GraphJoinMatchesBruteForce) {
@@ -127,8 +133,10 @@ TEST(SelfJoinTest, GraphJoinMatchesBruteForce) {
       });
   GraphAdapter ring(searcher, &data, graphed::GraphFilter::kRing, 2);
   GraphAdapter pars(searcher, &data, graphed::GraphFilter::kPars, 1);
-  EXPECT_EQ(SelfJoin(ring), expected);
-  EXPECT_EQ(SelfJoin(pars), expected);
+  Executor executor;
+  const ExecutionContext sequential(executor, {});
+  EXPECT_EQ(SelfJoin(ring, sequential), expected);
+  EXPECT_EQ(SelfJoin(pars, sequential), expected);
 }
 
 TEST(SelfJoinTest, PairsAreCanonicalAndUnique) {
@@ -140,7 +148,8 @@ TEST(SelfJoinTest, PairsAreCanonicalAndUnique) {
   config.seed = 89;
   auto objects = datagen::GenerateBinaryVectors(config);
   HammingAdapter adapter(hamming::HammingSearcher(objects, 4), 12, 3);
-  const auto pairs = SelfJoin(adapter);
+  Executor executor;
+  const auto pairs = SelfJoin(adapter, ExecutionContext(executor, {}));
   std::set<std::pair<int, int>> seen;
   for (const IdPair& p : pairs) {
     EXPECT_LT(p.first, p.second);

@@ -15,9 +15,10 @@
 //   * out-of-range edit gram ranks and posting positions (all checksums
 //     repaired, strings domain only);
 //   * corrupted magic;
-//   * a missing / unreadable path.
+//   * a missing path, and a directory in place of the index file.
 
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -445,6 +446,17 @@ TEST(StorageCorruptionTest, MissingPath) {
   ASSERT_FALSE(db.ok());
   EXPECT_EQ(db.status().code(), StatusCode::kNotFound)
       << db.status().ToString();
+
+  // A directory opens as a stream but has no file size: kInvalidArgument
+  // naming the path, never an abort while sizing the read buffer.
+  const std::string dir = ScratchPath("index_dir");
+  std::filesystem::create_directories(dir);
+  auto from_dir = Db::OpenIndex(base.spec, dir);
+  ASSERT_FALSE(from_dir.ok());
+  EXPECT_EQ(from_dir.status().code(), StatusCode::kInvalidArgument)
+      << from_dir.status().ToString();
+  EXPECT_NE(from_dir.status().message().find(dir), std::string::npos)
+      << from_dir.status().ToString();
 }
 
 // A raw dataset handed to the strict index entry is kInvalidArgument (it
