@@ -101,11 +101,13 @@ class Db {
 
   /// Persists this database's built state (collection + every derived
   /// index structure) to `path` in the storage layer's container format,
-  /// replacing any existing file. If a Writer holds pending mutations, the
-  /// *compacted* state is serialized — the saved file is byte-identical to
-  /// saving after Writer::Compact(), and reopening it yields the merged
-  /// records. Deterministic: saving the same state twice produces
-  /// byte-identical files.
+  /// replacing any existing file atomically: a Save that fails or is cut
+  /// off leaves the previous file at `path` as it was (temp file, fsync,
+  /// rename; see storage::IndexFileWriter::WriteTo). If a Writer holds
+  /// pending mutations, the *compacted* state is serialized — the saved
+  /// file is byte-identical to saving after Writer::Compact(), and
+  /// reopening it yields the merged records. Deterministic: saving the
+  /// same state twice produces byte-identical files.
   Status Save(const std::string& path) const;
 
   /// Copies are cheap handles on the same database.

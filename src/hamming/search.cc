@@ -1,7 +1,7 @@
 #include "hamming/search.h"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
 #include <tuple>
 
 #include "common/epoch.h"
@@ -54,26 +54,36 @@ HammingSearcher HammingSearcher::FromBuilt(
 
 std::vector<int> HammingSearcher::AllocateThresholds(
     const BitVector& query, int tau, AllocationMode mode) const {
+  std::vector<int> t;
+  std::vector<AllocEntry> entries;
+  AllocateInto(query, tau, mode, &t, &entries);
+  return t;
+}
+
+void HammingSearcher::AllocateInto(const BitVector& query, int tau,
+                                   AllocationMode mode, std::vector<int>* t,
+                                   std::vector<AllocEntry>* entries) const {
   const int m = num_parts();
   const PartitionIndex& index = alloc_index_ ? *alloc_index_ : *index_;
   // Integer reduction (Theorem 7): thresholds sum to tau - m + 1. Start all
   // parts at -1 (never probed) and grant tau + 1 single-radius units.
-  std::vector<int> t(m, -1);
+  t->assign(m, -1);
+  entries->clear();
   const int units = tau + 1;
   if (mode == AllocationMode::kUniform ||
       (mode == AllocationMode::kRadiusZero && units > m)) {
-    for (int u = 0; u < units; ++u) ++t[u % m];
-    return t;
+    for (int u = 0; u < units; ++u) ++(*t)[u % m];
+    return;
+  }
+  for (int p = 0; p < m; ++p) {
+    const int64_t cost = index.CountAtRadius(query, p, 0);
+    entries->emplace_back(static_cast<double>(cost), p, 0);
   }
   if (mode == AllocationMode::kRadiusZero) {
-    std::vector<std::pair<int64_t, int>> by_cost(m);
-    for (int p = 0; p < m; ++p) {
-      by_cost[p] = {index.CountAtRadius(query, p, 0), p};
-    }
-    std::nth_element(by_cost.begin(), by_cost.begin() + (units - 1),
-                     by_cost.end());
-    for (int u = 0; u < units; ++u) t[by_cost[u].second] = 0;
-    return t;
+    std::nth_element(entries->begin(), entries->begin() + (units - 1),
+                     entries->end());
+    for (int u = 0; u < units; ++u) (*t)[std::get<1>((*entries)[u])] = 0;
+    return;
   }
   // Greedy cost model: each unit goes to the part whose next probe radius
   // is estimated to touch the fewest postings for this query. The radius-0
@@ -81,17 +91,13 @@ std::vector<int> HammingSearcher::AllocateThresholds(
   // binomial shell-size ratio C(w, r+1)/C(w, r) = (w-r)/(r+1), which is the
   // uniform-density expectation. This keeps the allocation itself at O(m)
   // lookups instead of re-enumerating the key spheres (GPH's cost model is
-  // likewise estimate-based).
-  using Entry = std::tuple<double, int, int>;  // (est. marginal cost, p, r)
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
-  for (int p = 0; p < m; ++p) {
-    heap.emplace(static_cast<double>(index.CountAtRadius(query, p, 0)), p,
-                 0);
-  }
+  // likewise estimate-based). `entries` is a min-heap on (cost, p, r).
+  std::make_heap(entries->begin(), entries->end(), std::greater<>());
   for (int u = 0; u < units; ++u) {
-    auto [cost, p, r] = heap.top();
-    heap.pop();
-    t[p] = r;
+    std::pop_heap(entries->begin(), entries->end(), std::greater<>());
+    const auto [cost, p, r] = entries->back();
+    entries->pop_back();
+    (*t)[p] = r;
     const int width = index.partition().width(p);
     double next_cost;
     if (r >= width) {
@@ -103,9 +109,9 @@ std::vector<int> HammingSearcher::AllocateThresholds(
     } else {
       next_cost = std::max(cost, 1.0) * (width - r) / (r + 1);
     }
-    heap.emplace(next_cost, p, r + 1);
+    entries->emplace_back(next_cost, p, r + 1);
+    std::push_heap(entries->begin(), entries->end(), std::greater<>());
   }
-  return t;
 }
 
 std::vector<int> HammingSearcher::Search(const BitVector& query, int tau,
@@ -123,14 +129,17 @@ std::vector<int> HammingSearcher::Search(const BitVector& query, int tau,
   StopWatch total_watch;
   StopWatch phase_watch;
 
-  const std::vector<int> t = AllocateThresholds(query, tau, mode);
+  AllocateInto(query, tau, mode, &thresholds_, &alloc_entries_);
+  const std::vector<int>& t = thresholds_;
   // Doubled threshold prefix sums for O(1) wrapped chain bounds.
-  std::vector<int> t_prefix(2 * m + 1, 0);
+  std::vector<int>& t_prefix = threshold_prefix_;
+  t_prefix.assign(2 * m + 1, 0);
   for (int i = 0; i < 2 * m; ++i) t_prefix[i + 1] = t_prefix[i] + t[i % m];
 
   AdvanceEpoch(&epoch_, &seen_epoch_);
   engine::QueryStats local;
-  std::vector<int> candidate_ids;
+  std::vector<int>& candidate_ids = candidate_ids_;
+  candidate_ids.clear();
 
   auto touch = [&](int id) {
     if (seen_epoch_[id] != epoch_) {
@@ -184,7 +193,8 @@ std::vector<int> HammingSearcher::Search(const BitVector& query, int tau,
   phase_watch.Restart();
   // Batched verification over the flat table: one early-exit kernel call
   // per surviving candidate, rows prefetched ahead of the cursor.
-  std::vector<int> results;
+  std::vector<int>& results = results_;
+  results.clear();
   const int num_candidates = static_cast<int>(candidate_ids.size());
   verdicts_.resize(candidate_ids.size());
   kernels::VerifyHammingLeqBatch(flat, query_words, tau,

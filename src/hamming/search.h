@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "common/bitvector.h"
@@ -45,8 +46,8 @@ enum class AllocationMode {
 /// Copies are cheap and parallel-safe: the collection, its FlatBitTable
 /// kernel mirror, and the partition index are immutable after construction
 /// and shared between copies (concurrent reads, no locks needed); only the
-/// per-query epoch-stamped scratch is per-copy. This is what the engine's
-/// per-thread searcher clones rely on.
+/// per-query scratch (epoch-stamped arrays and reused buffers) is per-copy.
+/// This is what the engine's per-thread searcher clones rely on.
 class HammingSearcher {
  public:
   /// Builds the per-part index. `num_parts` defaults to the paper's setting
@@ -90,7 +91,16 @@ class HammingSearcher {
                                       AllocationMode mode) const;
 
  private:
+  // A threshold allocator entry: (estimated marginal cost, part, radius).
+  using AllocEntry = std::tuple<double, int, int>;
+
   HammingSearcher() = default;  // for FromBuilt
+
+  // AllocateThresholds, writing the thresholds to `*t` and using
+  // `*entries` as the allocator's working array (both cleared first).
+  void AllocateInto(const BitVector& query, int tau, AllocationMode mode,
+                    std::vector<int>* t,
+                    std::vector<AllocEntry>* entries) const;
 
   // Immutable after construction, shared across copies.
   std::shared_ptr<const std::vector<BitVector>> objects_;
@@ -108,6 +118,12 @@ class HammingSearcher {
   std::vector<uint64_t> ruled_out_;  // bitmask of chain starts ruled out
   std::vector<uint8_t> decided_;     // candidate already verified
   std::vector<uint8_t> verdicts_;    // batched-verification output buffer
+  // Per-query buffers, cleared and refilled by every Search.
+  std::vector<int> thresholds_;
+  std::vector<int> threshold_prefix_;
+  std::vector<int> candidate_ids_;
+  std::vector<int> results_;
+  std::vector<AllocEntry> alloc_entries_;
 };
 
 /// Reference result set by exhaustive scan; used by tests and the benches'

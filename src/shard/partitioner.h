@@ -14,7 +14,7 @@
 //     one), and order-preserving within a shard: local ids ascend with
 //     global ids, which keeps per-shard posting lists id-ascending when
 //     they are filtered out of the full index (the invariant every
-//     domain's FromBuckets/FromBuilt path relies on).
+//     domain's FromSorted/FromBuilt path relies on).
 //   * kHash — global id g lives on shard SplitMix64(g) % S. Same
 //     properties except balance is only statistical; kept for data sets
 //     where round-robin would correlate with record order. The api layer

@@ -63,9 +63,9 @@ std::vector<ShardPart<engine::HammingAdapter>> Split(
   std::vector<ShardPart<engine::HammingAdapter>> parts;
   for (const std::vector<int>& global_ids : owned) {
     if (global_ids.empty()) continue;
-    // Re-hashing the shard's rows under the full partition reproduces
+    // Re-indexing the shard's rows under the full partition reproduces
     // exactly the full index's buckets filtered to this shard (same keys,
-    // ascending ids), without touching the bucket internals.
+    // ascending ids), without touching the postings arrays.
     std::vector<BitVector> objects = Subset(fs.objects(), global_ids);
     auto index = std::make_shared<const hamming::PartitionIndex>(
         objects, full_index->partition());
@@ -175,7 +175,7 @@ std::vector<ShardPart<engine::EditFastAdapter>> Split(
     auto data = std::make_shared<const std::vector<std::string>>(
         Subset(*full.data(), global_ids));
     // Per case: rebuild the shard's signature rows (record-major, so they
-    // are exactly the full rows filtered to this shard) and re-hash them
+    // are exactly the full rows filtered to this shard) and re-index them
     // under the full case partition. The per-case Hamming searchers run
     // AllocationMode::kRadiusZero, which reads bucket counts — inject the
     // full case index so the probe schedule matches the unsharded one.

@@ -1,5 +1,10 @@
 #include "storage/index_file.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -18,6 +23,31 @@ Status DataLossAt(const std::string& what) {
 
 size_t AlignUp(size_t offset) {
   return (offset + kSectionAlignment - 1) & ~(kSectionAlignment - 1);
+}
+
+// Writes all of `image` to `fd`; false on any error, a write cut short by
+// the file-size limit included.
+bool WriteAll(int fd, const std::vector<uint8_t>& image) {
+  size_t done = 0;
+  while (done < image.size()) {
+    const ssize_t n = ::write(fd, image.data() + done, image.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    done += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+// Syncs the directory holding `path`, so a rename into it is durable.
+// EINVAL means the file system cannot sync directories; nothing to do.
+bool SyncParentDirectory(const std::string& path) {
+  std::filesystem::path dir = std::filesystem::path(path).parent_path();
+  if (dir.empty()) dir = ".";
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool synced = ::fsync(fd) == 0 || errno == EINVAL;
+  ::close(fd);
+  return synced;
 }
 
 }  // namespace
@@ -85,14 +115,28 @@ std::vector<uint8_t> IndexFileWriter::Image(uint32_t domain,
 Status IndexFileWriter::WriteTo(const std::string& path, uint32_t domain,
                                 uint64_t spec_fingerprint) const {
   const std::vector<uint8_t> image = Image(domain, spec_fingerprint);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
+  // The image goes to a temp file beside the target, is synced, and only
+  // then renamed over the target (and the rename synced), so a Save that
+  // fails or is cut off leaves the previous file at `path` as it was.
+  static std::atomic<uint64_t> next_temp{0};
+  const std::string temp = path + ".tmp." + std::to_string(::getpid()) +
+                           "." + std::to_string(next_temp++);
+  constexpr int kFlags = O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC;
+  const int fd = ::open(temp.c_str(), kFlags, 0666);
+  if (fd < 0) {
     return Status::NotFound("cannot open '" + path + "' for writing");
   }
-  out.write(reinterpret_cast<const char*>(image.data()),
-            static_cast<std::streamsize>(image.size()));
-  out.flush();
-  if (!out) {
+  bool written = WriteAll(fd, image) && ::fsync(fd) == 0;
+  written = ::close(fd) == 0 && written;
+  if (!written) {
+    ::unlink(temp.c_str());
+    return Status::Internal("failed writing index file '" + path + "'");
+  }
+  if (::rename(temp.c_str(), path.c_str()) != 0) {
+    ::unlink(temp.c_str());
+    return Status::NotFound("cannot open '" + path + "' for writing");
+  }
+  if (!SyncParentDirectory(path)) {
     return Status::Internal("failed writing index file '" + path + "'");
   }
   return Status::Ok();

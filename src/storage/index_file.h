@@ -116,8 +116,13 @@ class IndexFileWriter {
  public:
   void AddSection(SectionId id, std::vector<uint8_t> payload);
 
-  /// Assembles header + sections + TOC and writes the image to `path`
-  /// (replacing any existing file).
+  /// Assembles header + sections + TOC and writes the image to `path`,
+  /// replacing any existing file atomically: the image is written to a
+  /// temp file in the same directory (`<path>.tmp.<pid>.<n>`), fsynced,
+  /// renamed over `path`, and the directory fsynced. On any failure the
+  /// temp file is removed and the previous file at `path` is untouched.
+  /// kNotFound when the temp file cannot be created or cannot replace
+  /// `path`; kInternal when writing or syncing fails.
   Status WriteTo(const std::string& path, uint32_t domain,
                  uint64_t spec_fingerprint) const;
 

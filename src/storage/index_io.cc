@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <utility>
 
 #include "editdist/qgram.h"
@@ -115,50 +116,77 @@ void EncodePostings(ByteWriter& w, const hamming::PartitionIndex& index) {
   const int m = index.partition().num_parts();
   w.U32(static_cast<uint32_t>(m));
   for (int p = 0; p < m; ++p) {
-    // Bucket count first; keys in ascending order, posting lists in build
-    // order (ids ascending) — the deterministic dump.
+    // Bucket count first; keys in ascending order, posting lists ids
+    // ascending — the deterministic dump of the CSR walk.
     size_t num_buckets = 0;
     index.ForEachBucketSorted(
-        p, [&](uint64_t, const std::vector<int>&) { ++num_buckets; });
+        p, [&](uint64_t, std::span<const int>) { ++num_buckets; });
     w.U64(num_buckets);
-    index.ForEachBucketSorted(p,
-                              [&](uint64_t key, const std::vector<int>& ids) {
-                                w.U64(key);
-                                w.VecI32(ids);
-                              });
+    index.ForEachBucketSorted(p, [&](uint64_t key, std::span<const int> ids) {
+      w.U64(key);
+      w.U64(ids.size());  // the VecI32 layout
+      for (int i : ids) w.I32(i);
+    });
   }
 }
 
-// Decodes one EncodePostings dump whose posting ids index `num_rows` rows.
-// Errors name the section holding the partition and the kind of id.
-Status DecodePostings(
-    ByteReader& reader, SectionId id, int num_parts, int64_t num_rows,
-    const std::string& partition_section, const std::string& row,
-    std::vector<hamming::PartitionIndex::Buckets>* part_buckets) {
+// Decodes one EncodePostings dump for `partition` whose posting ids index
+// `num_rows` rows, straight into sorted-key CSR postings. Every part must
+// hold exactly `num_rows` postings (which also keeps its offsets within
+// uint32), under strictly ascending keys that fit the part's width, ids
+// strictly ascending within a bucket. Errors name the section holding the
+// partition and the kind of id.
+Status DecodePostings(ByteReader& reader, SectionId id,
+                      const hamming::Partition& partition, int64_t num_rows,
+                      const std::string& partition_section,
+                      const std::string& row,
+                      std::vector<hamming::PartitionIndex::Postings>* parts) {
+  const int num_parts = partition.num_parts();
   const uint32_t m = reader.U32();
   if (!reader.ok() || static_cast<int>(m) != num_parts) {
     return SectionCorrupt(id, "part count disagrees with the " +
                                   partition_section + " section");
   }
-  part_buckets->resize(num_parts);
+  parts->resize(num_parts);
   for (int p = 0; p < num_parts; ++p) {
+    const int width = partition.width(p);
     // Each bucket needs at least key (8) + id-count (8) bytes.
     const uint64_t num_buckets = reader.Count(16);
     if (!reader.ok()) return SectionCorrupt(id, "bad bucket count");
-    auto& buckets = (*part_buckets)[p];
-    buckets.reserve(static_cast<size_t>(num_buckets));
+    hamming::PartitionIndex::Postings& postings = (*parts)[p];
+    postings.keys.reserve(static_cast<size_t>(num_buckets));
+    postings.offsets.reserve(static_cast<size_t>(num_buckets) + 1);
+    postings.offsets.push_back(0);
+    const uint64_t id_room = reader.remaining() / 4;  // 4 bytes an id
+    postings.ids.reserve(std::min<size_t>(num_rows, id_room));
     for (uint64_t b = 0; b < num_buckets; ++b) {
       const uint64_t key = reader.U64();
-      std::vector<int> ids = reader.VecI32();
+      const uint64_t count = reader.Count(4);
       if (!reader.ok()) return SectionCorrupt(id, "truncated bucket");
-      for (int i : ids) {
+      if (width < 64 && (key >> width) != 0) {
+        return SectionCorrupt(id, "bucket key wider than its part");
+      }
+      if (!postings.keys.empty() && key <= postings.keys.back()) {
+        return SectionCorrupt(id, "bucket keys not strictly ascending");
+      }
+      if (count > static_cast<uint64_t>(num_rows) - postings.ids.size()) {
+        return SectionCorrupt(id, "part holds more postings than rows");
+      }
+      postings.keys.push_back(key);
+      for (uint64_t k = 0; k < count; ++k) {
+        const int i = reader.I32();
         if (i < 0 || i >= num_rows) {
           return SectionCorrupt(id, row + " outside the collection");
         }
+        if (k > 0 && i <= postings.ids.back()) {
+          return SectionCorrupt(id, row + "s not ascending in a bucket");
+        }
+        postings.ids.push_back(i);
       }
-      if (!buckets.emplace(key, std::move(ids)).second) {
-        return SectionCorrupt(id, "duplicate bucket key");
-      }
+      postings.offsets.push_back(static_cast<uint32_t>(postings.ids.size()));
+    }
+    if (static_cast<int64_t>(postings.ids.size()) != num_rows) {
+      return SectionCorrupt(id, "part holds fewer postings than rows");
     }
   }
   return Status::Ok();
@@ -458,25 +486,24 @@ StatusOr<LoadedHamming> LoadHammingSections(const IndexFileReader& reader) {
         SectionId::kHammingPartition,
         "partition dimensionality disagrees with the objects section");
   }
-  const int num_parts = static_cast<int>(bounds.size()) - 1;
   hamming::Partition partition =
       hamming::Partition::FromBounds(dimensions, std::move(bounds));
 
   auto postings_section = reader.Section(SectionId::kHammingPostings);
   if (!postings_section.ok()) return postings_section.status();
   ByteReader postings_reader = *postings_section;
-  std::vector<hamming::PartitionIndex::Buckets> part_buckets;
-  s = DecodePostings(postings_reader, SectionId::kHammingPostings, num_parts,
+  std::vector<hamming::PartitionIndex::Postings> parts;
+  s = DecodePostings(postings_reader, SectionId::kHammingPostings, partition,
                      static_cast<int64_t>(loaded.objects.size()), "partition",
-                     "posting id", &part_buckets);
+                     "posting id", &parts);
   if (!s.ok()) return s;
   s = CheckConsumed(postings_reader, SectionId::kHammingPostings);
   if (!s.ok()) return s;
 
   loaded.index = std::make_shared<const hamming::PartitionIndex>(
-      hamming::PartitionIndex::FromBuckets(
+      hamming::PartitionIndex::FromSorted(
           std::move(partition), static_cast<int>(loaded.objects.size()),
-          std::move(part_buckets)));
+          std::move(parts)));
   return loaded;
 }
 
@@ -979,20 +1006,18 @@ StatusOr<LoadedEditFast> LoadEditFastSections(const IndexFileReader& reader,
       return SectionCorrupt(SectionId::kEditFastMeta,
                             "case would exceed 2^31 signature rows");
     }
-    const int num_parts = static_cast<int>(metas[j].bounds.size()) - 1;
-    std::vector<hamming::PartitionIndex::Buckets> part_buckets;
+    hamming::Partition partition = hamming::Partition::FromBounds(
+        metas[j].dims, std::move(metas[j].bounds));
+    std::vector<hamming::PartitionIndex::Postings> parts;
     s = DecodePostings(postings_reader, SectionId::kEditFastPostings,
-                       num_parts, num_rows, "meta", "signature row",
-                       &part_buckets);
+                       partition, num_rows, "meta", "signature row", &parts);
     if (!s.ok()) return s;
     // The signature rows are a pure re-encoding of the strings; rebuild
     // them and adopt the saved partition + postings without re-hashing.
-    hamming::Partition partition = hamming::Partition::FromBounds(
-        metas[j].dims, std::move(metas[j].bounds));
     auto index = std::make_shared<const hamming::PartitionIndex>(
-        hamming::PartitionIndex::FromBuckets(std::move(partition),
-                                             static_cast<int>(num_rows),
-                                             std::move(part_buckets)));
+        hamming::PartitionIndex::FromSorted(std::move(partition),
+                                            static_cast<int>(num_rows),
+                                            std::move(parts)));
     // Case::exact is derived state; CaseDecSearcher::FromBuilt fills it.
     loaded.cases.push_back(
         {j, 2 * (tau - 2 * j),

@@ -4,9 +4,10 @@
 // the raw collection plus every derived index structure — into typed
 // sections of an IndexFileWriter; each Load*Sections function decodes the
 // sections back into ready-to-use structures that the searchers' FromBuilt
-// factories adopt without re-deriving anything (hash tables are rebuilt by
-// keyed insertion from their deterministic sorted dumps, which is data
-// movement, not index construction).
+// factories adopt without re-deriving anything (the dictionaries' hash
+// tables are rebuilt by keyed insertion from their deterministic sorted
+// dumps, and the Hamming, fast-path and edit postings decode straight into
+// their flat CSR arrays: data movement, not index construction).
 //
 // Determinism: every unordered container is dumped in sorted key order and
 // every list in build order, so two Saves of the same Db are byte-identical

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <span>
+#include <string>
 
 #include "common/random.h"
 #include "datagen/binary_vectors.h"
@@ -74,42 +77,108 @@ TEST(IndexTest, ForEachKeyAtRadiusEnumeratesExactlyTheSphere) {
   }
 }
 
+// Index geometries covering both postings forms: 16-bit parts (dense
+// offsets), 24- and 64-bit parts (sorted keys), and one partition mixing
+// 17- and 16-bit parts.
+struct IndexGeometry {
+  int d;
+  int m;
+};
+constexpr IndexGeometry kIndexGeometries[] = {
+    {64, 4}, {96, 4}, {128, 2}, {50, 3}};
+
+// `n` random vectors, then a near-copy (two bits flipped) of every third
+// one, so wide parts hold multi-id buckets too.
+std::vector<BitVector> IndexObjects(int n, int d, uint64_t seed) {
+  std::vector<BitVector> objects = RandomVectors(n, d, seed);
+  for (int id = 0; id < n; id += 3) {
+    BitVector copy = objects[id];
+    copy.Flip((id * 7) % d);
+    copy.Flip((id * 13 + 5) % d);
+    objects.push_back(std::move(copy));
+  }
+  return objects;
+}
+
 TEST(IndexTest, ProbeAtRadiusFindsExactlyMatchingParts) {
-  const int d = 64, m = 4;
-  auto objects = RandomVectors(200, d, 3);
-  const Partition partition = Partition::EquiWidth(d, m);
-  PartitionIndex index(objects, partition);
-  const BitVector query = objects[7];
-  for (int part = 0; part < m; ++part) {
-    for (int radius = 0; radius <= 3; ++radius) {
-      std::set<int> probed;
-      index.ProbeAtRadius(query, part, radius, [&](int id, int dist) {
-        EXPECT_EQ(dist, radius);
-        probed.insert(id);
-      });
-      std::set<int> expected;
-      for (int id = 0; id < static_cast<int>(objects.size()); ++id) {
-        if (objects[id].PartDistance(query, partition.begin(part),
-                                     partition.end(part)) == radius) {
-          expected.insert(id);
+  for (const auto [d, m] : kIndexGeometries) {
+    auto objects = IndexObjects(200, d, 3);
+    const Partition partition = Partition::EquiWidth(d, m);
+    PartitionIndex index(objects, partition);
+    const BitVector query = objects[7];
+    for (int part = 0; part < m; ++part) {
+      for (int radius = 0; radius <= 3; ++radius) {
+        std::vector<int> probed;
+        index.ProbeAtRadius(query, part, radius, [&](int id, int dist) {
+          EXPECT_EQ(dist, radius);
+          probed.push_back(id);
+        });
+        std::sort(probed.begin(), probed.end());
+        std::vector<int> expected;
+        for (int id = 0; id < static_cast<int>(objects.size()); ++id) {
+          if (objects[id].PartDistance(query, partition.begin(part),
+                                       partition.end(part)) == radius) {
+            expected.push_back(id);
+          }
         }
+        EXPECT_EQ(probed, expected)
+            << "d=" << d << " m=" << m << " part=" << part
+            << " r=" << radius;
       }
-      EXPECT_EQ(probed, expected) << "part=" << part << " r=" << radius;
     }
   }
 }
 
 TEST(IndexTest, CountAtRadiusMatchesProbe) {
-  const int d = 64, m = 4;
-  auto objects = RandomVectors(300, d, 5);
-  PartitionIndex index(objects, Partition::EquiWidth(d, m));
-  const BitVector query = objects[0];
-  for (int part = 0; part < m; ++part) {
-    for (int radius = 0; radius <= 4; ++radius) {
-      int64_t probed = 0;
-      index.ProbeAtRadius(query, part, radius,
-                          [&](int, int) { ++probed; });
-      EXPECT_EQ(index.CountAtRadius(query, part, radius), probed);
+  for (const auto [d, m] : kIndexGeometries) {
+    auto objects = IndexObjects(300, d, 5);
+    PartitionIndex index(objects, Partition::EquiWidth(d, m));
+    const BitVector query = objects[0];
+    for (int part = 0; part < m; ++part) {
+      for (int radius = 0; radius <= 4; ++radius) {
+        int64_t probed = 0;
+        index.ProbeAtRadius(query, part, radius, [&](int, int) { ++probed; });
+        EXPECT_EQ(index.CountAtRadius(query, part, radius), probed)
+            << "d=" << d << " m=" << m << " part=" << part
+            << " r=" << radius;
+      }
+    }
+  }
+}
+
+// The storage layer's dump: strictly ascending keys, each the part pattern
+// of every id in its bucket, ids strictly ascending, and every row exactly
+// once per part.
+TEST(IndexTest, ForEachBucketSortedWalksEveryRowOnceInOrder) {
+  for (const auto [d, m] : kIndexGeometries) {
+    auto objects = IndexObjects(250, d, 9);
+    const Partition partition = Partition::EquiWidth(d, m);
+    PartitionIndex index(objects, partition);
+    for (int part = 0; part < m; ++part) {
+      SCOPED_TRACE("d=" + std::to_string(d) + " m=" + std::to_string(m) +
+                   " part=" + std::to_string(part));
+      const int begin = partition.begin(part);
+      const int end = partition.end(part);
+      std::vector<int> rows_seen(objects.size(), 0);
+      bool first = true;
+      uint64_t previous_key = 0;
+      int64_t multi_id_buckets = 0;
+      index.ForEachBucketSorted(
+          part, [&](uint64_t key, std::span<const int> ids) {
+            EXPECT_TRUE(first || key > previous_key);
+            first = false;
+            previous_key = key;
+            ASSERT_FALSE(ids.empty());
+            multi_id_buckets += ids.size() > 1;
+            for (size_t k = 0; k < ids.size(); ++k) {
+              if (k > 0) EXPECT_LT(ids[k - 1], ids[k]);
+              const BitVector& row = objects[ids[k]];
+              EXPECT_EQ(row.ExtractBits(begin, end), key);
+              ++rows_seen[ids[k]];
+            }
+          });
+      EXPECT_GT(multi_id_buckets, 0);
+      for (int seen : rows_seen) EXPECT_EQ(seen, 1);
     }
   }
 }
@@ -185,13 +254,32 @@ INSTANTIATE_TEST_SUITE_P(
         HammingCase{128, 8, 16, 8, AllocationMode::kUniform},
         HammingCase{128, 8, 3, 4, AllocationMode::kCostModel},
         HammingCase{256, 16, 32, 6, AllocationMode::kCostModel},
-        HammingCase{256, 16, 48, 3, AllocationMode::kUniform}),
+        HammingCase{256, 16, 48, 3, AllocationMode::kUniform},
+        // Parts wider than 16 bits (sorted-key postings).
+        HammingCase{96, 4, 8, 1, AllocationMode::kCostModel},
+        HammingCase{96, 4, 12, 3, AllocationMode::kCostModel},
+        HammingCase{96, 4, 6, 2, AllocationMode::kUniform},
+        HammingCase{128, 2, 3, 1, AllocationMode::kCostModel},
+        HammingCase{128, 2, 4, 2, AllocationMode::kUniform},
+        // 17-, 17- and 16-bit parts: both forms in one partition.
+        HammingCase{50, 3, 6, 2, AllocationMode::kCostModel},
+        HammingCase{50, 3, 5, 3, AllocationMode::kUniform},
+        // kRadiusZero, and its uniform fallback once tau + 1 > m.
+        HammingCase{128, 8, 5, 3, AllocationMode::kRadiusZero},
+        HammingCase{64, 4, 3, 2, AllocationMode::kRadiusZero},
+        HammingCase{96, 4, 3, 4, AllocationMode::kRadiusZero},
+        HammingCase{128, 2, 1, 2, AllocationMode::kRadiusZero},
+        HammingCase{50, 3, 2, 3, AllocationMode::kRadiusZero},
+        HammingCase{64, 4, 6, 2, AllocationMode::kRadiusZero}),
     [](const ::testing::TestParamInfo<HammingCase>& info) {
+      const char* mode = info.param.mode == AllocationMode::kUniform ? "_uni"
+                         : info.param.mode == AllocationMode::kCostModel
+                             ? "_cost"
+                             : "_r0";
       return "d" + std::to_string(info.param.d) + "_m" +
              std::to_string(info.param.m) + "_tau" +
              std::to_string(info.param.tau) + "_l" +
-             std::to_string(info.param.l) +
-             (info.param.mode == AllocationMode::kUniform ? "_uni" : "_cost");
+             std::to_string(info.param.l) + mode;
     });
 
 TEST(HammingSearchTest, RingCandidatesAreSubsetOfGphCandidates) {

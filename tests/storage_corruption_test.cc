@@ -14,9 +14,17 @@
 //   * a mismatched spec fingerprint (header CRC repaired);
 //   * out-of-range edit gram ranks and posting positions (all checksums
 //     repaired, strings domain only);
+//   * Hamming and fast-path postings the flat partition index cannot
+//     accept: keys wider than their part, unordered keys or ids, and
+//     parts holding more or fewer postings than rows (checksums repaired);
+//   * a Save cut short by the file-size limit, which must leave the
+//     previous index at the path;
 //   * corrupted magic;
 //   * a missing path, and a directory in place of the index file.
 
+#include <sys/resource.h>
+
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -135,9 +143,10 @@ const std::vector<DomainIndex>& AllDomains() {
 
 // Writes `image` to a scratch file and opens it via Db::OpenIndex,
 // expecting the given error code. The message must be non-empty — every
-// rejection explains itself.
+// rejection explains itself — and contain `reason` when one is given.
 void ExpectOpenFails(const DomainIndex& base, std::vector<uint8_t> image,
-                     StatusCode code, const std::string& label) {
+                     StatusCode code, const std::string& label,
+                     const std::string& reason = "") {
   SCOPED_TRACE(std::string(base.name) + ": " + label);
   const std::string path = ScratchPath("scratch.pgri");
   WriteFileBytes(path, image);
@@ -145,6 +154,8 @@ void ExpectOpenFails(const DomainIndex& base, std::vector<uint8_t> image,
   ASSERT_FALSE(db.ok()) << "corrupted image opened successfully";
   EXPECT_EQ(db.status().code(), code) << db.status().ToString();
   EXPECT_FALSE(db.status().message().empty());
+  EXPECT_NE(db.status().message().find(reason), std::string::npos)
+      << db.status().ToString();
 }
 
 void PatchU32(std::vector<uint8_t>& image, size_t offset, uint32_t value) {
@@ -352,6 +363,201 @@ TEST(StorageCorruptionTest, EditRanksAndPositionsAreValidated) {
     ExpectOpenFails(base, std::move(image), StatusCode::kDataLoss,
                     edit.label);
   }
+}
+
+// The postings decoder feeds the flat partition index: a dense part reads
+// its offset array at the bucket key, and every posting list must stay
+// id-ascending. Each crafted image patches one field of the Hamming
+// postings (8-bit parts) or of the fast path's first case (parts of over
+// 40 bits), checksums repaired, and must be refused as kDataLoss naming
+// the broken rule.
+TEST(StorageCorruptionTest, HammingPostingsAreValidated) {
+  struct Target {
+    const char* domain;
+    storage::SectionId postings;
+    storage::SectionId bounds;
+    size_t first_bound;  // payload offset of the partition's bounds[1]
+    uint64_t rows;       // rows each part of the first dump indexes
+  };
+  // kHammingPartition: i32 dims, then the bounds as u64 count + i32s.
+  // kEditFastMeta: u32 case count, then case 0's i32 indels, hamming tau
+  // and dims before its bounds. Case 0 deletes nothing: one row a string.
+  const Target targets[] = {
+      {"hamming", storage::SectionId::kHammingPostings,
+       storage::SectionId::kHammingPartition, 4 + 8 + 4, 80},
+      {"strings_fast", storage::SectionId::kEditFastPostings,
+       storage::SectionId::kEditFastMeta, 4 + 12 + 8 + 4, 80},
+  };
+  for (const Target& target : targets) {
+    const DomainIndex* found = nullptr;
+    for (const DomainIndex& d : AllDomains()) {
+      if (std::string(d.name) == target.domain) found = &d;
+    }
+    ASSERT_NE(found, nullptr);
+    const DomainIndex& base = *found;
+    const auto ranges = SectionRangesOf(base.image);
+    auto section_of = [&](storage::SectionId id) {
+      for (size_t s = 0; s < ranges.size(); ++s) {
+        if (ranges[s].first == id) return s;
+      }
+      ADD_FAILURE() << "no section " << static_cast<uint32_t>(id);
+      return size_t{0};
+    };
+    const size_t section = section_of(target.postings);
+    const size_t begin = ranges[section].second.first;
+    auto read_u32 = [&](size_t at) {
+      uint32_t value = 0;
+      for (int i = 0; i < 4; ++i) {
+        value |= static_cast<uint32_t>(base.image[at + i]) << (8 * i);
+      }
+      return value;
+    };
+    const size_t bounds = ranges[section_of(target.bounds)].second.first;
+    const int width = static_cast<int>(read_u32(bounds + target.first_bound));
+    ASSERT_GT(width, 0);
+    ASSERT_LT(width, 64);
+
+    // Walk the first dump: u32 part count, then per part a u64 bucket
+    // count and per bucket a u64 key, a u64 id count and the i32 ids.
+    struct Bucket {
+      int part;
+      size_t key_at;
+      uint64_t count;
+    };
+    std::vector<Bucket> buckets;
+    const uint32_t parts = read_u32(begin);
+    size_t at = begin + 4;
+    for (uint32_t p = 0; p < parts; ++p) {
+      const uint64_t num_buckets = ReadU64(base.image, at);
+      at += 8;
+      for (uint64_t b = 0; b < num_buckets; ++b) {
+        const uint64_t count = ReadU64(base.image, at + 8);
+        buckets.push_back({static_cast<int>(p), at, count});
+        at += 16 + 4 * count;
+      }
+    }
+    ASSERT_GE(buckets.size(), 2u);
+    ASSERT_EQ(buckets[1].part, 0);
+    size_t last_of_part0 = 0;
+    while (buckets[last_of_part0 + 1].part == 0) ++last_of_part0;
+    size_t multi = 0;
+    while (multi < buckets.size() && buckets[multi].count < 2) ++multi;
+    ASSERT_LT(multi, buckets.size()) << "no bucket holds two ids";
+    const size_t ids_at = buckets[multi].key_at + 16;
+
+    auto expect_refused = [&](std::vector<uint8_t> image, const char* label,
+                              const char* reason) {
+      RepairChecksums(image, section, ranges);
+      ExpectOpenFails(base, std::move(image), StatusCode::kDataLoss, label,
+                      reason);
+    };
+    std::vector<uint8_t> image = base.image;
+    PatchU64(image, buckets[last_of_part0].key_at, uint64_t{1} << width);
+    expect_refused(image, "last key of part 0 at the part width",
+                   "wider than its part");
+
+    image = base.image;
+    PatchU64(image, buckets[0].key_at, ReadU64(base.image, buckets[1].key_at));
+    PatchU64(image, buckets[1].key_at, ReadU64(base.image, buckets[0].key_at));
+    expect_refused(image, "first two keys of part 0 swapped",
+                   "keys not strictly ascending");
+
+    image = base.image;
+    PatchU32(image, ids_at, read_u32(ids_at + 4));
+    PatchU32(image, ids_at + 4, read_u32(ids_at));
+    expect_refused(image, "first two ids of a bucket swapped",
+                   "not ascending in a bucket");
+
+    image = base.image;
+    PatchU64(image, buckets[0].key_at + 8, target.rows + 1);
+    expect_refused(image, "first bucket claims one id more than the rows",
+                   "more postings than rows");
+
+    image = base.image;
+    PatchU64(image, buckets.back().key_at + 8, buckets.back().count - 1);
+    expect_refused(image, "last bucket of the dump one id short",
+                   "fewer postings than rows");
+  }
+}
+
+// A Save cut short must leave the index already at the path intact: with
+// the file-size limit set at every 7th byte of the new image, each Save
+// fails, leaves no temp file behind, and the path still opens as the old
+// index with the old answers.
+TEST(StorageCorruptionTest, InterruptedSaveKeepsThePreviousIndex) {
+  IndexSpec spec;
+  spec.domain = Domain::kHamming;
+  spec.tau = 6;
+  spec.chain_length = 2;
+  spec.num_parts = 4;
+  auto make = [&](int n, uint64_t seed) {
+    datagen::BinaryVectorConfig config;
+    config.dimensions = 64;
+    config.num_objects = n;
+    config.num_clusters = 6;
+    config.seed = seed;
+    auto db = Db::Open(spec, Dataset(datagen::GenerateBinaryVectors(config)));
+    EXPECT_TRUE(db.ok()) << db.status().ToString();
+    return std::move(db).value();
+  };
+  const Db a = make(60, 111);
+  const Db b = make(90, 112);
+  // Every record's answer set: what tells A from B.
+  auto answers = [](const Db& db) {
+    Session session = db.NewSession();
+    std::vector<std::vector<int>> all;
+    for (int id = 0; id < db.num_records(); ++id) {
+      auto query = db.RecordQuery(id);
+      EXPECT_TRUE(query.ok()) << query.status().ToString();
+      auto result = session.Search(*query);
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+      all.push_back(result.ok() ? result->ids : std::vector<int>{});
+    }
+    return all;
+  };
+  const auto a_answers = answers(a);
+  const auto b_answers = answers(b);
+  ASSERT_NE(a_answers, b_answers);
+
+  const std::filesystem::path dir = ScratchPath("saves");
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "index.pgri").string();
+  ASSERT_TRUE(a.Save(path).ok());
+  const std::vector<uint8_t> a_image = ReadFileBytes(path);
+  const size_t b_size = SavedBytes(b, "b.pgri").size();
+  ASSERT_GT(b_size, storage::kHeaderSize);
+
+  auto entries = [&] {
+    std::vector<std::string> names;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      names.push_back(entry.path().filename().string());
+    }
+    return names;
+  };
+  rlimit original{};
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &original), 0);
+  const auto previous_handler = std::signal(SIGXFSZ, SIG_IGN);
+  for (size_t limit = 0; limit < b_size; limit += 7) {
+    SCOPED_TRACE("file size limit " + std::to_string(limit));
+    rlimit capped = original;
+    capped.rlim_cur = static_cast<rlim_t>(limit);
+    ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &capped), 0);
+    const Status saved = b.Save(path);
+    ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &original), 0);
+    EXPECT_FALSE(saved.ok());
+    EXPECT_EQ(entries(), std::vector<std::string>{"index.pgri"});
+    EXPECT_EQ(ReadFileBytes(path), a_image);
+    auto reopened = Db::OpenIndex(spec, path);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_EQ(answers(*reopened), a_answers);
+  }
+  std::signal(SIGXFSZ, previous_handler);
+
+  ASSERT_TRUE(b.Save(path).ok());
+  EXPECT_EQ(entries(), std::vector<std::string>{"index.pgri"});
+  auto reopened = Db::OpenIndex(spec, path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(answers(*reopened), b_answers);
 }
 
 TEST(StorageCorruptionTest, ZeroedToc) {

@@ -372,25 +372,48 @@ TEST(StorageRoundtripTest, OpenSniffsIndexFiles) {
 // produce byte-identical files: the format has no nondeterministic bytes
 // (map iteration order, timestamps, uninitialized padding).
 TEST(StorageRoundtripTest, SaveIsDeterministic) {
-  IndexSpec spec;
-  spec.domain = Domain::kEdit;
-  spec.tau = 2;
-  spec.chain_length = 2;
-  spec.kappa = 2;
-  auto built = Db::Open(spec, Dataset(MakeStrings(120, 78)));
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  struct Case {
+    const char* name;
+    IndexSpec spec;
+    Dataset data;
+  };
+  std::vector<Case> cases;
+  {
+    IndexSpec spec;
+    spec.domain = Domain::kEdit;
+    spec.tau = 2;
+    spec.chain_length = 2;
+    spec.kappa = 2;
+    cases.push_back({"edit", spec, Dataset(MakeStrings(120, 78))});
+  }
+  {
+    // Parts of 17, 17 and 16 bits: the Hamming load path rebuilds both the
+    // sorted-key and the dense postings form, and each must re-save the
+    // bytes it was read from.
+    IndexSpec spec;
+    spec.domain = Domain::kHamming;
+    spec.tau = 6;
+    spec.chain_length = 2;
+    spec.num_parts = 3;
+    cases.push_back({"hamming", spec, Dataset(MakeVectors(150, 50, 79))});
+  }
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto built = Db::Open(c.spec, std::move(c.data));
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
 
-  const std::string first = ScratchPath("det_a.pgri");
-  const std::string second = ScratchPath("det_b.pgri");
-  const std::string resaved = ScratchPath("det_c.pgri");
-  ASSERT_TRUE(built->Save(first).ok());
-  ASSERT_TRUE(built->Save(second).ok());
-  EXPECT_EQ(ReadFileBytes(first), ReadFileBytes(second));
+    const std::string first = ScratchPath(std::string(c.name) + "_a.pgri");
+    const std::string second = ScratchPath(std::string(c.name) + "_b.pgri");
+    const std::string resaved = ScratchPath(std::string(c.name) + "_c.pgri");
+    ASSERT_TRUE(built->Save(first).ok());
+    ASSERT_TRUE(built->Save(second).ok());
+    EXPECT_EQ(ReadFileBytes(first), ReadFileBytes(second));
 
-  auto loaded = Db::OpenIndex(spec, first);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_TRUE(loaded->Save(resaved).ok());
-  EXPECT_EQ(ReadFileBytes(first), ReadFileBytes(resaved));
+    auto loaded = Db::OpenIndex(c.spec, first);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_TRUE(loaded->Save(resaved).ok());
+    EXPECT_EQ(ReadFileBytes(first), ReadFileBytes(resaved));
+  }
 }
 
 // Degenerate collections: empty and single-record datasets must survive
