@@ -214,15 +214,45 @@ int EditDistanceSearcher::ExactBox(const std::string& side, const Gram& gram,
 std::vector<int> EditDistanceSearcher::Search(const std::string& query,
                                               EditFilter filter,
                                               int chain_length,
-                                              engine::QueryStats* stats) {
-  StopWatch total_watch;
-  StopWatch phase_watch;
+                                              engine::QueryStats* stats,
+                                              int id_limit) {
+  const StopWatch started;
+  const GramProfile profile = index_->dictionary.Profile(query, tau_);
+  std::string padded;
+  std::vector<uint64_t> masks;
+  if (!profile.is_short) {
+    padded = PadForGrams(query, kappa_);
+    masks.reserve(padded.size());
+    AppendWindowMasks(padded, kappa_, &masks);
+  }
+  const Probe probe{query, profile, padded, masks};
+  return SearchProbe(probe, filter, chain_length, id_limit, started, stats);
+}
+
+std::vector<int> EditDistanceSearcher::JoinProbe(int id, EditFilter filter,
+                                                 int chain_length,
+                                                 engine::QueryStats* stats) {
+  const StopWatch started;
+  const Index& index = *index_;
+  const auto masks = List(index.window_offsets, index.window_masks, id);
+  const Probe probe{(*data_)[id], index.profiles[id], index.padded[id], masks};
+  return SearchProbe(probe, filter, chain_length, id, started, stats);
+}
+
+std::vector<int> EditDistanceSearcher::SearchProbe(const Probe& probe,
+                                                   EditFilter filter,
+                                                   int chain_length,
+                                                   int id_limit,
+                                                   const StopWatch& started,
+                                                   engine::QueryStats* stats) {
+  StopWatch phase_watch = started;
   engine::QueryStats local;
   const Index& index = *index_;
   const int m = tau_ + 1;
   const int l = std::clamp(chain_length, 1, m);
+  const std::string& query = probe.query;
   const int q_len = static_cast<int>(query.size());
-  const GramProfile q_profile = index.dictionary.Profile(query, tau_);
+  const GramProfile& q_profile = probe.profile;
 
   AdvanceEpoch(&epoch_, &seen_epoch_);
   auto touch = [&](int id) {
@@ -241,27 +271,26 @@ std::vector<int> EditDistanceSearcher::Search(const std::string& query,
     candidates.push_back(id);
   };
 
+  // Every list below is id-ascending and read only up to id_limit.
   if (q_profile.is_short) {
     // Too few query grams for the pivotal scheme: fall back to the length
     // filter for the whole collection.
     const int max_length = static_cast<int>(index.length_offsets.size()) - 2;
     for (int len = std::max(0, q_len - tau_);
          len <= std::min(q_len + tau_, max_length); ++len) {
-      for (int id : List(index.length_offsets, index.length_ids, len)) {
-        add_candidate(id);
-      }
+      const auto ids = CutAtIdLimit(
+          List(index.length_offsets, index.length_ids, len), id_limit);
+      for (int id : ids) add_candidate(id);
     }
   } else {
     // Short data strings are always candidates (within the length window).
-    for (int id : index.short_ids) {
+    const auto short_ids =
+        CutAtIdLimit(std::span<const int>(index.short_ids), id_limit);
+    for (int id : short_ids) {
       const int len = static_cast<int>((*data_)[id].size());
       if (std::abs(len - q_len) <= tau_) add_candidate(id);
     }
 
-    const std::string q_padded = PadForGrams(query, kappa_);
-    std::vector<uint64_t> q_masks;
-    q_masks.reserve(q_padded.size());
-    AppendWindowMasks(q_padded, kappa_, &q_masks);
     std::array<int, 64> q_positions{};
     for (int j = 0; j < m; ++j) q_positions[j] = q_profile.pivotal[j].position;
 
@@ -320,15 +349,16 @@ std::vector<int> EditDistanceSearcher::Search(const std::string& query,
     // pivotal grams. The ring is x's.
     for (const Gram& g : q_profile.prefix) {
       if (g.rank < 0) continue;
-      const auto list =
-          List(index.pivotal_offsets, index.pivotal_postings, g.rank);
+      const auto list = CutAtIdLimit(
+          List(index.pivotal_offsets, index.pivotal_postings, g.rank),
+          id_limit, &PivotalPosting::id);
       const int count = select(list, true, g);
       for (int s = 0; s < count; ++s) {
         const PivotalPosting& posting = list[selected_[s]];
         const size_t ring = static_cast<size_t>(posting.id) * m;
         touch(posting.id);
         ring_check(posting.id, &index.ring_masks[ring],
-                   &index.ring_positions[ring], q_masks,
+                   &index.ring_positions[ring], probe.masks,
                    posting.pivotal_index);
       }
     }
@@ -337,8 +367,9 @@ std::vector<int> EditDistanceSearcher::Search(const std::string& query,
     for (int j = 0; j < m; ++j) {
       const Gram& g = q_profile.pivotal[j];
       if (g.rank < 0) continue;
-      const auto list =
-          List(index.prefix_offsets, index.prefix_postings, g.rank);
+      const auto list = CutAtIdLimit(
+          List(index.prefix_offsets, index.prefix_postings, g.rank), id_limit,
+          &PrefixPosting::id);
       const int count = select(list, false, g);
       for (int s = 0; s < count; ++s) {
         const int id = list[selected_[s]].id;
@@ -356,7 +387,7 @@ std::vector<int> EditDistanceSearcher::Search(const std::string& query,
   const bool align = filter == EditFilter::kPivotal && !q_profile.is_short;
   std::vector<int> stage2;
   if (align) {
-    const std::string q_padded = PadForGrams(query, kappa_);
+    const std::string& q_padded = probe.padded;
     for (int id : candidates) {
       const GramProfile& x_profile = index.profiles[id];
       if (x_profile.is_short) {
@@ -390,7 +421,7 @@ std::vector<int> EditDistanceSearcher::Search(const std::string& query,
   std::sort(results.begin(), results.end());
   local.verify_millis = phase_watch.ElapsedMillis();
   local.results = static_cast<int64_t>(results.size());
-  local.total_millis = total_watch.ElapsedMillis();
+  local.total_millis = started.ElapsedMillis();
   if (stats != nullptr) *stats = local;
   return results;
 }

@@ -37,6 +37,8 @@
 #include <string>
 #include <vector>
 
+#include "common/id_limit.h"
+#include "common/timer.h"
 #include "editdist/qgram.h"
 #include "engine/query_stats.h"
 
@@ -141,16 +143,41 @@ class EditDistanceSearcher {
   int num_boxes() const { return tau_ + 1; }
   const Index& index() const { return *index_; }
 
-  /// Finds ids of all strings with ed(x, query) <= tau. `chain_length` is
-  /// used only by EditFilter::kRing (clamped to [1, tau + 1]; the paper's
-  /// default is min(3, tau + 1)).
+  /// Finds ids below `id_limit` (common/id_limit.h) of all strings with
+  /// ed(x, query) <= tau. `chain_length` is used only by EditFilter::kRing
+  /// (clamped to [1, tau + 1]; the paper's default is min(3, tau + 1)).
   std::vector<int> Search(const std::string& query, EditFilter filter,
-                          int chain_length,
-                          engine::QueryStats* stats = nullptr);
+                          int chain_length, engine::QueryStats* stats = nullptr,
+                          int id_limit = kNoIdLimit);
+
+  /// Record `id`'s self-join probe: the ids and counters of
+  /// Search((*data)[id], filter, chain_length, stats, id), but the probe's
+  /// profile, padded string and window masks are read from the index
+  /// instead of being derived again.
+  std::vector<int> JoinProbe(int id, EditFilter filter, int chain_length,
+                             engine::QueryStats* stats = nullptr);
 
  private:
+  /// A query as the filter reads it: the string, its gram profile, and
+  /// its padded form with that form's window masks (both unused when the
+  /// profile is short).
+  struct Probe {
+    const std::string& query;
+    const GramProfile& profile;
+    const std::string& padded;
+    std::span<const uint64_t> masks;
+  };
+
   EditDistanceSearcher(const std::vector<std::string>* data, int tau,
                        int kappa, std::shared_ptr<Index> index);
+
+  /// The one filter and verify body behind Search and JoinProbe. `started`
+  /// was started with the query, so deriving the probe counts as filter
+  /// time.
+  std::vector<int> SearchProbe(const Probe& probe, EditFilter filter,
+                               int chain_length, int id_limit,
+                               const StopWatch& started,
+                               engine::QueryStats* stats);
 
   /// Content-filter lower bound for the box of `gram_mask`@`gram_pos`
   /// against windows of the other string, whose per-position alphabet masks

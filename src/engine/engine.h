@@ -7,9 +7,11 @@
 //
 //  * SearchBatch writes each query's result into its input slot, so the
 //    output order is the input order regardless of scheduling.
-//  * SelfJoin canonicalizes (sort + dedupe) the concatenated per-thread
-//    pair buffers, so the result is byte-identical to the sequential
-//    path's; merged counter sums are order-independent by construction.
+//  * SelfJoin runs one half-probe per record (Searcher::JoinProbe: record
+//    p against the ids below p), so every pair is found exactly once; it
+//    sorts the concatenated per-thread pair buffers, so the result is
+//    byte-identical to the sequential path's. Merged counter sums are
+//    order-independent by construction.
 //
 // A loop width of 1 is the sequential reference path: no worker threads
 // run and the loop executes inline on the caller.
@@ -81,9 +83,11 @@ std::vector<std::vector<int>> SearchBatch(
   return results;
 }
 
-/// Probes every record of `prototype`'s collection against the collection
-/// itself and returns each unordered matching pair (i, j) with i < j
-/// exactly once, sorted — the same canonical order at any loop width.
+/// Probes every record p of `prototype`'s collection with JoinProbe, which
+/// finds p's matches among the ids below p, and returns each unordered
+/// matching pair (i, j) with i < j exactly once, sorted — the same
+/// canonical order at any loop width. All four predicates are symmetric,
+/// so pair (i, j) is found by probe j alone.
 template <Searcher S>
 std::vector<IdPair> SelfJoin(S& prototype, const ExecutionContext& context,
                              JoinStats* stats = nullptr) {
@@ -101,16 +105,8 @@ std::vector<IdPair> SelfJoin(S& prototype, const ExecutionContext& context,
         for (int64_t i = begin; i < end; ++i) {
           const int probe = static_cast<int>(i);
           QueryStats query_stats;
-          const auto ids = searcher.Search(searcher.query(probe), &query_stats);
-          for (int id : ids) {
-            if (id == probe) {
-              // The probe always passes its own filter (distance 0); drop
-              // that trivial self-candidate from the join's counters.
-              --query_stats.candidates;
-              continue;
-            }
-            found[thread].push_back(
-                {std::min(probe, id), std::max(probe, id)});
+          for (int id : searcher.JoinProbe(probe, &query_stats)) {
+            found[thread].push_back({id, probe});
           }
           partial[thread] += query_stats;
         }
@@ -122,7 +118,6 @@ std::vector<IdPair> SelfJoin(S& prototype, const ExecutionContext& context,
   pairs.reserve(total);
   for (const auto& f : found) pairs.insert(pairs.end(), f.begin(), f.end());
   std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
 
   if (stats != nullptr) {
     QueryStats merged;

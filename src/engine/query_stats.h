@@ -69,11 +69,12 @@ struct IdPair {
 
 /// Aggregate counters across a whole self-join.
 struct JoinStats {
-  /// Filter survivors summed over all probes, each probe's trivial
-  /// self-match excluded — the same unit as QueryStats::candidates, so a
-  /// join's candidate count is comparable with the sum of its constituent
-  /// searches. (Before the engine existed this counter also included every
-  /// probe's hit on itself, inflating it by exactly the collection size.)
+  /// Filter survivors summed over the join's bounded probes: probe p
+  /// (Searcher::JoinProbe) filters only the ids below p, so this is the
+  /// sum of QueryStats::candidates over Search(query(p), p) for every p.
+  /// Each candidate pair is counted once, from its larger id, and a probe
+  /// never meets itself. A pending delta adds its probes' counts (see
+  /// api/session.cc).
   int64_t candidates = 0;
   int64_t pairs = 0;       // unique unordered result pairs
   double total_millis = 0; // wall-clock time of the whole join

@@ -7,10 +7,18 @@
 // adapters inherit the full adapter's, shard/split.h). It exposes the
 // uniform surface the batch drivers in engine/engine.h need:
 //
-//   size()       — number of records in the joined/probed collection
-//   query(i)     — record i viewed as a query object
-//   Search(q, s) — ids of all records matching q; the wrapped searcher
-//                  fills the QueryStats itself
+//   size()                 — number of records in the joined/probed
+//                            collection
+//   query(i)               — record i viewed as a query object
+//   Search(q, s[, limit])  — ascending ids of all records below `limit`
+//                            (default kNoIdLimit, common/id_limit.h) that
+//                            match q; the wrapped searcher fills the
+//                            QueryStats itself
+//   JoinProbe(p, s)        — the self-join probe of record p: its matches
+//                            among ids < p, with the ids and counters of
+//                            Search(query(p), s, p). The edit adapter reads
+//                            the probe's gram state from its index; the
+//                            others call that Search.
 //
 // Copy construction is the cloning mechanism for parallel execution: the
 // engine drivers copy the adapter once per *extra* thread (thread 0 uses
@@ -31,6 +39,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/id_limit.h"
 #include "editdist/casedec.h"
 #include "editdist/pivotal.h"
 #include "engine/query_stats.h"
@@ -49,6 +58,8 @@ concept Searcher =
       { cs.size() } -> std::convertible_to<int>;
       { cs.query(i) } -> std::convertible_to<const typename S::Query&>;
       { s.Search(q, stats) } -> std::same_as<std::vector<int>>;
+      { s.Search(q, stats, i) } -> std::same_as<std::vector<int>>;
+      { s.JoinProbe(i, stats) } -> std::same_as<std::vector<int>>;
     };
 
 /// Hamming distance search (§6.1) with a fixed tau / chain length /
@@ -71,8 +82,12 @@ class HammingAdapter {
   HammingAdapter Rebind(hamming::HammingSearcher searcher) const {
     return HammingAdapter(std::move(searcher), tau_, chain_length_, mode_);
   }
-  std::vector<int> Search(const Query& query, QueryStats* stats = nullptr) {
-    return searcher_.Search(query, tau_, chain_length_, mode_, stats);
+  std::vector<int> Search(const Query& query, QueryStats* stats = nullptr,
+                          int id_limit = kNoIdLimit) {
+    return searcher_.Search(query, tau_, chain_length_, mode_, stats, id_limit);
+  }
+  std::vector<int> JoinProbe(int probe, QueryStats* stats = nullptr) {
+    return Search(query(probe), stats, probe);
   }
 
  private:
@@ -102,8 +117,12 @@ class SetAdapter {
                     const setsim::SetCollection* collection) const {
     return SetAdapter(std::move(searcher), collection, chain_length_);
   }
-  std::vector<int> Search(const Query& query, QueryStats* stats = nullptr) {
-    return searcher_.Search(query, chain_length_, stats);
+  std::vector<int> Search(const Query& query, QueryStats* stats = nullptr,
+                          int id_limit = kNoIdLimit) {
+    return searcher_.Search(query, chain_length_, stats, id_limit);
+  }
+  std::vector<int> JoinProbe(int probe, QueryStats* stats = nullptr) {
+    return Search(query(probe), stats, probe);
   }
 
  private:
@@ -134,8 +153,14 @@ class EditAdapter {
                      const std::vector<std::string>* data) const {
     return EditAdapter(std::move(searcher), data, filter_, chain_length_);
   }
-  std::vector<int> Search(const Query& query, QueryStats* stats = nullptr) {
-    return searcher_.Search(query, filter_, chain_length_, stats);
+  std::vector<int> Search(const Query& query, QueryStats* stats = nullptr,
+                          int id_limit = kNoIdLimit) {
+    return searcher_.Search(query, filter_, chain_length_, stats, id_limit);
+  }
+  /// Reads the probe's gram profile, padded string and window masks from
+  /// the index (EditDistanceSearcher::JoinProbe).
+  std::vector<int> JoinProbe(int probe, QueryStats* stats = nullptr) {
+    return searcher_.JoinProbe(probe, filter_, chain_length_, stats);
   }
 
  private:
@@ -168,8 +193,12 @@ class EditFastAdapter {
                          const std::vector<std::string>* data) const {
     return EditFastAdapter(std::move(searcher), data, chain_length_);
   }
-  std::vector<int> Search(const Query& query, QueryStats* stats = nullptr) {
-    return searcher_.Search(query, chain_length_, stats);
+  std::vector<int> Search(const Query& query, QueryStats* stats = nullptr,
+                          int id_limit = kNoIdLimit) {
+    return searcher_.Search(query, chain_length_, stats, id_limit);
+  }
+  std::vector<int> JoinProbe(int probe, QueryStats* stats = nullptr) {
+    return Search(query(probe), stats, probe);
   }
 
  private:
@@ -200,8 +229,12 @@ class GraphAdapter {
                       const std::vector<graphed::Graph>* data) const {
     return GraphAdapter(std::move(searcher), data, filter_, chain_length_);
   }
-  std::vector<int> Search(const Query& query, QueryStats* stats = nullptr) {
-    return searcher_.Search(query, filter_, chain_length_, stats);
+  std::vector<int> Search(const Query& query, QueryStats* stats = nullptr,
+                          int id_limit = kNoIdLimit) {
+    return searcher_.Search(query, filter_, chain_length_, stats, id_limit);
+  }
+  std::vector<int> JoinProbe(int probe, QueryStats* stats = nullptr) {
+    return Search(query(probe), stats, probe);
   }
 
  private:

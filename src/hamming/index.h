@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "common/bitvector.h"
+#include "common/id_limit.h"
 #include "common/logging.h"
 #include "hamming/partition.h"
 
@@ -121,19 +122,22 @@ class PartitionIndex {
     }
   }
 
-  /// Invokes `fn(id, distance)` for every object whose part-`part` pattern
-  /// is at Hamming distance exactly `radius` from the query's pattern, keys
-  /// in ForEachKeyAtRadius order and ids ascending within a key.
+  /// Invokes `fn(id, distance)` for every object with id < `id_limit`
+  /// whose part-`part` pattern is at Hamming distance exactly `radius` from
+  /// the query's pattern, keys in ForEachKeyAtRadius order and ids
+  /// ascending within a key. Each bucket is cut once (CutAtIdLimit).
   template <typename Fn>
-  void ProbeAtRadius(const BitVector& query, int part, int radius,
-                     Fn&& fn) const {
+  void ProbeAtRadius(const BitVector& query, int part, int radius, Fn&& fn,
+                     int id_limit = kNoIdLimit) const {
     PR_CHECK(part >= 0 && part < partition_.num_parts());
     const int width = partition_.width(part);
     if (radius > width) return;
     const uint64_t base =
         query.ExtractBits(partition_.begin(part), partition_.end(part));
     ForEachKeyAtRadius(base, width, radius, [&](uint64_t key) {
-      for (int id : Bucket(part, width, key)) fn(id, radius);
+      for (int id : CutAtIdLimit(Bucket(part, width, key), id_limit)) {
+        fn(id, radius);
+      }
     });
   }
 

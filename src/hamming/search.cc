@@ -117,7 +117,8 @@ void HammingSearcher::AllocateInto(const BitVector& query, int tau,
 std::vector<int> HammingSearcher::Search(const BitVector& query, int tau,
                                          int chain_length,
                                          AllocationMode mode,
-                                         engine::QueryStats* stats) {
+                                         engine::QueryStats* stats,
+                                         int id_limit) {
   const int m = num_parts();
   const int l = std::clamp(chain_length, 1, m);
   const Partition& partition = index_->partition();
@@ -152,39 +153,39 @@ std::vector<int> HammingSearcher::Search(const BitVector& query, int tau,
   for (int i = 0; i < m; ++i) {
     if (t[i] < 0) continue;
     const int max_radius = std::min(t[i], partition.width(i));
+    auto on_hit = [&](int id, int dist) {
+      ++local.index_hits;
+      touch(id);
+      if (decided_[id]) return;
+      if (ruled_out_[id] & (uint64_t{1} << i)) return;
+      // Step 2: incremental prefix-viable chain check from part i
+      // (Theorem 7 bounds: sum of thresholds plus len - 1 slack).
+      ++local.chain_checks;
+      int sum = dist;
+      int failed_at = 0;  // 0 = passed
+      for (int len = 2; len <= l; ++len) {
+        const int j = (i + len - 1) % m;
+        sum += kernels::HammingDistanceRangeWords(
+            flat.row(id), query_words, partition.begin(j), partition.end(j));
+        const int bound = t_prefix[i + len] - t_prefix[i] + (len - 1);
+        if (sum > bound) {
+          failed_at = len;
+          break;
+        }
+      }
+      if (failed_at != 0) {
+        // Corollary 2: no chain starting in [i, i + failed_at - 1] can be
+        // prefix-viable at length l.
+        for (int k = 0; k < failed_at; ++k) {
+          ruled_out_[id] |= uint64_t{1} << ((i + k) % m);
+        }
+        return;
+      }
+      decided_[id] = 1;
+      candidate_ids.push_back(id);
+    };
     for (int r = 0; r <= max_radius; ++r) {
-      index_->ProbeAtRadius(query, i, r, [&](int id, int dist) {
-        ++local.index_hits;
-        touch(id);
-        if (decided_[id]) return;
-        if (ruled_out_[id] & (uint64_t{1} << i)) return;
-        // Step 2: incremental prefix-viable chain check from part i
-        // (Theorem 7 bounds: sum of thresholds plus len - 1 slack).
-        ++local.chain_checks;
-        int sum = dist;
-        int failed_at = 0;  // 0 = passed
-        for (int len = 2; len <= l; ++len) {
-          const int j = (i + len - 1) % m;
-          sum += kernels::HammingDistanceRangeWords(
-              flat.row(id), query_words, partition.begin(j),
-              partition.end(j));
-          const int bound = t_prefix[i + len] - t_prefix[i] + (len - 1);
-          if (sum > bound) {
-            failed_at = len;
-            break;
-          }
-        }
-        if (failed_at != 0) {
-          // Corollary 2: no chain starting in [i, i + failed_at - 1] can be
-          // prefix-viable at length l.
-          for (int k = 0; k < failed_at; ++k) {
-            ruled_out_[id] |= uint64_t{1} << ((i + k) % m);
-          }
-          return;
-        }
-        decided_[id] = 1;
-        candidate_ids.push_back(id);
-      });
+      index_->ProbeAtRadius(query, i, r, on_hit, id_limit);
     }
   }
   local.candidates = static_cast<int64_t>(candidate_ids.size());

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/bitvector.h"
+#include "common/id_limit.h"
 #include "engine/query_stats.h"
 #include "hamming/index.h"
 #include "kernels/flat_bit_table.h"
@@ -79,12 +80,14 @@ class HammingSearcher {
     return index_;
   }
 
-  /// Finds all ids with H(x, q) <= tau. `chain_length` = 1 reproduces the
-  /// GPH baseline; larger values enable the pigeonring filter. `stats` may
-  /// be null.
+  /// Finds all ids below `id_limit` with H(x, q) <= tau (see
+  /// common/id_limit.h; thresholds are allocated as for an unbounded
+  /// search). `chain_length` = 1 reproduces the GPH baseline; larger values
+  /// enable the pigeonring filter. `stats` may be null.
   std::vector<int> Search(const BitVector& query, int tau, int chain_length,
                           AllocationMode mode = AllocationMode::kCostModel,
-                          engine::QueryStats* stats = nullptr);
+                          engine::QueryStats* stats = nullptr,
+                          int id_limit = kNoIdLimit);
 
   /// Exposes the per-part threshold allocation for tests and benches.
   std::vector<int> AllocateThresholds(const BitVector& query, int tau,

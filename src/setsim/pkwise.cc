@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <span>
 
 #include "common/epoch.h"
 #include "common/timer.h"
@@ -97,7 +98,8 @@ PkwiseSearcher PkwiseSearcher::FromBuilt(const SetCollection* collection,
 
 std::vector<int> PkwiseSearcher::Search(const RankedSet& query,
                                         int chain_length,
-                                        engine::QueryStats* stats) {
+                                        engine::QueryStats* stats,
+                                        int id_limit) {
   StopWatch total_watch;
   StopWatch phase_watch;
   engine::QueryStats local;
@@ -117,7 +119,9 @@ std::vector<int> PkwiseSearcher::Search(const RankedSet& query,
     const int rank = query[p];
     if (rank < 0 || rank >= static_cast<int>(index.inverted.size())) continue;
     const int k = TokenClass(rank, num_classes_);
-    for (int id : index.inverted[rank]) {
+    const auto ids =
+        CutAtIdLimit(std::span<const int>(index.inverted[rank]), id_limit);
+    for (int id : ids) {
       const int x_size = static_cast<int>(collection_->record(id).size());
       if (x_size < min_size || x_size > max_size) continue;
       ++local.index_hits;

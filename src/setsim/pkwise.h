@@ -25,6 +25,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/id_limit.h"
 #include "engine/query_stats.h"
 #include "setsim/prefix.h"
 #include "setsim/record.h"
@@ -77,11 +78,13 @@ class PkwiseSearcher {
   SetMeasure measure() const { return measure_; }
   const Index& index() const { return *index_; }
 
-  /// Finds ids of all records with J(record, query) >= tau. `query` must be
-  /// produced by SetCollection::MapQuery (or be a record of the
-  /// collection). chain_length == 1 is the pkwise baseline.
+  /// Finds ids below `id_limit` (common/id_limit.h) of all records with
+  /// J(record, query) >= tau. `query` must be produced by
+  /// SetCollection::MapQuery (or be a record of the collection).
+  /// chain_length == 1 is the pkwise baseline.
   std::vector<int> Search(const RankedSet& query, int chain_length,
-                          engine::QueryStats* stats = nullptr);
+                          engine::QueryStats* stats = nullptr,
+                          int id_limit = kNoIdLimit);
 
  private:
   PkwiseSearcher(const SetCollection* collection, double tau, int num_boxes,

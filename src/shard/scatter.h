@@ -18,13 +18,15 @@
 //    ascending shard order with the existing QueryStats::operator+= —
 //    integral counters partition exactly across shards (split.h explains
 //    why), so the sums reproduce the unsharded counters.
-//  * ScatterSelfJoin: shard s answers the join tile "all N probes vs my
-//    records". Probes come from the *full* collection (`full.query(g)`),
-//    so every (probe, record) pair is examined exactly once fleet-wide, on
-//    the record's owner shard. The trivial self-candidate g == g surfaces
-//    only on g's owner shard and is dropped there with the same
-//    `--candidates` the unsharded driver applies; concatenated pair
-//    buffers are sorted + deduplicated into the same canonical order.
+//  * ScatterSelfJoin: shard s answers the join tile "every probe g vs my
+//    records with global id < g", the sharded form of engine::SelfJoin's
+//    half-probe (Searcher::JoinProbe). Probes come from the *full*
+//    collection (`full.query(g)`); each shard searches with the local id
+//    limit lower_bound(global_ids, g), which is exact because a shard's
+//    global ids ascend. So every pair (i, j), i < j, is examined exactly
+//    once fleet-wide — probe j on i's owner shard — the bounded candidates
+//    partition like any search's, and the concatenated pair buffers sort
+//    into the same canonical order.
 //
 // Concurrency: the batch and join drivers Submit one job per shard and
 // block on a latch. Each job drives ParallelFor on its own shard's pool,
@@ -160,9 +162,9 @@ std::vector<std::vector<int>> ScatterSearchBatch(
   return results;
 }
 
-/// Scatters the self-join as one "all probes vs my records" tile per shard,
-/// gathers into the canonical sorted unique pair list. `full` supplies the
-/// probe queries (the full collection's record g viewed as a query);
+/// Scatters the self-join as one "every probe vs my records below it" tile
+/// per shard, gathers into the canonical sorted pair list. `full` supplies
+/// the probe queries (the full collection's record g viewed as a query);
 /// read-only and shared across shard jobs.
 template <engine::Searcher S>
 std::vector<engine::IdPair> ScatterSelfJoin(
@@ -190,20 +192,16 @@ std::vector<engine::IdPair> ScatterSelfJoin(
           [&](int thread, int64_t begin, int64_t end) {
             for (int64_t i = begin; i < end; ++i) {
               const int probe = static_cast<int>(i);
+              // This shard's records below the probe are its local ids
+              // below the first global id >= probe.
+              const auto below = std::ranges::lower_bound(global_ids, probe);
+              const int limit = static_cast<int>(below - global_ids.begin());
               engine::QueryStats query_stats;
-              const auto local_ids =
-                  searchers[thread]->Search(full.query(probe), &query_stats);
+              const auto local_ids = searchers[thread]->Search(
+                  full.query(probe), &query_stats, limit);
               for (int l : local_ids) {
                 const int id = global_ids[static_cast<size_t>(l)];
-                if (id == probe) {
-                  // Same rule as engine::SelfJoin: the probe's trivial hit
-                  // on itself (distance 0) surfaces exactly once fleet-wide
-                  // — on its owner shard — and leaves the counters there.
-                  --query_stats.candidates;
-                  continue;
-                }
-                found[thread].push_back(
-                    {std::min(probe, id), std::max(probe, id)});
+                found[thread].push_back({id, probe});
               }
               partial[thread] += query_stats;
             }
@@ -228,7 +226,6 @@ std::vector<engine::IdPair> ScatterSelfJoin(
   pairs.reserve(total);
   for (const auto& p : shard_pairs) pairs.insert(pairs.end(), p.begin(), p.end());
   std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
 
   if (stats != nullptr) {
     engine::QueryStats merged;

@@ -32,7 +32,7 @@ std::vector<T> Subset(const std::vector<T>& full,
 /// Projects every list of a CSR array onto one shard: keeps the entries
 /// whose record (`id_of(entry)`) the shard owns, remapped to local ids.
 /// Ascending global ids map to ascending local ids, so each list keeps the
-/// id-ascending build order the FromBuilt loaders require.
+/// id-ascending build order that id-limited searches rely on.
 template <typename Entry, typename IdOf>
 void ProjectLists(const std::vector<size_t>& offsets,
                   const std::vector<Entry>& entries,

@@ -14,8 +14,8 @@
 //  * every per-record artifact (records, prefixes, profiles, postings,
 //    partitions, histograms) is subsetted to the shard's records and
 //    remapped to local ids 0..n_s-1 in ascending global order, which keeps
-//    every posting list id-ascending (the order the FromBuilt loaders
-//    require);
+//    every posting list id-ascending (the order id-limited searches cut by
+//    binary search, common/id_limit.h);
 //  * the two allocation paths that read *index statistics* rather than
 //    per-record state — hamming::AllocateThresholds under kCostModel /
 //    kRadiusZero, including the per-case searchers inside the edit-distance

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <numeric>
 #include <span>
 #include <utility>
@@ -29,6 +30,14 @@ Status CheckConsumed(const ByteReader& reader, SectionId id) {
     return SectionCorrupt(id, "malformed encoding (overrun or trailing bytes)");
   }
   return Status::Ok();
+}
+
+// Whether `ids` ascend strictly: the order every id list of the index
+// keeps, and that id-limited searches (common/id_limit.h) cut by binary
+// search.
+bool StrictlyAscending(std::span<const int> ids) {
+  return std::adjacent_find(ids.begin(), ids.end(),
+                            std::greater_equal<>()) == ids.end();
 }
 
 // --- Hamming ---
@@ -267,7 +276,7 @@ void EncodeGramList(ByteWriter& w, const std::vector<editdist::Gram>& grams) {
 // Decodes a gram list whose positions must index windows of a padded string
 // of `padded_len` characters with gram width `kappa`.
 bool DecodeGramList(ByteReader& reader, int padded_len, int kappa,
-                    std::vector<editdist::Gram>* grams) {
+                    int universe, std::vector<editdist::Gram>* grams) {
   const uint64_t count = reader.Count(8);
   if (!reader.ok()) return false;
   grams->reserve(static_cast<size_t>(count));
@@ -275,6 +284,9 @@ bool DecodeGramList(ByteReader& reader, int padded_len, int kappa,
     editdist::Gram g;
     g.rank = reader.I32();
     g.position = reader.I32();
+    // A record's grams all come from the dictionary; a self-join probe
+    // looks its stored ranks up in the posting lists.
+    if (g.rank < 0 || g.rank >= universe) return false;
     if (g.position < 0 || g.position > padded_len - kappa) return false;
     grams->push_back(g);
   }
@@ -335,13 +347,25 @@ void EncodeEditLists(ByteWriter& w, const std::vector<size_t>& offsets,
   }
 }
 
+int ListEntryId(int id) { return id; }
+int ListEntryId(const editdist::EditDistanceSearcher::PivotalPosting& p) {
+  return p.id;
+}
+int ListEntryId(const editdist::EditDistanceSearcher::PrefixPosting& p) {
+  return p.id;
+}
+
 // Decodes EncodeEditLists' form straight into CSR `offsets` + `entries`
 // over keys [0, num_keys). Keys must ascend strictly, which also rules out
 // duplicates. `read(key, &entry)` decodes one entry of `entry_bytes` bytes
-// and returns nullptr, or what is wrong with it.
+// and returns nullptr, or what is wrong with it. The entries' ids must
+// ascend strictly within a list when `strict_ids`, else never descend (a
+// record may post one gram rank twice: its prefix keeps every occurrence
+// of a tied gram); id-limited searches cut the lists by binary search.
 template <typename Entry, typename Read>
 Status DecodeEditLists(ByteReader& reader, SectionId id, size_t num_keys,
-                       size_t entry_bytes, const char* bad_key, Read&& read,
+                       size_t entry_bytes, const char* bad_key,
+                       bool strict_ids, Read&& read,
                        std::vector<size_t>* offsets,
                        std::vector<Entry>* entries) {
   const uint64_t keys = reader.Count(12);  // i32 key + u64 entry count
@@ -364,6 +388,15 @@ Status DecodeEditLists(ByteReader& reader, SectionId id, size_t num_keys,
       const char* bad_entry = read(key, &entry);
       if (!reader.ok()) return SectionCorrupt(id, "truncated list");
       if (bad_entry != nullptr) return SectionCorrupt(id, bad_entry);
+      if (i > 0) {
+        const int previous = ListEntryId(entries->back());
+        const int current = ListEntryId(entry);
+        if (current < previous || (strict_ids && current == previous)) {
+          return SectionCorrupt(id, strict_ids
+                                        ? "list ids not strictly ascending"
+                                        : "list ids descend");
+        }
+      }
       entries->push_back(entry);
     }
   }
@@ -610,6 +643,12 @@ StatusOr<LoadedSet> LoadSetSections(const IndexFileReader& reader,
                               "posting id outside the collection");
       }
     }
+    // Searches cut each list at an id limit by binary search (a join
+    // probe's half-probe), so an out-of-order list would drop pairs.
+    if (!StrictlyAscending(index->inverted[rank])) {
+      return SectionCorrupt(SectionId::kSetInverted,
+                            "posting ids not strictly ascending");
+    }
   }
   s = CheckConsumed(inverted_reader, SectionId::kSetInverted);
   if (!s.ok()) return s;
@@ -758,17 +797,20 @@ StatusOr<LoadedEdit> LoadEditSections(const IndexFileReader& reader, int tau,
                           "row count disagrees with the strings section");
   }
   index->profiles.reserve(n);
+  const int universe_size = static_cast<int>(universe);
   for (uint32_t i = 0; i < n; ++i) {
     editdist::GramProfile profile;
     profile.is_short = profiles_reader.U8() != 0;
     profile.prefix_last_rank = profiles_reader.I32();
     const int padded_len = static_cast<int>(index->padded[i].size());
-    if (!DecodeGramList(profiles_reader, padded_len, kappa,
+    if (!DecodeGramList(profiles_reader, padded_len, kappa, universe_size,
                         &profile.prefix) ||
-        !DecodeGramList(profiles_reader, padded_len, kappa,
+        !DecodeGramList(profiles_reader, padded_len, kappa, universe_size,
                         &profile.pivotal)) {
-      return SectionCorrupt(SectionId::kEditProfiles,
-                            "gram position outside the padded string");
+      return SectionCorrupt(
+          SectionId::kEditProfiles,
+          "gram rank outside the dictionary or position outside the padded "
+          "string");
     }
     profile.pivotal_masks = profiles_reader.VecU64();
     if (!profiles_reader.ok()) {
@@ -826,7 +868,7 @@ StatusOr<LoadedEdit> LoadEditSections(const IndexFileReader& reader, int tau,
   s = DecodeEditLists(
       pivotal_reader, SectionId::kEditPivotalIndex, universe,
       12,  // 3 i32 per posting
-      "posting rank outside the dictionary",
+      "posting rank outside the dictionary", /*strict_ids=*/false,
       [&](int, EditDistanceSearcher::PivotalPosting* p) -> const char* {
         p->id = pivotal_reader.I32();
         p->pivotal_index = pivotal_reader.I32();
@@ -853,7 +895,7 @@ StatusOr<LoadedEdit> LoadEditSections(const IndexFileReader& reader, int tau,
   s = DecodeEditLists(
       prefix_reader, SectionId::kEditPrefixIndex, universe,
       8,  // 2 i32 per posting
-      "posting rank outside the dictionary",
+      "posting rank outside the dictionary", /*strict_ids=*/false,
       [&](int, EditDistanceSearcher::PrefixPosting* p) -> const char* {
         p->id = prefix_reader.I32();
         p->position = prefix_reader.I32();
@@ -880,7 +922,7 @@ StatusOr<LoadedEdit> LoadEditSections(const IndexFileReader& reader, int tau,
   s = DecodeEditLists(
       lengths_reader, SectionId::kEditLengths, max_length + 1,
       4,  // i32 id
-      "bucket length outside the collection",
+      "bucket length outside the collection", /*strict_ids=*/true,
       [&](int length, int* id) -> const char* {
         *id = lengths_reader.I32();
         if (*id < 0 || *id >= num_records) return "id outside the collection";
@@ -899,6 +941,10 @@ StatusOr<LoadedEdit> LoadEditSections(const IndexFileReader& reader, int tau,
       return SectionCorrupt(SectionId::kEditLengths,
                             "short id outside the collection");
     }
+  }
+  if (!StrictlyAscending(index->short_ids)) {
+    return SectionCorrupt(SectionId::kEditLengths,
+                          "short ids not strictly ascending");
   }
 
   LoadedEdit loaded;

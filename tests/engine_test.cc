@@ -1,13 +1,15 @@
 // Tests for the unified query engine: the parallel self-join must be
 // byte-identical to the sequential path in all four domains (pairs and
-// merged counters), SearchBatch must preserve input order, degenerate
-// collections must not trip the pool, and ThreadPool must cover its range
-// exactly once.
+// merged counters), every adapter's id-limited Search and JoinProbe must
+// keep the unbounded answer below the limit, SearchBatch must preserve
+// input order, degenerate collections must not trip the pool, and
+// ThreadPool must cover its range exactly once.
 
 #include "engine/engine.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <future>
 #include <memory>
@@ -15,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "api_test_util.h"
 #include "common/thread_pool.h"
 #include "datagen/binary_vectors.h"
 #include "datagen/graphs.h"
@@ -136,24 +139,167 @@ TEST(EngineTest, GraphParallelJoinDeterministic) {
   ExpectParallelJoinMatchesSequential(adapter);
 }
 
-TEST(EngineTest, JoinCandidatesExcludeSelfMatches) {
+TEST(EngineTest, JoinCandidatesCountBoundedProbes) {
   auto objects = MakeVectors(200, 91);
   HammingAdapter adapter(hamming::HammingSearcher(objects, 4), 8, 3);
-  // Expected: per-probe filter survivors, minus each probe's hit on itself.
+  // Expected: the candidates of each record's half-probe, which sees only
+  // the ids below it. A full probe over the whole collection (its hit on
+  // itself excluded) counts every candidate pair from both ends.
   HammingAdapter probe_copy = adapter;
   int64_t expected = 0;
+  int64_t full_probes = 0;
   for (int i = 0; i < adapter.size(); ++i) {
     QueryStats stats;
-    const auto ids = probe_copy.Search(probe_copy.query(i), &stats);
+    probe_copy.JoinProbe(i, &stats);
     expected += stats.candidates;
-    for (int id : ids) {
-      if (id == i) --expected;
-    }
+    QueryStats full;
+    const auto ids = probe_copy.Search(probe_copy.query(i), &full);
+    full_probes += full.candidates - std::count(ids.begin(), ids.end(), i);
   }
   Executor executor;
   JoinStats stats;
   SelfJoin(adapter, ExecutionContext(executor, {}), &stats);
   EXPECT_EQ(stats.candidates, expected);
+  EXPECT_LT(stats.candidates, full_probes);
+}
+
+// The id bound's contract on one adapter. For each probe query and every
+// limit L in [0, n]: Search(q, &s, L) returns the unbounded ids below L,
+// the candidate count starts at 0, grows by 0 or 1 from L to L + 1, and
+// reaches the unbounded count at L = n. And every record's JoinProbe(p)
+// equals Search(query(p), p) in ids and every counter — for the edit
+// adapter that compares the stored-state path with the derived one.
+template <Searcher S>
+void ExpectIdLimitContract(S& adapter, const std::vector<int>& probes) {
+  const int n = adapter.size();
+  for (int probe : probes) {
+    SCOPED_TRACE("probe " + std::to_string(probe));
+    const typename S::Query query = adapter.query(probe);
+    QueryStats unbounded_stats;
+    const std::vector<int> unbounded = adapter.Search(query, &unbounded_stats);
+    int64_t previous = 0;
+    for (int limit = 0; limit <= n; ++limit) {
+      QueryStats stats;
+      const std::vector<int> ids = adapter.Search(query, &stats, limit);
+      std::vector<int> want;
+      for (int id : unbounded) {
+        if (id < limit) want.push_back(id);
+      }
+      EXPECT_EQ(ids, want) << "limit " << limit;
+      const int64_t step = stats.candidates - previous;
+      EXPECT_TRUE(limit == 0 ? stats.candidates == 0 : step == 0 || step == 1)
+          << "limit " << limit << ": " << stats.candidates << " candidates";
+      previous = stats.candidates;
+    }
+    EXPECT_EQ(previous, unbounded_stats.candidates);
+  }
+  S search_copy = adapter;
+  for (int p = 0; p < n; ++p) {
+    SCOPED_TRACE("join probe " + std::to_string(p));
+    QueryStats probe_stats;
+    QueryStats search_stats;
+    const std::vector<int> joined = adapter.JoinProbe(p, &probe_stats);
+    EXPECT_EQ(joined,
+              search_copy.Search(search_copy.query(p), &search_stats, p));
+    api::ExpectSameCounters(probe_stats, search_stats);
+  }
+}
+
+// Probes for the limit sweep: the first, middle and last record, and the
+// record with the most matches.
+template <Searcher S>
+std::vector<int> SweepProbes(S& adapter) {
+  const int n = adapter.size();
+  int busiest = 0;
+  size_t most = 0;
+  for (int i = 0; i < n; ++i) {
+    const size_t matches = adapter.Search(adapter.query(i)).size();
+    if (matches > most) {
+      most = matches;
+      busiest = i;
+    }
+  }
+  EXPECT_GT(most, 2u) << "the data must hold matches for the sweep";
+  return {0, n / 2, n - 1, busiest};
+}
+
+TEST(EngineTest, IdLimitKeepsTheUnboundedAnswerBelowIt) {
+  {
+    SCOPED_TRACE("hamming");
+    HammingAdapter adapter(hamming::HammingSearcher(MakeVectors(200, 93), 4),
+                           8, 3);
+    ExpectIdLimitContract(adapter, SweepProbes(adapter));
+  }
+  {
+    SCOPED_TRACE("sets");
+    datagen::TokenSetConfig config;
+    config.num_records = 200;
+    config.avg_tokens = 12;
+    config.universe_size = 600;
+    config.duplicate_fraction = 0.4;
+    config.seed = 94;
+    setsim::SetCollection collection(datagen::GenerateTokenSets(config));
+    SetAdapter adapter(setsim::PkwiseSearcher(&collection, 0.6, 5),
+                       &collection, 2);
+    ExpectIdLimitContract(adapter, SweepProbes(adapter));
+  }
+  {
+    // Strings too short for the gram scheme (length < 4 at tau 2, kappa 2)
+    // sit among the others, so the short ids and the length lists are cut
+    // too, and a short probe takes the length-list path.
+    datagen::StringConfig config;
+    config.num_records = 196;
+    config.avg_length = 14;
+    config.duplicate_fraction = 0.4;
+    config.max_perturb_edits = 2;
+    config.seed = 95;
+    std::vector<std::string> data = datagen::GenerateStrings(config);
+    data.insert(data.begin() + 40, "ab");
+    data.insert(data.begin() + 90, "abc");
+    data.insert(data.begin() + 91, "bc");
+    data.insert(data.begin() + 150, "b");
+    for (const auto filter :
+         {editdist::EditFilter::kRing, editdist::EditFilter::kPivotal}) {
+      SCOPED_TRACE(filter == editdist::EditFilter::kRing ? "strings ring"
+                                                         : "strings pivotal");
+      const int chain_length = filter == editdist::EditFilter::kRing ? 3 : 1;
+      EditAdapter adapter(editdist::EditDistanceSearcher(&data, 2, 2), &data,
+                          filter, chain_length);
+      std::vector<int> probes = SweepProbes(adapter);
+      probes.push_back(90);  // "abc": a short probe
+      ExpectIdLimitContract(adapter, probes);
+    }
+  }
+  {
+    SCOPED_TRACE("strings fast path");
+    // Two cases at tau 2: j = 0 probes its partition index with a row
+    // limit, j = 1 (Hamming tau 0) cuts its exact-match table.
+    datagen::StringConfig config;
+    config.num_records = 200;
+    config.fixed_length = 12;
+    config.duplicate_fraction = 0.4;
+    config.max_perturb_edits = 2;
+    config.seed = 96;
+    const auto data = datagen::GenerateStrings(config);
+    EditFastAdapter adapter(editdist::CaseDecSearcher(&data, 2), &data, 2);
+    ASSERT_EQ(adapter.searcher().cases().size(), 2u);
+    ExpectIdLimitContract(adapter, SweepProbes(adapter));
+  }
+  {
+    SCOPED_TRACE("graphs");
+    datagen::GraphConfig config;
+    config.num_graphs = 160;
+    config.avg_vertices = 8;
+    config.avg_edges = 9;
+    config.vertex_labels = 8;
+    config.duplicate_fraction = 0.4;
+    config.max_perturb_ops = 2;
+    config.seed = 97;
+    const auto data = datagen::GenerateGraphs(config);
+    GraphAdapter adapter(graphed::GraphSearcher(&data, 2), &data,
+                         graphed::GraphFilter::kRing, 2);
+    ExpectIdLimitContract(adapter, SweepProbes(adapter));
+  }
 }
 
 TEST(EngineTest, EmptyCollectionsJoinToNothing) {

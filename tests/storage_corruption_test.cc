@@ -24,6 +24,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <filesystem>
@@ -478,6 +479,154 @@ TEST(StorageCorruptionTest, HammingPostingsAreValidated) {
     expect_refused(image, "last bucket of the dump one id short",
                    "fewer postings than rows");
   }
+}
+
+// One id list of a section image: where its entries start and how many
+// it holds.
+struct ListAt {
+  size_t at;
+  uint64_t count;
+};
+
+// Walks the edit sections' keyed-list form from `at`: a u64 list count,
+// then per list an i32 key, a u64 entry count and the entries. Leaves `at`
+// just past the lists.
+std::vector<ListAt> WalkKeyedLists(const std::vector<uint8_t>& image,
+                                   size_t& at, size_t entry_bytes) {
+  std::vector<ListAt> lists;
+  const uint64_t num_lists = ReadU64(image, at);
+  at += 8;
+  for (uint64_t k = 0; k < num_lists; ++k) {
+    const uint64_t count = ReadU64(image, at + 4);
+    lists.push_back({at + 12, count});
+    at += 12 + entry_bytes * count;
+  }
+  return lists;
+}
+
+// Swaps the `bytes`-byte entries at `a` and `b` of `image`.
+void SwapEntries(std::vector<uint8_t>& image, size_t a, size_t b,
+                 size_t bytes) {
+  std::swap_ranges(image.begin() + a, image.begin() + a + bytes,
+                   image.begin() + b);
+}
+
+uint32_t ReadU32(const std::vector<uint8_t>& image, size_t offset) {
+  uint32_t value = 0;
+  for (int i = 0; i < 4; ++i) {
+    value |= static_cast<uint32_t>(image[offset + i]) << (8 * i);
+  }
+  return value;
+}
+
+// Searches cut every id list at an id limit by binary search (a self-join
+// probe reads only the ids below it), so the loader refuses a list whose
+// ids are out of order: two entries swapped in a set inverted list, in an
+// edit pivotal, prefix or length list, or in the edit short ids.
+TEST(StorageCorruptionTest, PostingIdsAreOrdered) {
+  // The strings index gets four strings too short for the gram scheme
+  // (kappa * tau + 1 = 5 grams need length 4), so its short ids and its
+  // length-1 list each hold two ids or more.
+  DomainIndex strings;
+  strings.name = "strings_with_short";
+  strings.spec.domain = Domain::kEdit;
+  strings.spec.tau = 2;
+  strings.spec.chain_length = 2;
+  strings.spec.kappa = 2;
+  strings.spec.edit_fast_path = EditFastPath::kOff;
+  {
+    datagen::StringConfig config;
+    config.num_records = 80;
+    config.avg_length = 12;
+    config.seed = 93;
+    std::vector<std::string> data = datagen::GenerateStrings(config);
+    for (const char* s : {"a", "bc", "ab", "c"}) data.push_back(s);
+    auto db = Db::Open(strings.spec, Dataset(std::move(data)));
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    strings.image = SavedBytes(*db, "short.pgri");
+  }
+  const DomainIndex* sets = nullptr;
+  for (const DomainIndex& d : AllDomains()) {
+    if (std::string(d.name) == "sets") sets = &d;
+  }
+  ASSERT_NE(sets, nullptr);
+
+  auto expect_refused = [](const DomainIndex& base, storage::SectionId id,
+                           const char* label, const char* reason,
+                           auto&& mutate) {
+    const auto ranges = SectionRangesOf(base.image);
+    size_t section = ranges.size();
+    for (size_t s = 0; s < ranges.size(); ++s) {
+      if (ranges[s].first == id) section = s;
+    }
+    ASSERT_LT(section, ranges.size()) << static_cast<uint32_t>(id);
+    std::vector<uint8_t> image = base.image;
+    const size_t begin = static_cast<size_t>(ranges[section].second.first);
+    ASSERT_TRUE(mutate(image, begin)) << label << ": no list to swap";
+    RepairChecksums(image, section, ranges);
+    ExpectOpenFails(base, std::move(image), StatusCode::kDataLoss, label,
+                    reason);
+  };
+  // Swaps two adjacent entries of the first list whose ids differ there.
+  auto swap_in_lists = [](std::vector<uint8_t>& image,
+                          const std::vector<ListAt>& lists,
+                          size_t entry_bytes) {
+    for (const ListAt& list : lists) {
+      for (uint64_t k = 0; k + 1 < list.count; ++k) {
+        const size_t a = list.at + k * entry_bytes;
+        const size_t b = a + entry_bytes;
+        if (ReadU32(image, a) == ReadU32(image, b)) continue;
+        SwapEntries(image, a, b, entry_bytes);
+        return true;
+      }
+    }
+    return false;
+  };
+
+  // kSetInverted: u32 list count, then one u64 count + i32 ids per rank.
+  expect_refused(
+      *sets, storage::SectionId::kSetInverted, "set inverted ids swapped",
+      "posting ids not strictly ascending",
+      [&](std::vector<uint8_t>& image, size_t begin) {
+        std::vector<ListAt> lists;
+        size_t at = begin + 4;
+        for (uint32_t rank = 0; rank < ReadU32(image, begin); ++rank) {
+          const uint64_t count = ReadU64(image, at);
+          lists.push_back({at + 8, count});
+          at += 8 + 4 * count;
+        }
+        return swap_in_lists(image, lists, 4);
+      });
+  // Pivotal postings are (id, pivotal index, position), prefix postings
+  // (id, position); a swap keeps each entry valid and only breaks order.
+  expect_refused(strings, storage::SectionId::kEditPivotalIndex,
+                 "edit pivotal postings swapped", "list ids descend",
+                 [&](std::vector<uint8_t>& image, size_t begin) {
+                   return swap_in_lists(image,
+                                        WalkKeyedLists(image, begin, 12), 12);
+                 });
+  expect_refused(strings, storage::SectionId::kEditPrefixIndex,
+                 "edit prefix postings swapped", "list ids descend",
+                 [&](std::vector<uint8_t>& image, size_t begin) {
+                   return swap_in_lists(image,
+                                        WalkKeyedLists(image, begin, 8), 8);
+                 });
+  // kEditLengths: the length lists, then the short ids as u64 count +
+  // i32 ids.
+  expect_refused(strings, storage::SectionId::kEditLengths,
+                 "edit length ids swapped", "list ids not strictly ascending",
+                 [&](std::vector<uint8_t>& image, size_t begin) {
+                   return swap_in_lists(image,
+                                        WalkKeyedLists(image, begin, 4), 4);
+                 });
+  expect_refused(strings, storage::SectionId::kEditLengths,
+                 "edit short ids swapped", "short ids not strictly ascending",
+                 [&](std::vector<uint8_t>& image, size_t begin) {
+                   size_t at = begin;
+                   WalkKeyedLists(image, at, 4);
+                   return swap_in_lists(image, {{at + 8, ReadU64(image, at)}},
+                                        4);
+                 });
 }
 
 // A Save cut short must leave the index already at the path intact: with
