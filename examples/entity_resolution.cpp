@@ -68,8 +68,8 @@ int main() {
       millis += stats.total_millis;
     }
     const double n = static_cast<double>(queries.size());
-    table.AddRow({std::string(name), Table::Num(c1 / n, 1), Table::Num(c2 / n, 1),
-                  Table::Num(millis / n, 3)});
+    table.AddRow({std::string(name), Table::Num(c1 / n, 1),
+                  Table::Num(c2 / n, 1), Table::Num(millis / n, 3)});
   }
   std::printf("\n");
   table.Print();

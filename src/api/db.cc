@@ -20,7 +20,6 @@
 #include "setsim/record.h"
 #include "shard/partitioner.h"
 #include "shard/scatter.h"
-#include "shard/split.h"
 #include "storage/bytes.h"
 #include "storage/index_file.h"
 #include "storage/index_io.h"
@@ -275,12 +274,9 @@ void WriteSections(const engine::GraphAdapter& adapter,
 // shared_ptr) and forwards to the templated engine drivers, so the only
 // erased work per call is the query-list conversion.
 //
-// With a fleet the full prototype stays — RecordQuery, RawDataset,
-// SaveSections, and self-join probes all read it, which is what keeps a
-// sharded database's persisted bytes and raw dataset identical to the
-// unsharded ones — and only NewCursor changes, minting a scatter-gather
-// cursor over the fleet. The fleet is projected out of the full index
-// (shard/split.h), never built independently.
+// A fleet is only id ranges and executors (shard/scatter.h): every shard
+// searches the one prototype, so only NewCursor changes, minting a
+// scatter-gather cursor over the fleet.
 template <engine::Searcher S>
 class Model final : public AnySearcher {
  public:
@@ -289,10 +285,7 @@ class Model final : public AnySearcher {
         owned_(std::move(owned)),
         adapter_(std::move(adapter)) {
     if (spec_.shards > 1) {
-      const shard::Partitioner partitioner(shard::PlacementMode::kRoundRobin,
-                                           spec_.shards);
-      fleet_ = shard::MakeFleet(partitioner, adapter_.size(),
-                                shard::Split(adapter_, partitioner));
+      fleet_ = shard::MakeFleet(adapter_.size(), spec_.shards);
     }
   }
 
@@ -317,18 +310,6 @@ class Model final : public AnySearcher {
       return std::make_unique<ShardedCursor>(adapter_, fleet_);
     }
     return std::make_unique<Cursor>(adapter_);
-  }
-
-  std::vector<int> ShardSizes() const override {
-    if (fleet_ == nullptr) return {adapter_.size()};
-    // Counted through the partitioner, not the fleet's shard list: the
-    // fleet drops empty shards, but the monitoring surface reports all
-    // spec.shards slots.
-    std::vector<int> sizes(fleet_->partitioner.shards(), 0);
-    for (int g = 0; g < fleet_->num_records; ++g) {
-      ++sizes[fleet_->partitioner.ShardOf(g)];
-    }
-    return sizes;
   }
 
   void SaveSections(storage::IndexFileWriter& writer) const override {
@@ -389,15 +370,15 @@ class Model final : public AnySearcher {
     S adapter_;
   };
 
-  // The scatter-gather counterpart of Cursor: per-shard scratch adapters,
-  // merged through shard/scatter.h's drivers so the answer is
+  // The scatter-gather counterpart of Cursor: one clone of the prototype
+  // per shard range, merged through shard/scatter.h so the answer is
   // byte-identical to the unsharded cursor's at any shard / thread count.
   class ShardedCursor : public AnyCursor {
    public:
-    ShardedCursor(const S& full, std::shared_ptr<const shard::Fleet<S>> fleet)
+    ShardedCursor(const S& full, std::shared_ptr<const shard::Fleet> fleet)
         : full_(full),
           fleet_(std::move(fleet)),
-          scratch_(shard::CloneShardAdapters(*fleet_)) {}
+          scratch_(fleet_->shards.size(), full) {}
 
     std::vector<int> SearchOne(const Query& query,
                                engine::QueryStats* stats) override {
@@ -416,8 +397,8 @@ class Model final : public AnySearcher {
 
     std::vector<engine::IdPair> SelfJoin(const engine::ExecutionContext& ctx,
                                          engine::JoinStats* stats) override {
-      return shard::ScatterSelfJoin(*fleet_, full_, scratch_,
-                                    ShardOptions(ctx), stats);
+      return shard::ScatterSelfJoin(*fleet_, scratch_, ShardOptions(ctx),
+                                    stats);
     }
 
    private:
@@ -437,15 +418,15 @@ class Model final : public AnySearcher {
 
     // The owning snapshot outlives every cursor (sessions and in-flight
     // submissions pin it), so a plain reference is safe.
-    const S& full_;  // the model's prototype: maps queries, probes joins
-    std::shared_ptr<const shard::Fleet<S>> fleet_;
+    const S& full_;  // the model's prototype: maps queries
+    std::shared_ptr<const shard::Fleet> fleet_;
     std::vector<S> scratch_;  // one mutable clone per shard
   };
 
   IndexSpec spec_;
   std::shared_ptr<const void> owned_;  // declared first: adapter_ views it
   S adapter_;
-  std::shared_ptr<const shard::Fleet<S>> fleet_;
+  std::shared_ptr<const shard::Fleet> fleet_;
 };
 
 bool RingEnabled(const IndexSpec& spec) {
@@ -464,7 +445,7 @@ bool RingEnabled(const IndexSpec& spec) {
 //
 // One MakeAdapter per adapter type binds the spec's per-query parameters
 // (threshold, chain length, filter, allocation mode). Every build and load
-// path shares it, and shard adapters inherit the result through Rebind.
+// path shares it.
 
 engine::HammingAdapter MakeAdapter(const IndexSpec& spec,
                                    hamming::HammingSearcher searcher) {
@@ -995,11 +976,11 @@ StatusOr<Db> Db::OpenIndex(const IndexSpec& spec,
     auto section = reader->Section(storage::SectionId::kShardMap);
     if (!section.ok()) return section.status();
     storage::ByteReader r = *section;
-    shard::Partitioner partitioner;
-    if (!partitioner.Decode(r)) {
+    const std::optional<int> shards = shard::DecodeShardMap(r);
+    if (!shards) {
       return Status::DataLoss("index section 80 corrupt: malformed shard map");
     }
-    resolved.shards = partitioner.shards();
+    resolved.shards = *shards;
   }
   StatusOr<std::unique_ptr<const internal::AnySearcher>> searcher = [&] {
     switch (resolved.domain) {
@@ -1041,9 +1022,7 @@ Status Db::Save(const std::string& path) const {
     // OpenIndex can re-adopt it; an unsharded save stays byte-identical
     // to pre-shard-era files.
     storage::ByteWriter w;
-    shard::Partitioner(shard::PlacementMode::kRoundRobin,
-                       view.state->spec.shards)
-        .Encode(w);
+    shard::EncodeShardMap(w, view.state->spec.shards);
     writer.AddSection(storage::SectionId::kShardMap, std::move(w).Take());
   }
   to_save->SaveSections(writer);
@@ -1070,30 +1049,30 @@ uint64_t Db::epoch() const {
 }
 
 std::vector<int> Db::ShardSizes() const {
-  return internal::AcquireView(*hub_).state->searcher->ShardSizes();
+  std::vector<int> sizes;
+  for (const DbShardStat& stat : ShardStats()) sizes.push_back(stat.records);
+  return sizes;
 }
 
 std::vector<DbShardStat> Db::ShardStats() const {
   internal::HubView view = internal::AcquireView(*hub_);
-  const std::vector<int> sizes = view.state->searcher->ShardSizes();
+  const std::vector<IdRange> ranges = shard::ShardRanges(
+      view.state->searcher->size(), view.state->spec.shards);
   std::vector<DbShardStat> stats;
-  stats.reserve(sizes.size());
-  for (int records : sizes) stats.push_back({records, 0});
-  const shard::Partitioner partitioner(shard::PlacementMode::kRoundRobin,
-                                       static_cast<int>(stats.size()));
-  const int base = view.state->searcher->size();
-  // Pending insert k occupies public id base + k within this epoch; route
-  // it by the placement the next compaction's renumbering will apply.
-  // Removals land on the shard owning the removed record.
-  for (int k = 0; k < static_cast<int>(view.delta->inserts.size()); ++k) {
-    ++stats[partitioner.ShardOf(base + k)].pending_delta;
+  stats.reserve(ranges.size());
+  for (const IdRange& range : ranges) {
+    stats.push_back({range.end - range.begin, 0});
   }
+  // A base removal lands on the range holding the id. Ids past the base
+  // extend the last range until the next compaction cuts the ranges
+  // again, so pending inserts and their removals land there.
   for (int id : view.delta->removed_base) {
-    ++stats[partitioner.ShardOf(id)].pending_delta;
+    const auto after = std::ranges::upper_bound(
+        ranges, id, {}, [](const IdRange& range) { return range.begin; });
+    ++stats[static_cast<size_t>(after - ranges.begin()) - 1].pending_delta;
   }
-  for (int k : view.delta->removed_delta) {
-    ++stats[partitioner.ShardOf(base + k)].pending_delta;
-  }
+  stats.back().pending_delta += static_cast<int>(
+      view.delta->inserts.size() + view.delta->removed_delta.size());
   return stats;
 }
 

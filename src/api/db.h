@@ -61,14 +61,16 @@
 
 namespace pigeonring::api {
 
-/// One shard's slice of a database, as reported by Db::ShardStats — the
-/// per-shard monitoring surface behind the net stats op. An unsharded
+/// One shard's id range of a database, as reported by Db::ShardStats —
+/// the per-shard monitoring surface behind the net stats op. An unsharded
 /// database reports one entry covering everything.
 struct DbShardStat {
-  /// Base-snapshot records placed on this shard.
+  /// Base-snapshot records in this shard's id range.
   int records = 0;
-  /// Pending writer mutations (inserts + removals) that land on this
-  /// shard's records when the next compaction publishes.
+  /// Pending writer mutations on this shard: removals of base records in
+  /// its range and, on the last shard, every pending insert and insert
+  /// removal (ids past the base extend the last range until the next
+  /// compaction cuts the ranges again).
   int pending_delta = 0;
 };
 
@@ -132,10 +134,10 @@ class Db {
   /// given Session observes.
   uint64_t epoch() const;
 
-  /// Base-snapshot record counts per shard (spec().shards entries,
-  /// possibly 0 for under-populated shards; one entry when unsharded).
-  /// Excludes pending delta inserts — their future placement shows up in
-  /// ShardStats().
+  /// Base-snapshot record counts per shard range (spec().shards entries,
+  /// possibly 0 when there are fewer records than shards; one entry when
+  /// unsharded). Sizes differ by at most one. Excludes pending delta
+  /// inserts — they show up in ShardStats().
   std::vector<int> ShardSizes() const;
 
   /// Per-shard record + pending-mutation counts of the current epoch (see

@@ -57,10 +57,6 @@ class AnySearcher {
   /// validated.
   virtual Status ValidateQuery(const Query& query) const = 0;
   virtual std::unique_ptr<AnyCursor> NewCursor() const = 0;
-  /// Record counts per shard, in ascending shard order — {size()} for an
-  /// unsharded snapshot, spec.shards entries (possibly 0) for a sharded
-  /// one. Monitoring surface (Db::ShardStats -> the net stats op).
-  virtual std::vector<int> ShardSizes() const { return {size()}; }
   /// Serializes the snapshot's built state into typed sections of `writer`
   /// (storage/index_io.h) — the Db::Save half of the persistent index
   /// format. Deterministic: two calls on the same snapshot add

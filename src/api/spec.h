@@ -97,11 +97,11 @@ struct IndexSpec {
   /// Probes claimed per scheduling step by the thread pool.
   int chunk = 8;
 
-  /// Scatter-gather shard count S (src/shard/): the collection is
-  /// partitioned round-robin into S shards, each with its own projected
-  /// searcher and executor, and every query / self-join is scattered to
-  /// all shards and merged byte-identically to the unsharded answer. 1 (the
-  /// default) serves the single unsharded searcher. A serving-time knob:
+  /// Scatter-gather shard count S (src/shard/): the collection's ids are
+  /// cut into S contiguous ranges of the one index, each served by its own
+  /// executor, and every query / self-join is scattered to all ranges and
+  /// merged byte-identically to the unsharded answer. 1 (the default)
+  /// serves the single unsharded searcher. A serving-time knob:
   /// excluded from BuildFingerprint and from the kSpec section, but
   /// Db::Save records the shard map of a sharded database and
   /// Db::OpenIndex adopts it when the opening spec leaves shards at 1

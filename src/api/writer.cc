@@ -61,7 +61,8 @@ std::shared_ptr<const DeltaSnapshot> RebaseDelta(const DeltaSnapshot& built,
   // absorbed.
   for (int id : now.removed_base) {
     if (!engine::SortedContains(built.removed_base, id)) {
-      rebased->removed_base.push_back(engine::SurvivorId(built.removed_base, id));
+      rebased->removed_base.push_back(
+          engine::SurvivorId(built.removed_base, id));
     }
   }
   // Unabsorbed delta removals: a target logged before the snapshot is now

@@ -1,16 +1,19 @@
-// Id bounds on a search: the half-probe self-join's cut of posting lists.
+// Id ranges on a search: the cut of posting lists behind half-probe
+// self-joins and shards.
 //
-// Every domain searcher's Search takes an `id_limit` and considers only
-// the records with id < id_limit; kNoIdLimit (the default) considers all
-// of them. A self-join probe p passes p, so it finds each matching pair
-// once, from its larger id (all four predicates are symmetric). A bounded
-// search keeps exactly the unbounded search's candidates and results
-// below the limit: every filter decision is per record, and threshold
-// allocation reads the unbounded index statistics.
+// Every domain searcher's Search takes an IdRange and considers only the
+// records with ids in [begin, end); the default range covers all of them.
+// A self-join probe p passes [0, p), so it finds each matching pair once,
+// from its larger id (all four predicates are symmetric). A shard is a
+// range of the one index (shard/partitioner.h). A ranged search keeps
+// exactly the unbounded search's candidates and results inside the range:
+// every filter decision is per record, and threshold allocation reads the
+// statistics of the whole index. So the integral counters of disjoint
+// ranges sum to the unbounded counters.
 //
-// Posting lists are id-ascending, so a limit cuts each list once, at its
-// end: CutAtIdLimit costs one comparison against the list's last id and,
-// only when that id reaches the limit, one binary search.
+// Posting lists are id-ascending, so a range cuts each list at its two
+// ends: CutToIdRange costs one comparison per end and, only when that end
+// falls inside the list, one binary search.
 
 #ifndef PIGEONRING_COMMON_ID_LIMIT_H_
 #define PIGEONRING_COMMON_ID_LIMIT_H_
@@ -22,20 +25,39 @@
 
 namespace pigeonring {
 
-/// The id_limit of an unbounded search.
-inline constexpr int kNoIdLimit = std::numeric_limits<int>::max();
+/// The half-open id range [begin, end). The default covers every id.
+struct IdRange {
+  int begin = 0;
+  int end = std::numeric_limits<int>::max();
 
-/// The prefix of `list` whose ids are below `id_limit`. `list` must be
+  /// The part of this range below `limit`: a self-join probe's range.
+  IdRange Below(int limit) const { return {begin, std::min(end, limit)}; }
+  /// This range clamped to the ids [0, size) of a collection; begin <= end.
+  IdRange ClampTo(int size) const {
+    const int first = std::clamp(begin, 0, size);
+    return {first, std::clamp(end, first, size)};
+  }
+};
+
+/// The entries of `list` whose ids lie in `range`. `list` must be
 /// non-decreasing in `id_of(entry)` (the entry itself by default).
 template <typename T, typename IdOf = std::identity>
-std::span<const T> CutAtIdLimit(std::span<const T> list, int id_limit,
+std::span<const T> CutToIdRange(std::span<const T> list, IdRange range,
                                 IdOf id_of = {}) {
-  if (list.empty() || std::invoke(id_of, list.back()) < id_limit) return list;
-  const auto end =
-      std::partition_point(list.begin(), list.end(), [&](const T& entry) {
-        return std::invoke(id_of, entry) < id_limit;
-      });
-  return list.first(static_cast<size_t>(end - list.begin()));
+  if (list.empty()) return list;
+  auto first = list.begin();
+  auto last = list.end();
+  if (std::invoke(id_of, list.front()) < range.begin) {
+    first = std::partition_point(first, last, [&](const T& entry) {
+      return std::invoke(id_of, entry) < range.begin;
+    });
+  }
+  if (std::invoke(id_of, list.back()) >= range.end) {
+    last = std::partition_point(first, last, [&](const T& entry) {
+      return std::invoke(id_of, entry) < range.end;
+    });
+  }
+  return {first, last};
 }
 
 }  // namespace pigeonring

@@ -51,10 +51,11 @@ struct EditFastPathAdvice {
 /// length, or -1 when the collection is ineligible (mixed lengths, empty
 /// strings, over-long strings — the caller computes it via
 /// editdist::CaseDecSearcher::UniformLength). Beyond eligibility the
-/// advisor enforces an index-size budget: the deletion neighborhoods of
-/// the deepest case must stay small (C(L, floor(tau/2)) variants per
-/// record, and num_records * variants total signature rows), since the
-/// fast path trades index memory for filter speed.
+/// advisor declines tau >= 3, where the pivotal path measured faster, and
+/// enforces an index-size budget: the deletion neighborhoods of the
+/// deepest case must stay small (C(L, floor(tau/2)) variants per record,
+/// and num_records * variants total signature rows), since the fast path
+/// trades index memory for filter speed.
 EditFastPathAdvice AdviseEditFastPath(int64_t num_records,
                                       int uniform_length, int tau);
 

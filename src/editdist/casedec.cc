@@ -179,12 +179,12 @@ CaseDecSearcher CaseDecSearcher::FromBuilt(
 std::vector<int> CaseDecSearcher::Search(const std::string& query,
                                          int chain_length,
                                          engine::QueryStats* stats,
-                                         int id_limit) {
+                                         IdRange range) {
   StopWatch total_watch;
   engine::QueryStats local;
   std::vector<int> results;
   const int n = static_cast<int>(data_->size());
-  const int end = std::min(n, id_limit);  // records [0, end) are searched
+  const IdRange ids = range.ClampTo(n);  // the records searched
   const int query_length = static_cast<int>(query.size());
   if (n > 0 && query_length != length_) {
     // The decomposition is defined for same-length pairs only; a
@@ -192,12 +192,12 @@ std::vector<int> CaseDecSearcher::Search(const std::string& query,
     // data) is answered by a sound banded-DP scan.
     if (std::abs(query_length - length_) <= tau_) {
       StopWatch verify_watch;
-      for (int id = 0; id < end; ++id) {
+      for (int id = ids.begin; id < ids.end; ++id) {
         if (BandedEditDistance(query, (*data_)[id], tau_) <= tau_) {
           results.push_back(id);
         }
       }
-      local.candidates = end;
+      local.candidates = ids.end - ids.begin;
       local.verify_millis = verify_watch.ElapsedMillis();
     }
     local.candidates_stage2 = local.candidates;
@@ -212,15 +212,15 @@ std::vector<int> CaseDecSearcher::Search(const std::string& query,
   std::vector<int> candidates;
   if (cases_.empty()) {
     // Verify-only regime (tau >= length): every record is a candidate.
-    candidates.resize(end);
-    for (int id = 0; id < end; ++id) candidates[id] = id;
+    for (int id = ids.begin; id < ids.end; ++id) candidates.push_back(id);
   } else {
     AdvanceEpoch(&epoch_, &seen_epoch_);
     for (Case& c : cases_) {
       const int64_t variants = VariantsPerRecord(length_, c.indels);
-      // Record-major rows: records [0, end) own rows [0, row_limit), which
-      // fits an int because the case's n * variants rows do.
-      const int row_limit = static_cast<int>(end * variants);
+      // Record-major rows: the records in `ids` own the rows in `rows`,
+      // which fit an int because the case's n * variants rows do.
+      const IdRange rows{static_cast<int>(ids.begin * variants),
+                         static_cast<int>(ids.end * variants)};
       const auto admit_row = [&](int64_t row) {
         const int id = static_cast<int>(row / variants);
         if (seen_epoch_[id] == epoch_) return;
@@ -236,10 +236,9 @@ std::vector<int> CaseDecSearcher::Search(const std::string& query,
             length_, c.indels, [&](const std::vector<int>& deleted) {
               const uint64_t h = HashVariant(query, deleted);
               const auto first = std::lower_bound(
-                  table.begin(), table.end(),
-                  std::make_pair(h, static_cast<int32_t>(0)));
+                  table.begin(), table.end(), std::make_pair(h, rows.begin));
               const auto last = std::lower_bound(
-                  first, table.end(), std::make_pair(h, row_limit));
+                  first, table.end(), std::make_pair(h, rows.end));
               for (auto it = first; it != last; ++it) {
                 ++local.index_hits;
                 ++local.fast_path_hits;
@@ -252,14 +251,13 @@ std::vector<int> CaseDecSearcher::Search(const std::string& query,
           length_, c.indels, [&](const std::vector<int>& deleted) {
             const BitVector signature = EncodeVariant(query, deleted);
             engine::QueryStats hamming_stats;
-            const std::vector<int> rows = c.searcher.Search(
+            const std::vector<int> hits = c.searcher.Search(
                 signature, c.hamming_tau, chain_length,
-                hamming::AllocationMode::kRadiusZero, &hamming_stats,
-                row_limit);
+                hamming::AllocationMode::kRadiusZero, &hamming_stats, rows);
             local.index_hits += hamming_stats.index_hits;
             local.chain_checks += hamming_stats.chain_checks;
-            local.fast_path_hits += static_cast<int64_t>(rows.size());
-            for (const int row : rows) admit_row(row);
+            local.fast_path_hits += static_cast<int64_t>(hits.size());
+            for (const int row : hits) admit_row(row);
           });
     }
   }

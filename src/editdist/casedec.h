@@ -108,14 +108,14 @@ class CaseDecSearcher {
   int num_records() const { return static_cast<int>(data_->size()); }
   const std::vector<Case>& cases() const { return cases_; }
 
-  /// Finds ids below `id_limit` (common/id_limit.h) of all strings with
+  /// Finds ids in `range` (common/id_limit.h) of all strings with
   /// ed(x, query) <= tau, identical to the pivotal path's result set.
   /// `chain_length` is forwarded to the per-case Hamming chain filter
   /// (clamped to each case's part count). Rows are record-major, so case j
-  /// bounds its rows at id_limit * C(L, j).
+  /// searches the rows [begin * C(L, j), end * C(L, j)).
   std::vector<int> Search(const std::string& query, int chain_length,
                           engine::QueryStats* stats = nullptr,
-                          int id_limit = kNoIdLimit);
+                          IdRange range = {});
 
   // --- building blocks, exposed for the storage codec and tests ---
 

@@ -102,8 +102,8 @@ std::shared_ptr<Index> BuildIndex(const std::vector<std::string>* data,
   return index;
 }
 
-/// Fills the derived state of a built, loaded or projected index: the ring
-/// arrays and every posting's length and prefix_last_rank.
+/// Fills the derived state of a built or loaded index: the ring arrays
+/// and every posting's length and prefix_last_rank.
 void DeriveIndex(const std::vector<std::string>& data, int tau,
                  Index* index) {
   const size_t m = static_cast<size_t>(tau) + 1;
@@ -215,7 +215,7 @@ std::vector<int> EditDistanceSearcher::Search(const std::string& query,
                                               EditFilter filter,
                                               int chain_length,
                                               engine::QueryStats* stats,
-                                              int id_limit) {
+                                              IdRange range) {
   const StopWatch started;
   const GramProfile profile = index_->dictionary.Profile(query, tau_);
   std::string padded;
@@ -226,23 +226,25 @@ std::vector<int> EditDistanceSearcher::Search(const std::string& query,
     AppendWindowMasks(padded, kappa_, &masks);
   }
   const Probe probe{query, profile, padded, masks};
-  return SearchProbe(probe, filter, chain_length, id_limit, started, stats);
+  return SearchProbe(probe, filter, chain_length, range, started, stats);
 }
 
 std::vector<int> EditDistanceSearcher::JoinProbe(int id, EditFilter filter,
                                                  int chain_length,
-                                                 engine::QueryStats* stats) {
+                                                 engine::QueryStats* stats,
+                                                 IdRange range) {
   const StopWatch started;
   const Index& index = *index_;
   const auto masks = List(index.window_offsets, index.window_masks, id);
   const Probe probe{(*data_)[id], index.profiles[id], index.padded[id], masks};
-  return SearchProbe(probe, filter, chain_length, id, started, stats);
+  return SearchProbe(probe, filter, chain_length, range.Below(id), started,
+                     stats);
 }
 
 std::vector<int> EditDistanceSearcher::SearchProbe(const Probe& probe,
                                                    EditFilter filter,
                                                    int chain_length,
-                                                   int id_limit,
+                                                   IdRange range,
                                                    const StopWatch& started,
                                                    engine::QueryStats* stats) {
   StopWatch phase_watch = started;
@@ -271,21 +273,21 @@ std::vector<int> EditDistanceSearcher::SearchProbe(const Probe& probe,
     candidates.push_back(id);
   };
 
-  // Every list below is id-ascending and read only up to id_limit.
+  // Every list below is id-ascending and read only inside the range.
   if (q_profile.is_short) {
     // Too few query grams for the pivotal scheme: fall back to the length
     // filter for the whole collection.
     const int max_length = static_cast<int>(index.length_offsets.size()) - 2;
     for (int len = std::max(0, q_len - tau_);
          len <= std::min(q_len + tau_, max_length); ++len) {
-      const auto ids = CutAtIdLimit(
-          List(index.length_offsets, index.length_ids, len), id_limit);
+      const auto ids = CutToIdRange(
+          List(index.length_offsets, index.length_ids, len), range);
       for (int id : ids) add_candidate(id);
     }
   } else {
     // Short data strings are always candidates (within the length window).
     const auto short_ids =
-        CutAtIdLimit(std::span<const int>(index.short_ids), id_limit);
+        CutToIdRange(std::span<const int>(index.short_ids), range);
     for (int id : short_ids) {
       const int len = static_cast<int>((*data_)[id].size());
       if (std::abs(len - q_len) <= tau_) add_candidate(id);
@@ -349,9 +351,9 @@ std::vector<int> EditDistanceSearcher::SearchProbe(const Probe& probe,
     // pivotal grams. The ring is x's.
     for (const Gram& g : q_profile.prefix) {
       if (g.rank < 0) continue;
-      const auto list = CutAtIdLimit(
-          List(index.pivotal_offsets, index.pivotal_postings, g.rank),
-          id_limit, &PivotalPosting::id);
+      const auto list = CutToIdRange(
+          List(index.pivotal_offsets, index.pivotal_postings, g.rank), range,
+          &PivotalPosting::id);
       const int count = select(list, true, g);
       for (int s = 0; s < count; ++s) {
         const PivotalPosting& posting = list[selected_[s]];
@@ -367,8 +369,8 @@ std::vector<int> EditDistanceSearcher::SearchProbe(const Probe& probe,
     for (int j = 0; j < m; ++j) {
       const Gram& g = q_profile.pivotal[j];
       if (g.rank < 0) continue;
-      const auto list = CutAtIdLimit(
-          List(index.prefix_offsets, index.prefix_postings, g.rank), id_limit,
+      const auto list = CutToIdRange(
+          List(index.prefix_offsets, index.prefix_postings, g.rank), range,
           &PrefixPosting::id);
       const int count = select(list, false, g);
       for (int s = 0; s < count; ++s) {

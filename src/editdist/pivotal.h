@@ -82,7 +82,7 @@ class EditDistanceSearcher {
 
   /// The built gram machinery. Immutable after construction, shared between
   /// searcher copies; exposed so the storage layer can serialize and
-  /// bulk-load it and the shard layer can project it.
+  /// bulk-load it.
   ///
   /// Every index is flat. A CSR list is a half-open slice of one entry
   /// array: list k of (offsets, entries) is entries[offsets[k] ..
@@ -131,10 +131,9 @@ class EditDistanceSearcher {
                        int kappa);
 
   /// Assembles a searcher around an already-built index (the storage
-  /// layer's bulk-load path and the shard projection): no profiles or
-  /// postings are re-derived, only the ring arrays and the postings'
-  /// derived fields are filled in. `index` must describe exactly `data`
-  /// under the same tau and kappa.
+  /// layer's bulk-load path): no profiles or postings are re-derived, only
+  /// the ring arrays and the postings' derived fields are filled in.
+  /// `index` must describe exactly `data` under the same tau and kappa.
   static EditDistanceSearcher FromBuilt(const std::vector<std::string>* data,
                                         int tau, int kappa,
                                         std::shared_ptr<Index> index);
@@ -143,19 +142,20 @@ class EditDistanceSearcher {
   int num_boxes() const { return tau_ + 1; }
   const Index& index() const { return *index_; }
 
-  /// Finds ids below `id_limit` (common/id_limit.h) of all strings with
+  /// Finds ids in `range` (common/id_limit.h) of all strings with
   /// ed(x, query) <= tau. `chain_length` is used only by EditFilter::kRing
   /// (clamped to [1, tau + 1]; the paper's default is min(3, tau + 1)).
   std::vector<int> Search(const std::string& query, EditFilter filter,
                           int chain_length, engine::QueryStats* stats = nullptr,
-                          int id_limit = kNoIdLimit);
+                          IdRange range = {});
 
   /// Record `id`'s self-join probe: the ids and counters of
-  /// Search((*data)[id], filter, chain_length, stats, id), but the probe's
-  /// profile, padded string and window masks are read from the index
-  /// instead of being derived again.
+  /// Search((*data)[id], filter, chain_length, stats, range.Below(id)),
+  /// but the probe's profile, padded string and window masks are read from
+  /// the index instead of being derived again.
   std::vector<int> JoinProbe(int id, EditFilter filter, int chain_length,
-                             engine::QueryStats* stats = nullptr);
+                             engine::QueryStats* stats = nullptr,
+                             IdRange range = {});
 
  private:
   /// A query as the filter reads it: the string, its gram profile, and
@@ -175,7 +175,7 @@ class EditDistanceSearcher {
   /// was started with the query, so deriving the probe counts as filter
   /// time.
   std::vector<int> SearchProbe(const Probe& probe, EditFilter filter,
-                               int chain_length, int id_limit,
+                               int chain_length, IdRange range,
                                const StopWatch& started,
                                engine::QueryStats* stats);
 

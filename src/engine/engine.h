@@ -50,16 +50,55 @@ std::vector<S*> CloneForThreads(S& prototype, std::vector<S>& clones,
   return searchers;
 }
 
+/// The half-probes of a self-join against the ids in `range`: every probe
+/// p in (range.begin, size) runs JoinProbe(p, ., range) and contributes
+/// the pairs (id, p), id in range and below p. Returns the pairs unsorted
+/// and adds the probes' counters to `*merged`. The probe at range.begin is
+/// skipped: no id of the range lies below it.
+template <Searcher S>
+std::vector<IdPair> JoinProbes(S& prototype, const ExecutionContext& context,
+                               IdRange range, QueryStats* merged) {
+  std::vector<S> clones;
+  const auto searchers =
+      CloneForThreads(prototype, clones, context.num_threads());
+  std::vector<std::vector<IdPair>> found(searchers.size());
+  std::vector<QueryStats> partial(searchers.size());
+  const int first = range.begin + 1;
+  context.pool().ParallelFor(
+      std::max<int64_t>(0, prototype.size() - first), context.chunk(),
+      context.num_threads(),
+      [&](int thread, int64_t begin, int64_t end) {
+        S& searcher = *searchers[thread];
+        for (int64_t i = begin; i < end; ++i) {
+          const int probe = first + static_cast<int>(i);
+          QueryStats query_stats;
+          for (int id : searcher.JoinProbe(probe, &query_stats, range)) {
+            found[thread].push_back({id, probe});
+          }
+          partial[thread] += query_stats;
+        }
+      });
+
+  size_t total = 0;
+  for (const auto& f : found) total += f.size();
+  std::vector<IdPair> pairs;
+  pairs.reserve(total);
+  for (const auto& f : found) pairs.insert(pairs.end(), f.begin(), f.end());
+  for (const QueryStats& p : partial) *merged += p;
+  return pairs;
+}
+
 }  // namespace internal
 
 /// Runs every query through `prototype` (thread 0) or a clone of it and
-/// returns the result ids per query, in input order. `stats`, if given,
-/// receives the sum of the per-query counters (its *_millis fields are
-/// summed per-query times, not wall-clock time).
+/// returns the result ids in `range` per query, in input order. `stats`, if
+/// given, receives the sum of the per-query counters (its *_millis fields
+/// are summed per-query times, not wall-clock time).
 template <Searcher S>
 std::vector<std::vector<int>> SearchBatch(
     S& prototype, const std::vector<typename S::Query>& queries,
-    const ExecutionContext& context, QueryStats* stats = nullptr) {
+    const ExecutionContext& context, QueryStats* stats = nullptr,
+    IdRange range = {}) {
   std::vector<S> clones;
   const auto searchers =
       internal::CloneForThreads(prototype, clones, context.num_threads());
@@ -71,7 +110,8 @@ std::vector<std::vector<int>> SearchBatch(
       [&](int thread, int64_t begin, int64_t end) {
         for (int64_t i = begin; i < end; ++i) {
           QueryStats query_stats;
-          results[i] = searchers[thread]->Search(queries[i], &query_stats);
+          results[i] =
+              searchers[thread]->Search(queries[i], &query_stats, range);
           partial[thread] += query_stats;
         }
       });
@@ -92,36 +132,11 @@ template <Searcher S>
 std::vector<IdPair> SelfJoin(S& prototype, const ExecutionContext& context,
                              JoinStats* stats = nullptr) {
   StopWatch watch;
-  std::vector<S> clones;
-  const auto searchers =
-      internal::CloneForThreads(prototype, clones, context.num_threads());
-  std::vector<std::vector<IdPair>> found(searchers.size());
-  std::vector<QueryStats> partial(searchers.size());
-  context.pool().ParallelFor(
-      static_cast<int64_t>(prototype.size()), context.chunk(),
-      context.num_threads(),
-      [&](int thread, int64_t begin, int64_t end) {
-        S& searcher = *searchers[thread];
-        for (int64_t i = begin; i < end; ++i) {
-          const int probe = static_cast<int>(i);
-          QueryStats query_stats;
-          for (int id : searcher.JoinProbe(probe, &query_stats)) {
-            found[thread].push_back({id, probe});
-          }
-          partial[thread] += query_stats;
-        }
-      });
-
-  size_t total = 0;
-  for (const auto& f : found) total += f.size();
-  std::vector<IdPair> pairs;
-  pairs.reserve(total);
-  for (const auto& f : found) pairs.insert(pairs.end(), f.begin(), f.end());
+  QueryStats merged;
+  std::vector<IdPair> pairs =
+      internal::JoinProbes(prototype, context, IdRange{}, &merged);
   std::sort(pairs.begin(), pairs.end());
-
   if (stats != nullptr) {
-    QueryStats merged;
-    for (const QueryStats& p : partial) merged += p;
     stats->candidates = merged.candidates;
     stats->pairs = static_cast<int64_t>(pairs.size());
     stats->total_millis = watch.ElapsedMillis();

@@ -2,23 +2,22 @@
 //
 // A Searcher is a copyable, self-contained handle over one domain searcher
 // with every per-domain parameter (threshold, chain length, filter mode)
-// bound at construction. Each adapter's Rebind(searcher[, data]) makes a
-// new adapter with the same parameters over another searcher (how shard
-// adapters inherit the full adapter's, shard/split.h). It exposes the
-// uniform surface the batch drivers in engine/engine.h need:
+// bound at construction. It exposes the uniform surface that the batch
+// and join loops of engine/engine.h and shard/scatter.h need:
 //
 //   size()                 — number of records in the joined/probed
 //                            collection
 //   query(i)               — record i viewed as a query object
-//   Search(q, s[, limit])  — ascending ids of all records below `limit`
-//                            (default kNoIdLimit, common/id_limit.h) that
+//   Search(q, s[, range])  — ascending ids of all records in `range`
+//                            (default: every id, common/id_limit.h) that
 //                            match q; the wrapped searcher fills the
 //                            QueryStats itself
-//   JoinProbe(p, s)        — the self-join probe of record p: its matches
-//                            among ids < p, with the ids and counters of
-//                            Search(query(p), s, p). The edit adapter reads
-//                            the probe's gram state from its index; the
-//                            others call that Search.
+//   JoinProbe(p, s[, range]) — the self-join probe of record p: its
+//                            matches in range ∩ [0, p), with the ids and
+//                            counters of Search(query(p), s,
+//                            range.Below(p)). The edit adapter reads the
+//                            probe's gram state from its index; the others
+//                            call that Search.
 //
 // Copy construction is the cloning mechanism for parallel execution: the
 // engine drivers copy the adapter once per *extra* thread (thread 0 uses
@@ -53,13 +52,13 @@ template <typename S>
 concept Searcher =
     std::copy_constructible<S> &&
     requires(S s, const S cs, const typename S::Query& q, int i,
-             QueryStats* stats) {
+             QueryStats* stats, IdRange range) {
       typename S::Query;
       { cs.size() } -> std::convertible_to<int>;
       { cs.query(i) } -> std::convertible_to<const typename S::Query&>;
       { s.Search(q, stats) } -> std::same_as<std::vector<int>>;
-      { s.Search(q, stats, i) } -> std::same_as<std::vector<int>>;
-      { s.JoinProbe(i, stats) } -> std::same_as<std::vector<int>>;
+      { s.Search(q, stats, range) } -> std::same_as<std::vector<int>>;
+      { s.JoinProbe(i, stats, range) } -> std::same_as<std::vector<int>>;
     };
 
 /// Hamming distance search (§6.1) with a fixed tau / chain length /
@@ -79,15 +78,13 @@ class HammingAdapter {
   int size() const { return searcher_.num_objects(); }
   const Query& query(int i) const { return searcher_.objects()[i]; }
   const hamming::HammingSearcher& searcher() const { return searcher_; }
-  HammingAdapter Rebind(hamming::HammingSearcher searcher) const {
-    return HammingAdapter(std::move(searcher), tau_, chain_length_, mode_);
-  }
   std::vector<int> Search(const Query& query, QueryStats* stats = nullptr,
-                          int id_limit = kNoIdLimit) {
-    return searcher_.Search(query, tau_, chain_length_, mode_, stats, id_limit);
+                          IdRange range = {}) {
+    return searcher_.Search(query, tau_, chain_length_, mode_, stats, range);
   }
-  std::vector<int> JoinProbe(int probe, QueryStats* stats = nullptr) {
-    return Search(query(probe), stats, probe);
+  std::vector<int> JoinProbe(int probe, QueryStats* stats = nullptr,
+                             IdRange range = {}) {
+    return Search(query(probe), stats, range.Below(probe));
   }
 
  private:
@@ -113,16 +110,13 @@ class SetAdapter {
   const Query& query(int i) const { return collection_->record(i); }
   const setsim::PkwiseSearcher& searcher() const { return searcher_; }
   const setsim::SetCollection* collection() const { return collection_; }
-  SetAdapter Rebind(setsim::PkwiseSearcher searcher,
-                    const setsim::SetCollection* collection) const {
-    return SetAdapter(std::move(searcher), collection, chain_length_);
-  }
   std::vector<int> Search(const Query& query, QueryStats* stats = nullptr,
-                          int id_limit = kNoIdLimit) {
-    return searcher_.Search(query, chain_length_, stats, id_limit);
+                          IdRange range = {}) {
+    return searcher_.Search(query, chain_length_, stats, range);
   }
-  std::vector<int> JoinProbe(int probe, QueryStats* stats = nullptr) {
-    return Search(query(probe), stats, probe);
+  std::vector<int> JoinProbe(int probe, QueryStats* stats = nullptr,
+                             IdRange range = {}) {
+    return Search(query(probe), stats, range.Below(probe));
   }
 
  private:
@@ -149,18 +143,15 @@ class EditAdapter {
   const Query& query(int i) const { return (*data_)[i]; }
   const editdist::EditDistanceSearcher& searcher() const { return searcher_; }
   const std::vector<std::string>* data() const { return data_; }
-  EditAdapter Rebind(editdist::EditDistanceSearcher searcher,
-                     const std::vector<std::string>* data) const {
-    return EditAdapter(std::move(searcher), data, filter_, chain_length_);
-  }
   std::vector<int> Search(const Query& query, QueryStats* stats = nullptr,
-                          int id_limit = kNoIdLimit) {
-    return searcher_.Search(query, filter_, chain_length_, stats, id_limit);
+                          IdRange range = {}) {
+    return searcher_.Search(query, filter_, chain_length_, stats, range);
   }
   /// Reads the probe's gram profile, padded string and window masks from
   /// the index (EditDistanceSearcher::JoinProbe).
-  std::vector<int> JoinProbe(int probe, QueryStats* stats = nullptr) {
-    return searcher_.JoinProbe(probe, filter_, chain_length_, stats);
+  std::vector<int> JoinProbe(int probe, QueryStats* stats = nullptr,
+                             IdRange range = {}) {
+    return searcher_.JoinProbe(probe, filter_, chain_length_, stats, range);
   }
 
  private:
@@ -189,16 +180,13 @@ class EditFastAdapter {
   const Query& query(int i) const { return (*data_)[i]; }
   const editdist::CaseDecSearcher& searcher() const { return searcher_; }
   const std::vector<std::string>* data() const { return data_; }
-  EditFastAdapter Rebind(editdist::CaseDecSearcher searcher,
-                         const std::vector<std::string>* data) const {
-    return EditFastAdapter(std::move(searcher), data, chain_length_);
-  }
   std::vector<int> Search(const Query& query, QueryStats* stats = nullptr,
-                          int id_limit = kNoIdLimit) {
-    return searcher_.Search(query, chain_length_, stats, id_limit);
+                          IdRange range = {}) {
+    return searcher_.Search(query, chain_length_, stats, range);
   }
-  std::vector<int> JoinProbe(int probe, QueryStats* stats = nullptr) {
-    return Search(query(probe), stats, probe);
+  std::vector<int> JoinProbe(int probe, QueryStats* stats = nullptr,
+                             IdRange range = {}) {
+    return Search(query(probe), stats, range.Below(probe));
   }
 
  private:
@@ -225,16 +213,13 @@ class GraphAdapter {
   const Query& query(int i) const { return (*data_)[i]; }
   const graphed::GraphSearcher& searcher() const { return searcher_; }
   const std::vector<graphed::Graph>* data() const { return data_; }
-  GraphAdapter Rebind(graphed::GraphSearcher searcher,
-                      const std::vector<graphed::Graph>* data) const {
-    return GraphAdapter(std::move(searcher), data, filter_, chain_length_);
-  }
   std::vector<int> Search(const Query& query, QueryStats* stats = nullptr,
-                          int id_limit = kNoIdLimit) {
-    return searcher_.Search(query, filter_, chain_length_, stats, id_limit);
+                          IdRange range = {}) {
+    return searcher_.Search(query, filter_, chain_length_, stats, range);
   }
-  std::vector<int> JoinProbe(int probe, QueryStats* stats = nullptr) {
-    return Search(query(probe), stats, probe);
+  std::vector<int> JoinProbe(int probe, QueryStats* stats = nullptr,
+                             IdRange range = {}) {
+    return Search(query(probe), stats, range.Below(probe));
   }
 
  private:

@@ -181,7 +181,7 @@ int GraphSearcher::HistogramLowerBound(const LabelHistogram& a,
 std::vector<int> GraphSearcher::Search(const Graph& query, GraphFilter filter,
                                        int chain_length,
                                        engine::QueryStats* stats,
-                                       int id_limit) {
+                                       IdRange range) {
   StopWatch total_watch;
   StopWatch phase_watch;
   engine::QueryStats local;
@@ -190,8 +190,8 @@ std::vector<int> GraphSearcher::Search(const Graph& query, GraphFilter filter,
 
   const LabelHistogram q_hist = BuildHistogram(query);
   std::vector<int> candidates;
-  const int scan_end = std::min(static_cast<int>(data_->size()), id_limit);
-  for (int id = 0; id < scan_end; ++id) {
+  const IdRange scan = range.ClampTo(static_cast<int>(data_->size()));
+  for (int id = scan.begin; id < scan.end; ++id) {
     const Graph& x = (*data_)[id];
     if (SizeLowerBound(x, query) > tau_) continue;
     if (HistogramLowerBound(state_->histograms[id], q_hist) > tau_) continue;

@@ -87,13 +87,13 @@ class GraphSearcher {
   const std::vector<Part>& parts(int id) const { return state_->parts[id]; }
   const State& state() const { return *state_; }
 
-  /// Finds ids below `id_limit` (common/id_limit.h) of all graphs with
+  /// Finds ids in `range` (common/id_limit.h) of all graphs with
   /// ged(x, query) <= tau. `chain_length` is used only by GraphFilter::kRing
   /// (the paper's best setting is l in [tau - 2, tau]).
   std::vector<int> Search(const Graph& query, GraphFilter filter,
                           int chain_length,
                           engine::QueryStats* stats = nullptr,
-                          int id_limit = kNoIdLimit);
+                          IdRange range = {});
 
  private:
   GraphSearcher(const std::vector<Graph>* data, int tau,

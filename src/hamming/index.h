@@ -122,20 +122,20 @@ class PartitionIndex {
     }
   }
 
-  /// Invokes `fn(id, distance)` for every object with id < `id_limit`
+  /// Invokes `fn(id, distance)` for every object with id in `range`
   /// whose part-`part` pattern is at Hamming distance exactly `radius` from
   /// the query's pattern, keys in ForEachKeyAtRadius order and ids
-  /// ascending within a key. Each bucket is cut once (CutAtIdLimit).
+  /// ascending within a key. Each bucket is cut once (CutToIdRange).
   template <typename Fn>
   void ProbeAtRadius(const BitVector& query, int part, int radius, Fn&& fn,
-                     int id_limit = kNoIdLimit) const {
+                     IdRange range = {}) const {
     PR_CHECK(part >= 0 && part < partition_.num_parts());
     const int width = partition_.width(part);
     if (radius > width) return;
     const uint64_t base =
         query.ExtractBits(partition_.begin(part), partition_.end(part));
     ForEachKeyAtRadius(base, width, radius, [&](uint64_t key) {
-      for (int id : CutAtIdLimit(Bucket(part, width, key), id_limit)) {
+      for (int id : CutToIdRange(Bucket(part, width, key), range)) {
         fn(id, radius);
       }
     });

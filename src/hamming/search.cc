@@ -29,23 +29,17 @@ HammingSearcher::HammingSearcher(std::vector<BitVector> objects,
 
 HammingSearcher HammingSearcher::FromBuilt(
     std::vector<BitVector> objects,
-    std::shared_ptr<const PartitionIndex> index,
-    std::shared_ptr<const PartitionIndex> alloc_index) {
+    std::shared_ptr<const PartitionIndex> index) {
   PR_CHECK(index != nullptr);
   PR_CHECK(index->num_objects() == static_cast<int>(objects.size()));
   PR_CHECK_MSG(index->partition().num_parts() <= 64,
                "ruled-out bitmask supports at most 64 parts");
-  if (alloc_index != nullptr) {
-    PR_CHECK(alloc_index->partition().num_parts() ==
-             index->partition().num_parts());
-  }
   HammingSearcher s;
   s.objects_ =
       std::make_shared<const std::vector<BitVector>>(std::move(objects));
   s.flat_ = std::make_shared<const kernels::FlatBitTable>(
       kernels::FlatBitTable::FromVectors(*s.objects_));
   s.index_ = std::move(index);
-  s.alloc_index_ = std::move(alloc_index);
   s.seen_epoch_.assign(s.objects_->size(), 0);
   s.ruled_out_.assign(s.objects_->size(), 0);
   s.decided_.assign(s.objects_->size(), 0);
@@ -64,7 +58,7 @@ void HammingSearcher::AllocateInto(const BitVector& query, int tau,
                                    AllocationMode mode, std::vector<int>* t,
                                    std::vector<AllocEntry>* entries) const {
   const int m = num_parts();
-  const PartitionIndex& index = alloc_index_ ? *alloc_index_ : *index_;
+  const PartitionIndex& index = *index_;
   // Integer reduction (Theorem 7): thresholds sum to tau - m + 1. Start all
   // parts at -1 (never probed) and grant tau + 1 single-radius units.
   t->assign(m, -1);
@@ -118,7 +112,7 @@ std::vector<int> HammingSearcher::Search(const BitVector& query, int tau,
                                          int chain_length,
                                          AllocationMode mode,
                                          engine::QueryStats* stats,
-                                         int id_limit) {
+                                         IdRange range) {
   const int m = num_parts();
   const int l = std::clamp(chain_length, 1, m);
   const Partition& partition = index_->partition();
@@ -185,7 +179,7 @@ std::vector<int> HammingSearcher::Search(const BitVector& query, int tau,
       candidate_ids.push_back(id);
     };
     for (int r = 0; r <= max_radius; ++r) {
-      index_->ProbeAtRadius(query, i, r, on_hit, id_limit);
+      index_->ProbeAtRadius(query, i, r, on_hit, range);
     }
   }
   local.candidates = static_cast<int64_t>(candidate_ids.size());

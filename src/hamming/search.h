@@ -58,36 +58,22 @@ class HammingSearcher {
   /// Assembles a searcher around an already-built index (the storage layer's
   /// bulk-load path) — no hashing or partitioning is re-derived. `index` must
   /// describe exactly `objects`.
-  ///
-  /// `alloc_index`, when given, is consulted by AllocateThresholds instead
-  /// of `index` (probing still uses `index`). The sharded executor passes
-  /// the full collection's index here so every shard allocates the exact
-  /// per-part thresholds the unsharded searcher would — the data-dependent
-  /// modes (kCostModel, kRadiusZero) read bucket counts, and per-shard
-  /// counts would steer them differently. It must share `index`'s
-  /// partition.
-  static HammingSearcher FromBuilt(
-      std::vector<BitVector> objects,
-      std::shared_ptr<const PartitionIndex> index,
-      std::shared_ptr<const PartitionIndex> alloc_index = nullptr);
+  static HammingSearcher FromBuilt(std::vector<BitVector> objects,
+                                   std::shared_ptr<const PartitionIndex> index);
 
   int num_parts() const { return index_->partition().num_parts(); }
   int num_objects() const { return static_cast<int>(objects_->size()); }
   const std::vector<BitVector>& objects() const { return *objects_; }
   const PartitionIndex& partition_index() const { return *index_; }
-  /// The shared probe index (what a split projects from).
-  std::shared_ptr<const PartitionIndex> shared_partition_index() const {
-    return index_;
-  }
 
-  /// Finds all ids below `id_limit` with H(x, q) <= tau (see
-  /// common/id_limit.h; thresholds are allocated as for an unbounded
-  /// search). `chain_length` = 1 reproduces the GPH baseline; larger values
-  /// enable the pigeonring filter. `stats` may be null.
+  /// Finds all ids in `range` with H(x, q) <= tau (see
+  /// common/id_limit.h; thresholds are allocated from the whole index).
+  /// `chain_length` = 1 reproduces the GPH baseline; larger values enable
+  /// the pigeonring filter. `stats` may be null.
   std::vector<int> Search(const BitVector& query, int tau, int chain_length,
                           AllocationMode mode = AllocationMode::kCostModel,
                           engine::QueryStats* stats = nullptr,
-                          int id_limit = kNoIdLimit);
+                          IdRange range = {});
 
   /// Exposes the per-part threshold allocation for tests and benches.
   std::vector<int> AllocateThresholds(const BitVector& query, int tau,
@@ -111,9 +97,6 @@ class HammingSearcher {
   // and verification hot paths read; see kernels/flat_bit_table.h.
   std::shared_ptr<const kernels::FlatBitTable> flat_;
   std::shared_ptr<const PartitionIndex> index_;
-  // Overrides index_ for threshold allocation only (see FromBuilt). Null in
-  // the unsharded case.
-  std::shared_ptr<const PartitionIndex> alloc_index_;
 
   // Per-query scratch, epoch-stamped so no O(N) clearing is needed.
   uint32_t epoch_ = 0;

@@ -99,7 +99,7 @@ PkwiseSearcher PkwiseSearcher::FromBuilt(const SetCollection* collection,
 std::vector<int> PkwiseSearcher::Search(const RankedSet& query,
                                         int chain_length,
                                         engine::QueryStats* stats,
-                                        int id_limit) {
+                                        IdRange range) {
   StopWatch total_watch;
   StopWatch phase_watch;
   engine::QueryStats local;
@@ -120,7 +120,7 @@ std::vector<int> PkwiseSearcher::Search(const RankedSet& query,
     if (rank < 0 || rank >= static_cast<int>(index.inverted.size())) continue;
     const int k = TokenClass(rank, num_classes_);
     const auto ids =
-        CutAtIdLimit(std::span<const int>(index.inverted[rank]), id_limit);
+        CutToIdRange(std::span<const int>(index.inverted[rank]), range);
     for (int id : ids) {
       const int x_size = static_cast<int>(collection_->record(id).size());
       if (x_size < min_size || x_size > max_size) continue;

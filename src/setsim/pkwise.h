@@ -78,13 +78,13 @@ class PkwiseSearcher {
   SetMeasure measure() const { return measure_; }
   const Index& index() const { return *index_; }
 
-  /// Finds ids below `id_limit` (common/id_limit.h) of all records with
+  /// Finds ids in `range` (common/id_limit.h) of all records with
   /// J(record, query) >= tau. `query` must be produced by
   /// SetCollection::MapQuery (or be a record of the collection).
   /// chain_length == 1 is the pkwise baseline.
   std::vector<int> Search(const RankedSet& query, int chain_length,
                           engine::QueryStats* stats = nullptr,
-                          int id_limit = kNoIdLimit);
+                          IdRange range = {});
 
  private:
   PkwiseSearcher(const SetCollection* collection, double tau, int num_boxes,

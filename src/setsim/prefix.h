@@ -41,7 +41,7 @@ struct PrefixInfo {
   int prefix_length = 0;       // p_x
   int last_rank = -1;          // rank of the last prefix token (-1 if empty)
   std::vector<int> class_count;      // cnt(x, p_x, k), index 0 unused
-  std::vector<int> class_threshold;  // t_k after deficit reduction, idx 0 unused
+  std::vector<int> class_threshold;  // t_k, deficit-reduced; index 0 unused
   int suffix_threshold = 0;    // t_0 = |x| - p_x + 1
 
   /// Viability bound for the chain prefix of length `len` starting at box

@@ -1,34 +1,35 @@
 #include "shard/partitioner.h"
 
+#include <algorithm>
+#include <cstdint>
+
 namespace pigeonring::shard {
 
-std::vector<std::vector<int>> Partitioner::Partition(int num_records) const {
-  std::vector<std::vector<int>> owned(static_cast<size_t>(shards_));
-  if (mode_ == PlacementMode::kRoundRobin) {
-    for (auto& o : owned) {
-      o.reserve(static_cast<size_t>(num_records / shards_ + 1));
-    }
+std::vector<IdRange> ShardRanges(int num_records, int shards) {
+  const int size = num_records / shards;
+  const int larger = num_records % shards;  // shards holding size + 1
+  std::vector<IdRange> ranges;
+  ranges.reserve(static_cast<size_t>(shards));
+  for (int s = 0; s < shards; ++s) {
+    const int begin = s * size + std::min(s, larger);
+    ranges.push_back({begin, begin + size + (s < larger ? 1 : 0)});
   }
-  for (int g = 0; g < num_records; ++g) {
-    owned[static_cast<size_t>(ShardOf(g))].push_back(g);
-  }
-  return owned;
+  return ranges;
 }
 
-void Partitioner::Encode(storage::ByteWriter& w) const {
-  w.U32(static_cast<uint32_t>(mode_));
-  w.U32(static_cast<uint32_t>(shards_));
+void EncodeShardMap(storage::ByteWriter& w, int shards) {
+  w.U32(0);
+  w.U32(static_cast<uint32_t>(shards));
 }
 
-bool Partitioner::Decode(storage::ByteReader& r) {
+std::optional<int> DecodeShardMap(storage::ByteReader& r) {
   const uint32_t mode = r.U32();
   const uint32_t shards = r.U32();
-  if (!r.AtEnd()) return false;
-  if (mode > static_cast<uint32_t>(PlacementMode::kHash)) return false;
-  if (shards < 2 || shards > static_cast<uint32_t>(kMaxShards)) return false;
-  mode_ = static_cast<PlacementMode>(mode);
-  shards_ = static_cast<int>(shards);
-  return true;
+  if (!r.AtEnd() || mode > 1) return std::nullopt;
+  if (shards < 2 || shards > static_cast<uint32_t>(kMaxShards)) {
+    return std::nullopt;
+  }
+  return static_cast<int>(shards);
 }
 
 }  // namespace pigeonring::shard

@@ -105,7 +105,7 @@ enum class SectionId : uint32_t {
   kGraphParts = 65,       // per-graph Pars partition (parts + half-edges)
   kGraphHistograms = 66,  // per-graph label histograms
 
-  kShardMap = 80,  // placement mode + shard count (shard::Partitioner)
+  kShardMap = 80,  // placement mode + shard count (shard/partitioner.h)
 };
 
 /// Accumulates sections in memory and writes the whole container in one

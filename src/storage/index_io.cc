@@ -33,7 +33,7 @@ Status CheckConsumed(const ByteReader& reader, SectionId id) {
 }
 
 // Whether `ids` ascend strictly: the order every id list of the index
-// keeps, and that id-limited searches (common/id_limit.h) cut by binary
+// keeps, and that ranged searches (common/id_limit.h) cut by binary
 // search.
 bool StrictlyAscending(std::span<const int> ids) {
   return std::adjacent_find(ids.begin(), ids.end(),
@@ -361,7 +361,7 @@ int ListEntryId(const editdist::EditDistanceSearcher::PrefixPosting& p) {
 // and returns nullptr, or what is wrong with it. The entries' ids must
 // ascend strictly within a list when `strict_ids`, else never descend (a
 // record may post one gram rank twice: its prefix keeps every occurrence
-// of a tied gram); id-limited searches cut the lists by binary search.
+// of a tied gram); ranged searches cut the lists by binary search.
 template <typename Entry, typename Read>
 Status DecodeEditLists(ByteReader& reader, SectionId id, size_t num_keys,
                        size_t entry_bytes, const char* bad_key,
@@ -643,8 +643,9 @@ StatusOr<LoadedSet> LoadSetSections(const IndexFileReader& reader,
                               "posting id outside the collection");
       }
     }
-    // Searches cut each list at an id limit by binary search (a join
-    // probe's half-probe), so an out-of-order list would drop pairs.
+    // Searches cut each list to an id range by binary search (a join
+    // probe's half-probe, a shard), so an out-of-order list would drop
+    // pairs.
     if (!StrictlyAscending(index->inverted[rank])) {
       return SectionCorrupt(SectionId::kSetInverted,
                             "posting ids not strictly ascending");

@@ -702,6 +702,13 @@ TEST(DbTest, FastPathAutoResolvesFromTheData) {
   ASSERT_TRUE(fast.ok()) << fast.status().ToString();
   EXPECT_EQ(fast->spec().edit_fast_path, EditFastPath::kOn);
 
+  // The same data at tau 3, where the pivotal path is the faster one.
+  IndexSpec wider = spec;
+  wider.tau = 3;
+  auto declined = Db::Open(wider, Dataset(datagen::GenerateStrings(fixed)));
+  ASSERT_TRUE(declined.ok()) << declined.status().ToString();
+  EXPECT_EQ(declined->spec().edit_fast_path, EditFastPath::kOff);
+
   auto pivotal = Db::Open(spec, Dataset(MakeStrings(60, 19)));
   ASSERT_TRUE(pivotal.ok()) << pivotal.status().ToString();
   EXPECT_EQ(pivotal->spec().edit_fast_path, EditFastPath::kOff);

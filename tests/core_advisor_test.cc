@@ -1,9 +1,11 @@
-// Tests for the chain-length advisor and the suffix-direction predicates
-// (Corollary 1).
+// Tests for the chain-length advisor, the edit fast-path advice and the
+// suffix-direction predicates (Corollary 1).
 
 #include "core/advisor.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "common/random.h"
 #include "core/principle.h"
@@ -124,6 +126,18 @@ TEST(AdvisorTest, RespectsMaxLength) {
   FilterAnalysis analysis(DiscretePmf::UniformInt(0, 16), 8, 48);
   ChainCostModel costs{0.0, 1.0};
   EXPECT_LE(SuggestChainLength(analysis, 3, costs), 3);
+}
+
+TEST(AdvisorTest, EditFastPathDeclinesTauThreeAndAbove) {
+  // Fixed-length collections well inside the index budget: tau <= 2 takes
+  // the fast path, tau 3 and 4 keep the pivotal path.
+  for (int length : {8, 16, 32}) {
+    SCOPED_TRACE("length " + std::to_string(length));
+    EXPECT_TRUE(AdviseEditFastPath(5000, length, 1).use_fast_path);
+    EXPECT_TRUE(AdviseEditFastPath(5000, length, 2).use_fast_path);
+    EXPECT_FALSE(AdviseEditFastPath(5000, length, 3).use_fast_path);
+    EXPECT_FALSE(AdviseEditFastPath(5000, length, 4).use_fast_path);
+  }
 }
 
 }  // namespace

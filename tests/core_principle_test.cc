@@ -69,8 +69,10 @@ TEST(PrincipleTest, PaperExample5HammingChains) {
   // Example 5: B(x2,q) = (0,2,0,2,1) and B(x3,q) = (1,2,2,1,1) are
   // candidates at l = 2 under the basic form with tau = 5, m = 5;
   // B(x1,q) = (2,1,2,2,1) and B(x4,q) = (2,2,2,2,2) are filtered.
-  EXPECT_TRUE(BasicViableChainExists(std::vector<double>{0, 2, 0, 2, 1}, 5.0, 2));
-  EXPECT_TRUE(BasicViableChainExists(std::vector<double>{1, 2, 2, 1, 1}, 5.0, 2));
+  EXPECT_TRUE(
+      BasicViableChainExists(std::vector<double>{0, 2, 0, 2, 1}, 5.0, 2));
+  EXPECT_TRUE(
+      BasicViableChainExists(std::vector<double>{1, 2, 2, 1, 1}, 5.0, 2));
   EXPECT_FALSE(
       BasicViableChainExists(std::vector<double>{2, 1, 2, 2, 1}, 5.0, 2));
   EXPECT_FALSE(

@@ -78,8 +78,8 @@ TEST(VerifyTest, MinSubstringEditDistanceMatchesBruteForce) {
     int expected = static_cast<int>(pattern.size());
     for (int u = std::max(0, win_lo);
          u <= std::min(win_hi, static_cast<int>(text.size()) - 1); ++u) {
-      for (int len = 0; len <= max_len && u + len <= static_cast<int>(text.size());
-           ++len) {
+      for (int len = 0;
+           len <= max_len && u + len <= static_cast<int>(text.size()); ++len) {
         expected = std::min(
             expected, EditDistance(pattern, text.substr(u, len)));
       }

@@ -1,7 +1,7 @@
 // Tests for the unified query engine: the parallel self-join must be
 // byte-identical to the sequential path in all four domains (pairs and
-// merged counters), every adapter's id-limited Search and JoinProbe must
-// keep the unbounded answer below the limit, SearchBatch must preserve
+// merged counters), every adapter's ranged Search and JoinProbe must
+// keep the unbounded answer inside the range, SearchBatch must preserve
 // input order, degenerate collections must not trip the pool, and
 // ThreadPool must cover its range exactly once.
 
@@ -23,6 +23,7 @@
 #include "datagen/graphs.h"
 #include "datagen/strings.h"
 #include "datagen/token_sets.h"
+#include "shard/partitioner.h"
 
 namespace pigeonring::engine {
 namespace {
@@ -163,49 +164,85 @@ TEST(EngineTest, JoinCandidatesCountBoundedProbes) {
   EXPECT_LT(stats.candidates, full_probes);
 }
 
-// The id bound's contract on one adapter. For each probe query and every
-// limit L in [0, n]: Search(q, &s, L) returns the unbounded ids below L,
-// the candidate count starts at 0, grows by 0 or 1 from L to L + 1, and
-// reaches the unbounded count at L = n. And every record's JoinProbe(p)
-// equals Search(query(p), p) in ids and every counter — for the edit
-// adapter that compares the stored-state path with the derived one.
+// The id range's contract on one adapter (common/id_limit.h). For each
+// probe query:
+//  * for every limit L in [0, n], Search(q, &s, [0, L)) returns the
+//    unbounded ids below L, and the candidate count starts at 0, grows by
+//    0 or 1 from L to L + 1 and reaches the unbounded count at L = n;
+//  * for a sweep of ranges [lo, hi), Search returns exactly the unbounded
+//    ids inside the range;
+//  * over the 4-way shard cut of [0, n), the ranges' ids concatenate to the
+//    unbounded ids and their integral counters sum to the unbounded ones.
+// And for every record p, under the unbounded range and each range of the
+// cut, JoinProbe(p, range) equals Search(query(p), range.Below(p)) in ids
+// and every counter — for the edit adapter that compares the stored-state
+// path with the derived one.
 template <Searcher S>
-void ExpectIdLimitContract(S& adapter, const std::vector<int>& probes) {
+void ExpectIdRangeContract(S& adapter, const std::vector<int>& probes) {
   const int n = adapter.size();
+  const std::vector<IdRange> cut = shard::ShardRanges(n, 4);
   for (int probe : probes) {
     SCOPED_TRACE("probe " + std::to_string(probe));
     const typename S::Query query = adapter.query(probe);
     QueryStats unbounded_stats;
     const std::vector<int> unbounded = adapter.Search(query, &unbounded_stats);
+    const auto inside = [&](IdRange range) {
+      std::vector<int> want;
+      for (int id : unbounded) {
+        if (range.begin <= id && id < range.end) want.push_back(id);
+      }
+      return want;
+    };
     int64_t previous = 0;
     for (int limit = 0; limit <= n; ++limit) {
       QueryStats stats;
-      const std::vector<int> ids = adapter.Search(query, &stats, limit);
-      std::vector<int> want;
-      for (int id : unbounded) {
-        if (id < limit) want.push_back(id);
-      }
-      EXPECT_EQ(ids, want) << "limit " << limit;
+      const std::vector<int> ids = adapter.Search(query, &stats, {0, limit});
+      EXPECT_EQ(ids, inside({0, limit})) << "limit " << limit;
       const int64_t step = stats.candidates - previous;
       EXPECT_TRUE(limit == 0 ? stats.candidates == 0 : step == 0 || step == 1)
           << "limit " << limit << ": " << stats.candidates << " candidates";
       previous = stats.candidates;
     }
     EXPECT_EQ(previous, unbounded_stats.candidates);
+    // Every 9th lower end against every 7th upper end, the last one
+    // clamped to n.
+    for (int lo = 0; lo <= n; lo += 9) {
+      for (int hi = lo; hi <= n + 6; hi += 7) {
+        const IdRange range{lo, std::min(hi, n)};
+        EXPECT_EQ(adapter.Search(query, nullptr, range), inside(range))
+            << "range [" << range.begin << ", " << range.end << ")";
+      }
+    }
+    std::vector<int> concatenated;
+    QueryStats summed;
+    for (const IdRange& range : cut) {
+      QueryStats stats;
+      const std::vector<int> ids = adapter.Search(query, &stats, range);
+      concatenated.insert(concatenated.end(), ids.begin(), ids.end());
+      summed += stats;
+    }
+    EXPECT_EQ(concatenated, unbounded);
+    api::ExpectSameCounters(summed, unbounded_stats);
   }
   S search_copy = adapter;
   for (int p = 0; p < n; ++p) {
     SCOPED_TRACE("join probe " + std::to_string(p));
-    QueryStats probe_stats;
-    QueryStats search_stats;
-    const std::vector<int> joined = adapter.JoinProbe(p, &probe_stats);
-    EXPECT_EQ(joined,
-              search_copy.Search(search_copy.query(p), &search_stats, p));
-    api::ExpectSameCounters(probe_stats, search_stats);
+    std::vector<IdRange> ranges = cut;
+    ranges.push_back(IdRange{});
+    for (const IdRange& range : ranges) {
+      QueryStats probe_stats;
+      QueryStats search_stats;
+      const std::vector<int> joined =
+          adapter.JoinProbe(p, &probe_stats, range);
+      EXPECT_EQ(joined, search_copy.Search(search_copy.query(p), &search_stats,
+                                           range.Below(p)))
+          << "range [" << range.begin << ", " << range.end << ")";
+      api::ExpectSameCounters(probe_stats, search_stats);
+    }
   }
 }
 
-// Probes for the limit sweep: the first, middle and last record, and the
+// Probes for the range sweeps: the first, middle and last record, and the
 // record with the most matches.
 template <Searcher S>
 std::vector<int> SweepProbes(S& adapter) {
@@ -223,12 +260,12 @@ std::vector<int> SweepProbes(S& adapter) {
   return {0, n / 2, n - 1, busiest};
 }
 
-TEST(EngineTest, IdLimitKeepsTheUnboundedAnswerBelowIt) {
+TEST(EngineTest, IdRangeKeepsTheUnboundedAnswerInsideIt) {
   {
     SCOPED_TRACE("hamming");
     HammingAdapter adapter(hamming::HammingSearcher(MakeVectors(200, 93), 4),
                            8, 3);
-    ExpectIdLimitContract(adapter, SweepProbes(adapter));
+    ExpectIdRangeContract(adapter, SweepProbes(adapter));
   }
   {
     SCOPED_TRACE("sets");
@@ -241,7 +278,7 @@ TEST(EngineTest, IdLimitKeepsTheUnboundedAnswerBelowIt) {
     setsim::SetCollection collection(datagen::GenerateTokenSets(config));
     SetAdapter adapter(setsim::PkwiseSearcher(&collection, 0.6, 5),
                        &collection, 2);
-    ExpectIdLimitContract(adapter, SweepProbes(adapter));
+    ExpectIdRangeContract(adapter, SweepProbes(adapter));
   }
   {
     // Strings too short for the gram scheme (length < 4 at tau 2, kappa 2)
@@ -267,7 +304,7 @@ TEST(EngineTest, IdLimitKeepsTheUnboundedAnswerBelowIt) {
                           filter, chain_length);
       std::vector<int> probes = SweepProbes(adapter);
       probes.push_back(90);  // "abc": a short probe
-      ExpectIdLimitContract(adapter, probes);
+      ExpectIdRangeContract(adapter, probes);
     }
   }
   {
@@ -283,7 +320,7 @@ TEST(EngineTest, IdLimitKeepsTheUnboundedAnswerBelowIt) {
     const auto data = datagen::GenerateStrings(config);
     EditFastAdapter adapter(editdist::CaseDecSearcher(&data, 2), &data, 2);
     ASSERT_EQ(adapter.searcher().cases().size(), 2u);
-    ExpectIdLimitContract(adapter, SweepProbes(adapter));
+    ExpectIdRangeContract(adapter, SweepProbes(adapter));
   }
   {
     SCOPED_TRACE("graphs");
@@ -298,7 +335,7 @@ TEST(EngineTest, IdLimitKeepsTheUnboundedAnswerBelowIt) {
     const auto data = datagen::GenerateGraphs(config);
     GraphAdapter adapter(graphed::GraphSearcher(&data, 2), &data,
                          graphed::GraphFilter::kRing, 2);
-    ExpectIdLimitContract(adapter, SweepProbes(adapter));
+    ExpectIdRangeContract(adapter, SweepProbes(adapter));
   }
 }
 

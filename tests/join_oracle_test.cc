@@ -1,4 +1,4 @@
-// One brute-force oracle over every self-join surface.
+// One brute-force oracle over every self-join and search surface.
 //
 // For each domain configuration — Hamming at chain length 1 and 4, sets
 // under Jaccard and under overlap, strings through the pivotal baseline,
@@ -16,11 +16,23 @@
 // JoinStats.candidates must also agree at every thread count and at
 // S = 1, 2 and 4: shards split the candidates of one probe between them.
 //
+// The search half runs a seeded random sequence of Insert, Remove and
+// Compact steps on the same cases. After every step, each query's ids must
+// equal a brute-force scan of the live records on every search surface:
+//
+//  * Session::Search, and SearchBatch at 1 and 4 threads;
+//  * S = 1, 2 and 4, with a pending delta and after Compact;
+//  * the search op over TCP at S = 1.
+//
+// The integral QueryStats counters must agree at S = 1, 2 and 4.
+//
 // Runs under the TSan CI job — keep the datasets small.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <random>
 #include <set>
 #include <string>
 #include <type_traits>
@@ -30,6 +42,7 @@
 
 #include "api/db.h"
 #include "api/writer.h"
+#include "api_test_util.h"
 #include "datagen/binary_vectors.h"
 #include "datagen/graphs.h"
 #include "datagen/strings.h"
@@ -371,6 +384,163 @@ TEST(JoinOracleTest, EverySurfaceMatchesBruteForce) {
     ASSERT_GE(want.size(), 4u) << "the data must hold pairs to join";
     ExpectBaseJoins(c, want);
     for (int shards : {1, 2}) ExpectDeltaJoins(c, want, shards);
+  }
+}
+
+// Ids of the live records within the threshold of `query`, ascending.
+// Raw set queries keep the dataset's token order; Within needs them sorted
+// and distinct, like the records RecordQuery returns.
+std::vector<int> BruteIds(const IndexSpec& spec,
+                          const std::vector<Record>& live, Query query) {
+  if (auto* set = std::get_if<SetQuery>(&query)) {
+    std::sort(set->tokens.begin(), set->tokens.end());
+    set->tokens.erase(std::unique(set->tokens.begin(), set->tokens.end()),
+                      set->tokens.end());
+  }
+  std::vector<int> ids;
+  for (const Record& record : live) {
+    if (Within(spec, query, record.query)) ids.push_back(record.id);
+  }
+  return ids;
+}
+
+// Checks Session::Search and SearchBatch at 1 and 4 threads against
+// `want`. Returns the counters of each search, then those of the batch,
+// for the comparison across shard counts.
+std::vector<QueryStats> ExpectSearchSurfaces(
+    const Db& db, const std::vector<Query>& queries,
+    const std::vector<std::vector<int>>& want) {
+  Session session = db.NewSession();
+  std::vector<QueryStats> counters;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    auto result = session.Search(queries[q]);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (!result.ok()) return {};
+    EXPECT_EQ(result->ids, want[q]) << "query " << q;
+    counters.push_back(result->stats);
+  }
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("batch threads=" + std::to_string(threads));
+    auto batch = session.SearchBatch(queries, Threads(threads));
+    EXPECT_TRUE(batch.ok()) << batch.status().ToString();
+    if (!batch.ok()) return {};
+    EXPECT_EQ(batch->ids, want);
+    if (threads == 1) {
+      counters.push_back(batch->stats);
+    } else {
+      ExpectSameCounters(batch->stats, counters.back());
+    }
+  }
+  return counters;
+}
+
+constexpr int kSteps = 24;
+constexpr int kQueries = 10;
+
+TEST(JoinOracleTest, SearchSurfacesMatchBruteForceUnderChurn) {
+  for (const OracleCase& c : AllCases()) {
+    SCOPED_TRACE(c.name);
+    IndexSpec spec = c.spec;
+    spec.delta_compact_threshold = 0;  // only the explicit Compact steps
+    spec.delta_compact_ratio = 0;
+    const std::vector<Query> all = ToQueries(c.dataset);
+
+    // The S = 1 database is mutated over TCP, S = 2 and 4 through their
+    // own writers; every step goes to all three.
+    std::vector<Db> dbs;
+    for (int shards : {1, 2, 4}) {
+      IndexSpec sharded = spec;
+      sharded.shards = shards;
+      dbs.push_back(OpenOrDie(sharded, Slice(c.dataset, 0, c.base)));
+    }
+    auto server = net::Server::Start(dbs[0]);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    auto client = net::Client::Connect("127.0.0.1", server->port());
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    std::vector<Writer> writers;
+    for (size_t s = 1; s < dbs.size(); ++s) {
+      auto writer = dbs[s].NewWriter();
+      ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+      writers.push_back(std::move(writer).value());
+    }
+
+    std::mt19937 rng(8105);
+    std::vector<Query> queries;
+    for (int q = 0; q < kQueries; ++q) {
+      queries.push_back(all[rng() % all.size()]);
+    }
+    size_t next_insert = static_cast<size_t>(c.base);
+    int compactions = 0;
+    int pending_steps = 0;
+    for (int step = 0; step <= kSteps; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const int action = step == 0 ? -1 : static_cast<int>(rng() % 8);
+      if (action >= 0 && action < 4) {
+        // The pool first, then copies, which match their originals.
+        const Query& record = next_insert < all.size()
+                                  ? all[next_insert++]
+                                  : all[rng() % all.size()];
+        auto id = client->Insert(record);
+        ASSERT_TRUE(id.ok()) << id.status().ToString();
+        for (Writer& writer : writers) {
+          auto same = writer.Insert(record);
+          ASSERT_TRUE(same.ok()) << same.status().ToString();
+          ASSERT_EQ(*same, *id);
+        }
+      } else if (action >= 4 && action < 7) {
+        const Session session = dbs[0].NewSession();
+        const std::vector<Record> live =
+            LiveRecords(session, session.num_records());
+        ASSERT_FALSE(live.empty());
+        const int id = live[rng() % live.size()].id;
+        ASSERT_TRUE(client->Remove(id).ok()) << id;
+        for (Writer& writer : writers) {
+          ASSERT_TRUE(writer.Remove(id).ok()) << id;
+        }
+      } else if (action == 7) {
+        ASSERT_TRUE(client->Compact().ok());
+        for (Writer& writer : writers) {
+          const Status compacted = writer.Compact();
+          ASSERT_TRUE(compacted.ok()) << compacted.ToString();
+        }
+        ++compactions;
+      }
+      if (writers[0].num_pending() > 0) ++pending_steps;
+
+      const Session session = dbs[0].NewSession();
+      const std::vector<Record> live =
+          LiveRecords(session, session.num_records());
+      std::vector<std::vector<int>> want;
+      for (const Query& query : queries) {
+        want.push_back(BruteIds(spec, live, query));
+      }
+      std::vector<QueryStats> counters;
+      for (size_t s = 0; s < dbs.size(); ++s) {
+        SCOPED_TRACE("shards=" + std::to_string(dbs[s].spec().shards));
+        const std::vector<QueryStats> got =
+            ExpectSearchSurfaces(dbs[s], queries, want);
+        ASSERT_EQ(got.size(), queries.size() + 1);
+        if (s == 0) {
+          counters = got;
+          continue;
+        }
+        for (size_t k = 0; k < got.size(); ++k) {
+          SCOPED_TRACE("counters " + std::to_string(k));
+          ExpectSameCounters(got[k], counters[k]);
+        }
+      }
+      SCOPED_TRACE("tcp");
+      for (size_t q = 0; q < queries.size(); ++q) {
+        auto reply = client->Search(queries[q]);
+        ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+        EXPECT_EQ(reply->ids, want[q]) << "query " << q;
+        EXPECT_EQ(reply->candidates, counters[q].candidates);
+        EXPECT_EQ(reply->results, counters[q].results);
+      }
+    }
+    EXPECT_GT(compactions, 0);
+    EXPECT_GT(pending_steps, 0);
+    server->Stop();
   }
 }
 

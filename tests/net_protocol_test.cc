@@ -303,8 +303,8 @@ class ProtocolCorruptionTest : public ::testing::Test {
     spec.domain = api::Domain::kHamming;
     spec.tau = 8;
     spec.chain_length = 3;
-    auto db =
-        api::Db::Open(spec, api::Dataset(datagen::GenerateBinaryVectors(config)));
+    auto db = api::Db::Open(
+        spec, api::Dataset(datagen::GenerateBinaryVectors(config)));
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     auto server = Server::Start(std::move(db).value());
     ASSERT_TRUE(server.ok()) << server.status().ToString();

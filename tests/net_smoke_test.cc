@@ -411,7 +411,7 @@ TEST(NetSmoke, StatsExposeCountersAndLatencyHistograms) {
 
 // A sharded served index exposes one placement row per shard: rows sum to
 // the committed record count, served inserts surface as pending delta on
-// the round-robin owner shard, and compaction folds them back in.
+// the last shard, and compaction folds them back in.
 TEST(NetSmoke, StatsExposePerShardPlacement) {
   datagen::BinaryVectorConfig config;
   config.dimensions = 64;
@@ -440,8 +440,8 @@ TEST(NetSmoke, StatsExposePerShardPlacement) {
   }
   EXPECT_EQ(total, db.num_records());
 
-  // Two served inserts: ids 202 and 203 land as pending delta on their
-  // round-robin owner shards (202 % 4 = 2, 203 % 4 = 3).
+  // Two served inserts: ids 202 and 203 extend the last range, so both
+  // land as pending delta on shard 3.
   api::Session sampler = db.NewSession();
   for (const api::Query& record : SampleQueries(sampler, 2)) {
     ASSERT_TRUE(client.Insert(record).ok());
@@ -451,8 +451,8 @@ TEST(NetSmoke, StatsExposePerShardPlacement) {
   ASSERT_EQ(stats->shards.size(), 4u);
   EXPECT_EQ(stats->shards[0].pending_delta, 0);
   EXPECT_EQ(stats->shards[1].pending_delta, 0);
-  EXPECT_EQ(stats->shards[2].pending_delta, 1);
-  EXPECT_EQ(stats->shards[3].pending_delta, 1);
+  EXPECT_EQ(stats->shards[2].pending_delta, 0);
+  EXPECT_EQ(stats->shards[3].pending_delta, 2);
 
   // Compaction folds the delta in; rows re-sum to the new total with no
   // pending rows left.

@@ -4,17 +4,17 @@
 // (including the edit fast path), a Db opened with shards in {2, 4} must
 // answer SearchBatch / Search / SelfJoin with exactly the ids, pairs, and
 // deterministic counters of the unsharded (shards = 1) database, at
-// several thread counts. The rest covers the partitioner's mapping and
-// codec, the shards <-> records edge cases (empty collection, one record,
-// more shards than records), the Save/OpenIndex shard-map round-trip, the
-// per-shard monitoring surface, and a writer-churn test that runs under
-// TSan in CI (sharded readers scattering while a writer mutates).
+// several thread counts. The rest covers the range placement and the
+// shard-map codec, the shards <-> records edge cases (empty collection,
+// one record, more shards than records), the Save/OpenIndex shard-map
+// round-trip, the per-shard monitoring surface, and a writer-churn test
+// that runs under TSan in CI (sharded readers scattering while a writer
+// mutates).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -247,12 +247,12 @@ TEST(ShardStatsTest, SizesAndPendingDeltaPartitionTheDatabase) {
   const auto vectors = MakeVectors(10, 31);
   Db db = OpenOrDie(spec, Dataset(vectors));
 
-  // 10 records round-robin over 4 shards: 3, 3, 2, 2.
+  // 10 records over 4 ranges: [0, 3), [3, 6), [6, 8), [8, 10).
   EXPECT_EQ(db.ShardSizes(), (std::vector<int>{3, 3, 2, 2}));
 
   auto writer = db.NewWriter();
   ASSERT_TRUE(writer.ok()) << writer.status().ToString();
-  // Insert ids 10 and 11 -> shards 2 and 3; remove base id 0 -> shard 0.
+  // Inserts 10 and 11 extend the last range; base id 0 lies in shard 0.
   ASSERT_TRUE(writer->Insert(Query(vectors[0])).ok());
   ASSERT_TRUE(writer->Insert(Query(vectors[1])).ok());
   ASSERT_TRUE(writer->Remove(0).ok());
@@ -261,8 +261,8 @@ TEST(ShardStatsTest, SizesAndPendingDeltaPartitionTheDatabase) {
   EXPECT_EQ(stats[0].records, 3);
   EXPECT_EQ(stats[0].pending_delta, 1);
   EXPECT_EQ(stats[1].pending_delta, 0);
-  EXPECT_EQ(stats[2].pending_delta, 1);
-  EXPECT_EQ(stats[3].pending_delta, 1);
+  EXPECT_EQ(stats[2].pending_delta, 0);
+  EXPECT_EQ(stats[3].pending_delta, 2);
 
   // Unsharded databases report a single all-covering entry.
   IndexSpec flat = spec;
@@ -310,64 +310,63 @@ TEST(ShardPersistTest, SaveRecordsShardMapAndOpenIndexAdoptsIt) {
   ExpectShardedMatchesUnsharded(flat, *overridden);
 }
 
-// --- shard::Partitioner unit coverage ---
+// --- shard placement and the shard-map codec ---
 
-TEST(PartitionerTest, BothModesPartitionEveryIdExactlyOnceAscending) {
-  for (shard::PlacementMode mode :
-       {shard::PlacementMode::kRoundRobin, shard::PlacementMode::kHash}) {
-    const shard::Partitioner partitioner(mode, 5);
-    const auto owned = partitioner.Partition(137);
-    ASSERT_EQ(owned.size(), 5u);
-    std::set<int> seen;
-    for (int s = 0; s < 5; ++s) {
-      EXPECT_TRUE(std::is_sorted(owned[s].begin(), owned[s].end()));
-      for (int g : owned[s]) {
-        EXPECT_EQ(partitioner.ShardOf(g), s);
-        EXPECT_TRUE(seen.insert(g).second) << "id " << g << " owned twice";
+TEST(PartitionerTest, RangesCoverEveryIdOnceAscendingWithRoundRobinSizes) {
+  for (int n : {0, 3, 5, 137, 1000}) {
+    for (int shards : {1, 2, 5, 8}) {
+      SCOPED_TRACE(std::to_string(n) + " records, " + std::to_string(shards) +
+                   " shards");
+      const std::vector<IdRange> ranges = shard::ShardRanges(n, shards);
+      ASSERT_EQ(ranges.size(), static_cast<size_t>(shards));
+      // Each range starts where the previous one ended: every id lies in
+      // exactly one range, and the ranges ascend.
+      int next = 0;
+      for (int s = 0; s < shards; ++s) {
+        EXPECT_EQ(ranges[s].begin, next);
+        EXPECT_LE(ranges[s].begin, ranges[s].end);
+        next = ranges[s].end;
+        // The size a round-robin deal gives shard s.
+        int dealt = 0;
+        for (int g = s; g < n; g += shards) ++dealt;
+        EXPECT_EQ(ranges[s].end - ranges[s].begin, dealt);
       }
-    }
-    EXPECT_EQ(seen.size(), 137u);
-    // Round-robin balance is exact: shard sizes differ by at most one.
-    if (mode == shard::PlacementMode::kRoundRobin) {
-      for (const auto& ids : owned) {
-        EXPECT_GE(static_cast<int>(ids.size()), 137 / 5);
-        EXPECT_LE(static_cast<int>(ids.size()), 137 / 5 + 1);
-      }
+      EXPECT_EQ(next, n);
     }
   }
 }
 
 TEST(PartitionerTest, EncodeDecodeRoundTripsAndRejectsMalformedBytes) {
-  const shard::Partitioner original(shard::PlacementMode::kHash, 7);
   storage::ByteWriter w;
-  original.Encode(w);
+  shard::EncodeShardMap(w, 7);
   const std::vector<uint8_t> bytes = std::move(w).Take();
-
-  storage::ByteReader r(bytes.data(), bytes.size());
-  shard::Partitioner decoded;
-  ASSERT_TRUE(decoded.Decode(r));
-  EXPECT_EQ(decoded, original);
-
-  // Unknown mode, out-of-range shard counts, truncation, trailing bytes.
-  const auto rejects = [](std::vector<uint8_t> image) {
+  const auto decode = [](const std::vector<uint8_t>& image) {
     storage::ByteReader reader(image.data(), image.size());
-    shard::Partitioner p;
-    return !p.Decode(reader);
+    return shard::DecodeShardMap(reader);
   };
   const auto encode = [](uint32_t mode, uint32_t shards) {
-    storage::ByteWriter bad;
-    bad.U32(mode);
-    bad.U32(shards);
-    return std::move(bad).Take();
+    storage::ByteWriter raw;
+    raw.U32(mode);
+    raw.U32(shards);
+    return std::move(raw).Take();
   };
-  EXPECT_TRUE(rejects(encode(2, 4)));
-  EXPECT_TRUE(rejects(encode(0, 0)));
-  EXPECT_TRUE(rejects(encode(0, 1)));
-  EXPECT_TRUE(rejects(encode(0, shard::kMaxShards + 1)));
-  EXPECT_TRUE(rejects(std::vector<uint8_t>(bytes.begin(), bytes.end() - 1)));
+  // A sharded Save writes placement mode 0 and the shard count.
+  EXPECT_EQ(bytes, encode(0, 7));
+  EXPECT_EQ(decode(bytes), 7);
+  // Older files recorded round-robin (0) or hash (1) placement; both open
+  // with their shard count.
+  EXPECT_EQ(decode(encode(1, 7)), 7);
+  EXPECT_EQ(decode(encode(0, shard::kMaxShards)), shard::kMaxShards);
+
+  // Unknown mode, out-of-range shard counts, truncation, trailing bytes.
+  EXPECT_FALSE(decode(encode(2, 4)));
+  EXPECT_FALSE(decode(encode(0, 0)));
+  EXPECT_FALSE(decode(encode(0, 1)));
+  EXPECT_FALSE(decode(encode(0, shard::kMaxShards + 1)));
+  EXPECT_FALSE(decode(std::vector<uint8_t>(bytes.begin(), bytes.end() - 1)));
   std::vector<uint8_t> trailing = bytes;
   trailing.push_back(0);
-  EXPECT_TRUE(rejects(trailing));
+  EXPECT_FALSE(decode(trailing));
 }
 
 // --- churn under sharding (runs under TSan in CI) ---

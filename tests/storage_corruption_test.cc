@@ -19,6 +19,8 @@
 //     parts holding more or fewer postings than rows (checksums repaired);
 //   * a Save cut short by the file-size limit, which must leave the
 //     previous index at the path;
+//   * shard maps of an unknown placement mode, an out-of-range shard
+//     count or with trailing bytes (Hamming only; modes 0 and 1 open);
 //   * corrupted magic;
 //   * a missing path, and a directory in place of the index file.
 
@@ -519,7 +521,7 @@ uint32_t ReadU32(const std::vector<uint8_t>& image, size_t offset) {
   return value;
 }
 
-// Searches cut every id list at an id limit by binary search (a self-join
+// Searches cut every id list to an id range by binary search (a self-join
 // probe reads only the ids below it), so the loader refuses a list whose
 // ids are out of order: two entries swapped in a set inverted list, in an
 // edit pivotal, prefix or length list, or in the edit short ids.
@@ -725,6 +727,64 @@ TEST(StorageCorruptionTest, ZeroedToc) {
     ExpectOpenFails(base, std::move(image), StatusCode::kDataLoss,
                     "zeroed TOC");
   }
+}
+
+// A sharded Save writes the kShardMap section as (placement mode 0, S).
+// Files of older builds recorded round-robin (0) or hash (1) placement;
+// both open with their S. Any other mode, an S outside [2, 64] and
+// trailing bytes are kDataLoss (checksums repaired).
+TEST(StorageCorruptionTest, ShardMapModesAndMalformedMaps) {
+  const DomainIndex& base = AllDomains().front();  // hamming
+  const std::string flat_path = ScratchPath("flat.pgri");
+  WriteFileBytes(flat_path, base.image);
+  IndexSpec sharded = base.spec;
+  sharded.shards = 4;
+  auto db = Db::OpenIndex(sharded, flat_path);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const std::vector<uint8_t> image = SavedBytes(*db, "sharded.pgri");
+  const auto ranges = SectionRangesOf(image);
+  size_t s = 0;
+  while (s < ranges.size() &&
+         ranges[s].first != storage::SectionId::kShardMap) {
+    ++s;
+  }
+  ASSERT_LT(s, ranges.size()) << "a sharded Save writes a shard map";
+  const uint64_t at = ranges[s].second.first;
+  ASSERT_EQ(ranges[s].second.second - at, 8u);
+  EXPECT_EQ(ReadU32(image, at), 0u);
+  EXPECT_EQ(ReadU32(image, at + 4), 4u);
+  const auto with = [&](uint32_t mode, uint32_t shards) {
+    std::vector<uint8_t> patched = image;
+    PatchU32(patched, at, mode);
+    PatchU32(patched, at + 4, shards);
+    RepairChecksums(patched, s, ranges);
+    return patched;
+  };
+
+  for (uint32_t mode : {0u, 1u}) {
+    SCOPED_TRACE("mode " + std::to_string(mode));
+    const std::string path = ScratchPath("mode.pgri");
+    WriteFileBytes(path, with(mode, 3));
+    auto opened = Db::OpenIndex(base.spec, path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    EXPECT_EQ(opened->spec().shards, 3);
+    EXPECT_EQ(opened->ShardSizes().size(), 3u);
+  }
+  ExpectOpenFails(base, with(2, 4), StatusCode::kDataLoss, "mode 2",
+                  "shard map");
+  ExpectOpenFails(base, with(0, 1), StatusCode::kDataLoss, "1 shard",
+                  "shard map");
+  ExpectOpenFails(base, with(0, 65), StatusCode::kDataLoss, "65 shards",
+                  "shard map");
+  // Trailing bytes: the section takes in 4 bytes of its zero padding.
+  std::vector<uint8_t> trailing = image;
+  const uint64_t toc = ReadU64(image, storage::kTocOffsetOffset);
+  PatchU64(trailing, toc + s * storage::kTocEntrySize + 16, 12);
+  auto grown = ranges;
+  grown[s].second.second += 4;
+  RepairChecksums(trailing, s, grown);
+  ExpectOpenFails(base, std::move(trailing), StatusCode::kDataLoss,
+                  "trailing bytes", "shard map");
 }
 
 TEST(StorageCorruptionTest, StaleFormatVersion) {

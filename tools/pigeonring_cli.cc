@@ -33,10 +33,10 @@
 //       [--kappa K] [--fast-path auto|on|off] [--alloc uniform|costmodel]
 //       [--threads N] [--shards S]
 //
-// --shards S (build/search/join/serve) partitions the collection into S
-// round-robin shards executed scatter-gather (src/shard/): results stay
+// --shards S (build/search/join/serve) cuts the collection's ids into S
+// ranges executed scatter-gather (src/shard/): results stay
 // byte-identical to --shards 1 at any S. `build --shards` persists the
-// placement in the index file; opening such an index re-adopts it unless
+// shard count in the index file; opening such an index re-adopts it unless
 // an explicit --shards overrides. S is a serving-time knob, not part of
 // the index fingerprint, so it never conflicts like --tau does.
 //
