@@ -2,7 +2,7 @@
 // layer, self-timed (no Google Benchmark dependency so it runs everywhere,
 // including the CI bench-smoke job).
 //
-// Three panels:
+// Five panels:
 //   1. verify:      per-pair threshold verification H(x, q) <= tau at
 //                   several dimension counts — the pre-PR scalar loop over
 //                   per-record BitVector words (full distance, then
@@ -15,13 +15,23 @@
 //                   between layout/early-exit and SIMD width.
 //   3. end-to-end:  HammingSearcher::Search wall time on a clustered
 //                   dataset (the full filter + rewired verify stack).
+//   4. edit select: kernels::SelectPostings pinned to each supported path
+//                   over the posting lists a strings self-join scans
+//                   (5k strings, tau 2, kappa 2: every record's half-probe
+//                   lists, cut at its id), in ns per in-range posting.
+//   5. edit verify: ed(x, q) <= tau per candidate-like pair (tau 2, one
+//                   near copy per eight length-window strangers) —
+//                   BandedEditDistance vs the bit-parallel EditVerifier,
+//                   its pattern masks built once per query.
 //
 // `--json FILE` dumps the panels machine-readably; BENCH_kernels.json at
 // the repo root is a committed baseline (protocol in docs/BENCHMARKS.md).
-// The verify panel self-checks that both paths return identical verdicts
-// before timing anything.
+// Every panel with two paths self-checks that they agree — verdicts,
+// survivors and counts — before timing anything, and exits 1 if not.
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -31,6 +41,9 @@
 #include "common/random.h"
 #include "common/timer.h"
 #include "datagen/binary_vectors.h"
+#include "datagen/strings.h"
+#include "editdist/pivotal.h"
+#include "editdist/verify.h"
 #include "hamming/search.h"
 #include "kernels/flat_bit_table.h"
 #include "kernels/kernels.h"
@@ -192,10 +205,213 @@ SearchPanelRow RunSearchPanel() {
   return row;
 }
 
+// The strings self-join's collection: perfbench's strings-join shape.
+std::vector<std::string> JoinStrings() {
+  datagen::StringConfig config;
+  config.num_records = bench::Scaled(5000);
+  config.avg_length = 16;
+  config.duplicate_fraction = 0.35;
+  config.max_perturb_edits = 2;
+  config.seed = 7600;
+  return datagen::GenerateStrings(config);
+}
+
+struct SelectCall {
+  kernels::PostingList list;
+  kernels::PostingTest test;
+};
+
+// Every select a tau-2 self-join runs: probe p's prefix grams over the
+// pivotal lists (the record's prefix ends first) and its pivotal grams
+// over the prefix lists, each list cut at id p.
+std::vector<SelectCall> JoinSelects(
+    const editdist::EditDistanceSearcher& searcher,
+    const std::vector<std::string>& data) {
+  using editdist::EditDistanceSearcher;
+  const EditDistanceSearcher::Index& index = searcher.index();
+  auto view = [](const EditDistanceSearcher::PostingLists& lists, int rank) {
+    const size_t first = lists.offsets[rank];
+    return kernels::PostingList{
+        lists.ids.data() + first, lists.positions.data() + first,
+        lists.lengths.data() + first, lists.prefix_last_ranks.data() + first,
+        static_cast<int>(lists.offsets[rank + 1] - first)};
+  };
+  std::vector<SelectCall> calls;
+  for (int p = 0; p < static_cast<int>(data.size()); ++p) {
+    const editdist::GramProfile& profile = index.profiles[p];
+    if (profile.is_short) continue;
+    const int length = static_cast<int>(data[p].size());
+    for (bool x_side : {true, false}) {
+      for (const editdist::Gram& g :
+           x_side ? profile.prefix : profile.pivotal) {
+        calls.push_back({view(x_side ? index.pivotal : index.prefix, g.rank),
+                         {p, x_side, profile.prefix_last_rank, g.position,
+                          length, searcher.tau()}});
+      }
+    }
+  }
+  return calls;
+}
+
+// Runs every call, appending each call's counts and survivors to `out`
+// when given; returns the in-range postings scanned.
+int64_t RunSelects(const std::vector<SelectCall>& calls,
+                   std::vector<int>* selected, std::vector<int>* out) {
+  int64_t postings = 0;
+  for (const SelectCall& call : calls) {
+    const kernels::SelectCounts counts =
+        kernels::SelectPostings(call.list, call.test, selected->data());
+    postings += counts.in_range;
+    if (out != nullptr) {
+      out->push_back(counts.in_range);
+      out->push_back(counts.selected);
+      out->insert(out->end(), selected->begin(),
+                  selected->begin() + counts.selected);
+    }
+  }
+  return postings;
+}
+
+struct SelectRow {
+  std::string isa;
+  int64_t calls = 0;
+  int64_t postings = 0;  // per pass
+  double ns_per_posting = 0;
+};
+
+std::vector<SelectRow> RunSelectPanel(int repeats) {
+  const std::vector<std::string> data = JoinStrings();
+  const editdist::EditDistanceSearcher searcher(&data, 2, 2);
+  const std::vector<SelectCall> calls = JoinSelects(searcher, data);
+  size_t longest = 0;
+  for (const SelectCall& call : calls) {
+    longest = std::max(longest, static_cast<size_t>(call.list.size));
+  }
+  std::vector<int> selected(longest + kernels::kSelectSlack);
+
+  const kernels::Isa saved = kernels::ActiveIsa();
+  kernels::SetActiveIsa(kernels::Isa::kScalar);
+  std::vector<int> reference;
+  RunSelects(calls, &selected, &reference);
+  std::vector<SelectRow> rows;
+  for (kernels::Isa isa : {kernels::Isa::kScalar, kernels::Isa::kAvx2,
+                           kernels::Isa::kAvx512}) {
+    if (!kernels::SetActiveIsa(isa)) continue;
+    std::vector<int> got;
+    SelectRow row;
+    row.isa = kernels::IsaName(isa);
+    row.calls = static_cast<int64_t>(calls.size());
+    row.postings = RunSelects(calls, &selected, &got);
+    if (got != reference) {
+      std::fprintf(stderr,
+                   "FATAL: %s posting select diverges from the scalar path\n",
+                   row.isa.c_str());
+      std::exit(1);
+    }
+    StopWatch watch;
+    int64_t sink = 0;
+    for (int r = 0; r < repeats; ++r) {
+      sink += RunSelects(calls, &selected, nullptr);
+    }
+    row.ns_per_posting = watch.ElapsedMillis() * 1e6 /
+                         std::max<double>(1.0, static_cast<double>(sink));
+    rows.push_back(row);
+  }
+  kernels::SetActiveIsa(saved);
+  return rows;
+}
+
+struct EditVerifyRow {
+  int tau = 2;
+  int queries = 0;
+  int64_t pairs = 0;
+  int64_t matches = 0;
+  double banded_ns_per_pair = 0;
+  double bit_parallel_ns_per_pair = 0;
+  double speedup = 0;
+};
+
+EditVerifyRow RunEditVerifyPanel(int repeats) {
+  EditVerifyRow row;
+  const std::vector<std::string> data = JoinStrings();
+  // Per query: one near copy (up to tau + 1 edits, so some fail) and
+  // eight strangers inside the +-tau length window, roughly the join's
+  // verify precision.
+  Rng rng(7700);
+  std::vector<std::string> queries;
+  std::vector<std::vector<std::string>> texts;
+  for (int i = 0; i < bench::Scaled(2000); ++i) {
+    const std::string& query = data[rng.NextBounded(data.size())];
+    std::vector<std::string> mine;
+    std::string copy = query;
+    const int edits = static_cast<int>(rng.NextBounded(row.tau + 2));
+    for (int e = 0; e < edits && !copy.empty(); ++e) {
+      copy[rng.NextBounded(copy.size())] =
+          static_cast<char>('a' + rng.NextBounded(26));
+    }
+    mine.push_back(copy);
+    while (mine.size() < 9) {
+      const std::string& other = data[rng.NextBounded(data.size())];
+      const int gap = static_cast<int>(other.size()) -
+                      static_cast<int>(query.size());
+      if (std::abs(gap) <= row.tau) mine.push_back(other);
+    }
+    queries.push_back(query);
+    texts.push_back(std::move(mine));
+    row.pairs += 9;
+  }
+  row.queries = static_cast<int>(queries.size());
+
+  // Verdict self-check before timing.
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const editdist::EditVerifier verifier(queries[q], row.tau);
+    for (const std::string& text : texts[q]) {
+      const bool banded =
+          editdist::BandedEditDistance(text, queries[q], row.tau) <= row.tau;
+      if (verifier.Matches(text) != banded) {
+        std::fprintf(stderr,
+                     "FATAL: bit-parallel/banded verdict mismatch: '%s' vs "
+                     "'%s'\n",
+                     queries[q].c_str(), text.c_str());
+        std::exit(1);
+      }
+      row.matches += banded ? 1 : 0;
+    }
+  }
+
+  const double pairs = static_cast<double>(row.pairs) * repeats;
+  int64_t sink = 0;
+  StopWatch watch;
+  for (int r = 0; r < repeats; ++r) {
+    for (size_t q = 0; q < queries.size(); ++q) {
+      for (const std::string& text : texts[q]) {
+        sink += editdist::BandedEditDistance(text, queries[q], row.tau);
+      }
+    }
+  }
+  row.banded_ns_per_pair = watch.ElapsedMillis() * 1e6 / pairs;
+  watch.Restart();
+  for (int r = 0; r < repeats; ++r) {
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const editdist::EditVerifier verifier(queries[q], row.tau);
+      for (const std::string& text : texts[q]) {
+        sink += verifier.Distance(text);
+      }
+    }
+  }
+  row.bit_parallel_ns_per_pair = watch.ElapsedMillis() * 1e6 / pairs;
+  row.speedup = row.banded_ns_per_pair /
+                std::max(1e-9, row.bit_parallel_ns_per_pair);
+  if (sink == 42) std::printf(" ");
+  return row;
+}
+
 void WriteJson(const std::string& path,
                const std::vector<VerifyPanelRow>& verify,
                const std::vector<IsaSweepRow>& sweep,
-               const SearchPanelRow& search) {
+               const SearchPanelRow& search,
+               const std::vector<SelectRow>& select,
+               const EditVerifyRow& edit_verify) {
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -228,10 +444,29 @@ void WriteJson(const std::string& path,
   std::fprintf(f, "  ],\n");
   std::fprintf(f,
                "  \"search_hamming_d128\": {\"objects\": %d, \"queries\": "
-               "%d, \"millis_per_query\": %.4f, \"results\": %lld}\n",
+               "%d, \"millis_per_query\": %.4f, \"results\": %lld},\n",
                search.num_objects, search.num_queries,
                search.millis_per_query,
                static_cast<long long>(search.results));
+  std::fprintf(f, "  \"select_strings_join_tau2\": [\n");
+  for (size_t i = 0; i < select.size(); ++i) {
+    const SelectRow& r = select[i];
+    std::fprintf(f,
+                 "    {\"isa\": \"%s\", \"calls\": %lld, \"postings\": "
+                 "%lld, \"ns_per_posting\": %.3f}%s\n",
+                 r.isa.c_str(), static_cast<long long>(r.calls),
+                 static_cast<long long>(r.postings), r.ns_per_posting,
+                 i + 1 == select.size() ? "" : ",");
+  }
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f,
+               "  \"verify_edit_tau2\": {\"queries\": %d, \"pairs\": %lld, "
+               "\"matches\": %lld, \"banded_ns_per_pair\": %.3f, "
+               "\"bit_parallel_ns_per_pair\": %.3f, \"speedup\": %.3f}\n",
+               edit_verify.queries, static_cast<long long>(edit_verify.pairs),
+               static_cast<long long>(edit_verify.matches),
+               edit_verify.banded_ns_per_pair,
+               edit_verify.bit_parallel_ns_per_pair, edit_verify.speedup);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
@@ -285,6 +520,36 @@ int main(int argc, char** argv) {
       search.num_objects, search.num_queries, search.millis_per_query,
       static_cast<long long>(search.results));
 
-  if (!json_path.empty()) WriteJson(json_path, verify, sweep, search);
+
+  const std::vector<SelectRow> select = RunSelectPanel(repeats);
+  {
+    Table table(
+        "edit posting select per dispatch path (strings self-join lists, "
+        "tau 2)",
+        {"isa", "calls", "postings", "ns/posting"});
+    for (const SelectRow& r : select) {
+      table.AddRow({r.isa, Table::Int(r.calls), Table::Int(r.postings),
+                    Table::Num(r.ns_per_posting, 3)});
+    }
+    table.Print();
+    std::printf("\n");
+  }
+
+  const EditVerifyRow edit_verify = RunEditVerifyPanel(repeats);
+  {
+    Table table("verify ed(x,q) <= 2: banded DP vs bit-parallel",
+                {"pairs", "matches", "banded ns/pair", "bit-parallel ns/pair",
+                 "speedup"});
+    table.AddRow({Table::Int(edit_verify.pairs),
+                  Table::Int(edit_verify.matches),
+                  Table::Num(edit_verify.banded_ns_per_pair, 2),
+                  Table::Num(edit_verify.bit_parallel_ns_per_pair, 2),
+                  Table::Num(edit_verify.speedup, 2) + "x"});
+    table.Print();
+  }
+
+  if (!json_path.empty()) {
+    WriteJson(json_path, verify, sweep, search, select, edit_verify);
+  }
   return 0;
 }

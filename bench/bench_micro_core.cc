@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the kernels every search touches:
-// chain checks, popcount Hamming distance, overlap merge, banded edit
-// distance, subgraph isomorphism, and exact GED, plus the kernel panel
+// chain checks, popcount Hamming distance, overlap merge, banded and
+// bit-parallel edit distance, subgraph isomorphism, and exact GED, plus
+// the kernel panel
 // (BM_Kernel*): the dispatched SIMD kernels of src/kernels/ against the
 // pre-PR scalar loop they replaced (protocol in docs/BENCHMARKS.md; the
 // committed BENCH_kernels.json baseline comes from the self-timed
@@ -159,17 +160,30 @@ void BM_KernelBatchVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelBatchVerify)->Arg(64)->Arg(256);
 
-void BM_KernelMinXorPopcount(benchmark::State& state) {
+// One posting list of state.range(0) entries through the dispatched
+// §6.3 select (side, position and length tests; the range covers it).
+void BM_KernelSelectPostings(benchmark::State& state) {
+  const int size = static_cast<int>(state.range(0));
   Rng rng(25);
-  std::vector<uint64_t> keys(64);
-  for (auto& k : keys) k = rng.Next();
-  const uint64_t key = rng.Next();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kernels::MinXorPopcount(
-        keys.data(), static_cast<int>(keys.size()), key, -1));
+  std::vector<int> ids(size), positions(size), lengths(size), ranks(size);
+  for (int k = 0; k < size; ++k) {
+    ids[k] = 3 * k;
+    positions[k] = static_cast<int>(rng.NextBounded(16));
+    lengths[k] = 8 + static_cast<int>(rng.NextBounded(16));
+    ranks[k] = static_cast<int>(rng.NextBounded(64));
   }
+  const kernels::PostingList list{ids.data(), positions.data(),
+                                  lengths.data(), ranks.data(), size};
+  const kernels::PostingTest test{1 << 30, true, 32, 8, 16, 2};
+  std::vector<int> selected(size + kernels::kSelectSlack);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        kernels::SelectPostings(list, test, selected.data()));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * size);
 }
-BENCHMARK(BM_KernelMinXorPopcount);
+BENCHMARK(BM_KernelSelectPostings)->Arg(16)->Arg(256);
 
 void BM_OverlapVerify(benchmark::State& state) {
   const int size = static_cast<int>(state.range(0));
@@ -204,6 +218,28 @@ void BM_BandedEditDistance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BandedEditDistance)->Args({16, 2})->Args({101, 8});
+
+// The bit-parallel verifier on BM_BandedEditDistance's pairs; its pattern
+// masks are built once, outside the loop, as a probe builds them.
+void BM_BitParallelEditDistance(benchmark::State& state) {
+  const int len = static_cast<int>(state.range(0));
+  const int tau = static_cast<int>(state.range(1));
+  Rng rng(5);
+  std::string a, b;
+  for (int i = 0; i < len; ++i) {
+    a.push_back(static_cast<char>('a' + rng.NextBounded(26)));
+  }
+  b = a;
+  for (int e = 0; e < tau; ++e) {
+    b[rng.NextBounded(b.size())] =
+        static_cast<char>('a' + rng.NextBounded(26));
+  }
+  const editdist::EditVerifier verifier(b, tau);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(verifier.Distance(a));
+  }
+}
+BENCHMARK(BM_BitParallelEditDistance)->Args({16, 2})->Args({64, 8});
 
 void BM_ContentFilterMask(benchmark::State& state) {
   std::string s = "thequickbrownfoxjumps";

@@ -370,15 +370,16 @@ class Model final : public AnySearcher {
     S adapter_;
   };
 
-  // The scatter-gather counterpart of Cursor: one clone of the prototype
-  // per shard range, merged through shard/scatter.h so the answer is
-  // byte-identical to the unsharded cursor's at any shard / thread count.
+  // The scatter-gather counterpart of Cursor for searches: one clone of
+  // the prototype per shard range, merged through shard/scatter.h so the
+  // answer is byte-identical to the unsharded cursor's at any shard /
+  // thread count. Self-joins run unsharded.
   class ShardedCursor : public AnyCursor {
    public:
     ShardedCursor(const S& full, std::shared_ptr<const shard::Fleet> fleet)
         : full_(full),
           fleet_(std::move(fleet)),
-          scratch_(fleet_->shards.size(), full) {}
+          scratch_(std::max<size_t>(1, fleet_->shards.size()), full) {}
 
     std::vector<int> SearchOne(const Query& query,
                                engine::QueryStats* stats) override {
@@ -395,10 +396,13 @@ class Model final : public AnySearcher {
                                        ShardOptions(ctx), stats);
     }
 
+    // A self-join is one pass of half-probes over the whole index, on the
+    // caller's context: every probe's range is [0, p) whatever the shard
+    // layout, so splitting the probes by shard would only split each
+    // probe's posting lists and repeat its set-up once per shard.
     std::vector<engine::IdPair> SelfJoin(const engine::ExecutionContext& ctx,
                                          engine::JoinStats* stats) override {
-      return shard::ScatterSelfJoin(*fleet_, scratch_, ShardOptions(ctx),
-                                    stats);
+      return engine::SelfJoin(scratch_.front(), ctx, stats);
     }
 
    private:
@@ -420,7 +424,9 @@ class Model final : public AnySearcher {
     // submissions pin it), so a plain reference is safe.
     const S& full_;  // the model's prototype: maps queries
     std::shared_ptr<const shard::Fleet> fleet_;
-    std::vector<S> scratch_;  // one mutable clone per shard
+    // One mutable clone per shard, and at least one: an empty collection
+    // has no shards but still self-joins (to nothing) on scratch_[0].
+    std::vector<S> scratch_;
   };
 
   IndexSpec spec_;

@@ -99,8 +99,9 @@ struct IndexSpec {
 
   /// Scatter-gather shard count S (src/shard/): the collection's ids are
   /// cut into S contiguous ranges of the one index, each served by its own
-  /// executor, and every query / self-join is scattered to all ranges and
-  /// merged byte-identically to the unsharded answer. 1 (the default)
+  /// executor, and every query is scattered to all ranges and merged
+  /// byte-identically to the unsharded answer; a self-join runs unsharded
+  /// over the whole index on the caller's threads. 1 (the default)
   /// serves the single unsharded searcher. A serving-time knob:
   /// excluded from BuildFingerprint and from the kSpec section, but
   /// Db::Save records the shard map of a sharded database and

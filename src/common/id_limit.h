@@ -13,7 +13,9 @@
 //
 // Posting lists are id-ascending, so a range cuts each list at its two
 // ends: CutToIdRange costs one comparison per end and, only when that end
-// falls inside the list, one binary search.
+// falls inside the list, one binary search. The edit searcher cuts its
+// pivotal and prefix lists at the start alone: kernels::SelectPostings
+// stops at the end as it scans.
 
 #ifndef PIGEONRING_COMMON_ID_LIMIT_H_
 #define PIGEONRING_COMMON_ID_LIMIT_H_

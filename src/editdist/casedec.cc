@@ -189,13 +189,12 @@ std::vector<int> CaseDecSearcher::Search(const std::string& query,
   if (n > 0 && query_length != length_) {
     // The decomposition is defined for same-length pairs only; a
     // mixed-length query (never produced by a self-join over eligible
-    // data) is answered by a sound banded-DP scan.
+    // data) is answered by verifying every record in the range.
     if (std::abs(query_length - length_) <= tau_) {
       StopWatch verify_watch;
+      const EditVerifier verifier(query, tau_);
       for (int id = ids.begin; id < ids.end; ++id) {
-        if (BandedEditDistance(query, (*data_)[id], tau_) <= tau_) {
-          results.push_back(id);
-        }
+        if (verifier.Matches((*data_)[id])) results.push_back(id);
       }
       local.candidates = ids.end - ids.begin;
       local.verify_millis = verify_watch.ElapsedMillis();
@@ -267,9 +266,10 @@ std::vector<int> CaseDecSearcher::Search(const std::string& query,
   local.filter_millis = phase_watch.ElapsedMillis();
 
   phase_watch.Restart();
-  for (const int id : candidates) {
-    if (BandedEditDistance(query, (*data_)[id], tau_) <= tau_) {
-      results.push_back(id);
+  if (!candidates.empty()) {
+    const EditVerifier verifier(query, tau_);
+    for (const int id : candidates) {
+      if (verifier.Matches((*data_)[id])) results.push_back(id);
     }
   }
   std::sort(results.begin(), results.end());

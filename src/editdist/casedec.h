@@ -13,21 +13,24 @@
 // search over the deletion neighborhood: every record contributes C(L, j)
 // signature rows (one per deletion set, lexicographic order), the query
 // probes with its own C(L, j) variants, and survivors are confirmed with
-// the banded-DP verifier. Signatures one-hot code each remnant character
-// into 32 bits (c & 31 — exact for lowercase a..z, merely folded for wider
-// alphabets), so a character mismatch costs exactly 2 signature bits and
-// filtering at 2 (tau - 2 j) bits is complete; folding only weakens the
-// filter, never its completeness. The per-case searches reuse the whole
-// pigeonring Hamming machinery — partition index, threshold allocation,
-// chain filter, and the AVX2/AVX-512 verification kernels.
+// EditVerifier (editdist/verify.h: bit-parallel for L <= 64, banded DP
+// above), its pattern masks built once per query. Signatures one-hot code
+// each remnant character into 32 bits (c & 31 — exact for lowercase a..z,
+// merely folded for wider alphabets), so a character mismatch costs
+// exactly 2 signature bits and filtering at 2 (tau - 2 j) bits is
+// complete; folding only weakens the filter, never its completeness. The
+// per-case searches reuse the whole pigeonring Hamming machinery —
+// partition index, threshold allocation, chain filter, and the
+// AVX2/AVX-512 verification kernels.
 //
 // An optimal alignment never deletes all L characters (substituting
 // everything costs L < 2 L), so j <= L - 1; and any case whose character
 // threshold tau - 2 j reaches the remnant length L - j passes every pair,
 // at which point filtering is pointless and the searcher degenerates to
 // verify-only (cases() is empty exactly when tau >= L or the collection
-// is empty). Queries whose length differs from L fall back to a banded-DP
-// scan (sound; self-joins over a fixed-length collection never hit it).
+// is empty). Queries whose length differs from L fall back to a
+// verify-every-record scan (sound; self-joins over a fixed-length
+// collection never hit it).
 
 #ifndef PIGEONRING_EDITDIST_CASEDEC_H_
 #define PIGEONRING_EDITDIST_CASEDEC_H_
@@ -83,8 +86,8 @@ class CaseDecSearcher {
   /// the partition index degenerates into scanning one part's bucket and
   /// chain-checking every row in it. A sorted (remnant hash, row) table
   /// answers the same question with one binary search per query variant;
-  /// hash collisions only admit extra candidates, which the banded-DP
-  /// verifier removes. Both constructors fill it; FromBuilt derives it
+  /// hash collisions only admit extra candidates, which verification
+  /// removes. Both constructors fill it; FromBuilt derives it
   /// from `data` the same way, so loaded searchers behave identically.
   struct Case {
     int indels;

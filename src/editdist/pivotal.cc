@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstdlib>
 #include <numeric>
 
 #include "common/bitvector.h"
@@ -26,19 +28,24 @@ void AppendWindowMasks(const std::string& s, int kappa,
   }
 }
 
-/// Builds CSR lists over keys [0, num_keys) from the (key, entry) pairs
-/// that `for_each(emit)` produces, keeping emission order within each
-/// list: one pass counts, a second fills.
-template <typename Entry, typename ForEach>
+/// Builds CSR lists over keys [0, num_keys) whose entries are columns:
+/// `for_each(emit)` produces the entries, emit(key, {v_0, ..., v_{N-1}})
+/// adding one to list `key` with v_c in column c, and each list keeps
+/// emission order. One pass counts, a second fills.
+template <size_t N, typename ForEach>
 void BuildLists(size_t num_keys, ForEach&& for_each,
-                std::vector<size_t>* offsets, std::vector<Entry>* entries) {
+                std::vector<size_t>* offsets,
+                const std::array<std::vector<int>*, N>& columns) {
   offsets->assign(num_keys + 1, 0);
-  for_each([&](size_t key, const Entry&) { ++(*offsets)[key + 1]; });
+  for_each([&](size_t key, const std::array<int, N>&) {
+    ++(*offsets)[key + 1];
+  });
   std::partial_sum(offsets->begin(), offsets->end(), offsets->begin());
-  entries->resize(offsets->back());
+  for (std::vector<int>* column : columns) column->resize(offsets->back());
   std::vector<size_t> next(offsets->begin(), offsets->end() - 1);
-  for_each([&](size_t key, const Entry& entry) {
-    (*entries)[next[key]++] = entry;
+  for_each([&](size_t key, const std::array<int, N>& values) {
+    const size_t slot = next[key]++;
+    for (size_t c = 0; c < N; ++c) (*columns[c])[slot] = values[c];
   });
 }
 
@@ -69,36 +76,36 @@ std::shared_ptr<Index> BuildIndex(const std::vector<std::string>* data,
   }
   // Short profiles carry no grams, so they post nothing.
   const size_t universe = index->dictionary.universe_size();
-  BuildLists(
+  BuildLists<3>(
       universe,
       [&](auto emit) {
         for (int id = 0; id < n; ++id) {
           const std::vector<Gram>& pivotal = index->profiles[id].pivotal;
           for (size_t j = 0; j < pivotal.size(); ++j) {
             emit(pivotal[j].rank,
-                 EditDistanceSearcher::PivotalPosting{
-                     id, static_cast<int>(j), pivotal[j].position, 0, 0});
+                 {id, pivotal[j].position, static_cast<int>(j)});
           }
         }
       },
-      &index->pivotal_offsets, &index->pivotal_postings);
-  BuildLists(
+      &index->pivotal.offsets,
+      {&index->pivotal.ids, &index->pivotal.positions,
+       &index->pivotal_indexes});
+  BuildLists<2>(
       universe,
       [&](auto emit) {
         for (int id = 0; id < n; ++id) {
           for (const Gram& g : index->profiles[id].prefix) {
-            emit(g.rank,
-                 EditDistanceSearcher::PrefixPosting{id, g.position, 0, 0});
+            emit(g.rank, {id, g.position});
           }
         }
       },
-      &index->prefix_offsets, &index->prefix_postings);
-  BuildLists(
+      &index->prefix.offsets, {&index->prefix.ids, &index->prefix.positions});
+  BuildLists<1>(
       static_cast<size_t>(max_length) + 1,
       [&](auto emit) {
-        for (int id = 0; id < n; ++id) emit((*data)[id].size(), id);
+        for (int id = 0; id < n; ++id) emit((*data)[id].size(), {id});
       },
-      &index->length_offsets, &index->length_ids);
+      &index->length_offsets, {&index->length_ids});
   return index;
 }
 
@@ -118,36 +125,17 @@ void DeriveIndex(const std::vector<std::string>& data, int tau,
       index->ring_positions[id * m + j] = profile.pivotal[j].position;
     }
   }
-  auto derive = [&](auto& postings) {
-    for (auto& posting : postings) {
-      posting.length = static_cast<int>(data[posting.id].size());
-      posting.prefix_last_rank = index->profiles[posting.id].prefix_last_rank;
+  auto derive = [&](EditDistanceSearcher::PostingLists* lists) {
+    lists->lengths.resize(lists->ids.size());
+    lists->prefix_last_ranks.resize(lists->ids.size());
+    for (size_t e = 0; e < lists->ids.size(); ++e) {
+      const int id = lists->ids[e];
+      lists->lengths[e] = static_cast<int>(data[id].size());
+      lists->prefix_last_ranks[e] = index->profiles[id].prefix_last_rank;
     }
   };
-  derive(index->pivotal_postings);
-  derive(index->prefix_postings);
-}
-
-/// Scans one posting list in order and writes the list offsets of the
-/// postings that pass the prefix-order side test, the +-tau position test
-/// and the length test to `selected`; returns how many passed. Branch-free:
-/// every offset is written, and the count advances only for survivors.
-/// `x_side` selects Case A (the record's prefix ends first: its
-/// prefix-last rank is <= the query's) or Case B (strictly greater).
-template <typename Posting>
-int SelectPostings(std::span<const Posting> list, bool x_side,
-                   int q_prefix_last_rank, int q_position, int q_len,
-                   int tau, int* selected) {
-  int count = 0;
-  for (int k = 0; k < static_cast<int>(list.size()); ++k) {
-    const Posting& p = list[k];
-    selected[count] = k;
-    count += static_cast<int>(
-        ((p.prefix_last_rank <= q_prefix_last_rank) == x_side) &
-        (std::abs(p.position - q_position) <= tau) &
-        (std::abs(p.length - q_len) <= tau));
-  }
-  return count;
+  derive(&index->pivotal);
+  derive(&index->prefix);
 }
 
 template <typename Entry>
@@ -155,6 +143,99 @@ std::span<const Entry> List(const std::vector<size_t>& offsets,
                             const std::vector<Entry>& entries, size_t key) {
   return std::span<const Entry>(entries).subspan(
       offsets[key], offsets[key + 1] - offsets[key]);
+}
+
+/// What the chain check of one probe reads besides the ring and windows.
+struct ChainParams {
+  int m;      // boxes: tau + 1
+  int l;      // chain length, in [2, m]
+  int tau;
+  int kappa;
+  // budget[len] = floor(len * tau / m): under uniform thresholds a chain
+  // prefix of length len is viable iff its sum is at most this.
+  std::array<int, 65> budget;
+};
+
+/// Content-filter lower bound for the box of `gram_mask`@`gram_pos`: over
+/// the other string's windows u within +-tau of gram_pos (window u's mask
+/// is the alphabet mask of s[u .. u+kappa)), the minimum of
+/// ceil(popcount(mask ^ gram_mask) / 2), capped at kappa — O(tau)
+/// popcounts, as the §6.3 remark prices the box check.
+template <bool kNativePopcount>
+[[gnu::always_inline]] inline int BoxLowerBound(uint64_t gram_mask,
+                                                int gram_pos,
+                                                const uint64_t* windows,
+                                                int num_windows, int tau,
+                                                int kappa) {
+  const int lo = std::max(0, gram_pos - tau);
+  const int hi = std::min(gram_pos + tau, num_windows - 1);
+  if (lo > hi) return kappa;
+  int best = 64;
+  for (int u = lo; u <= hi; ++u) {
+    const uint64_t diff = windows[u] ^ gram_mask;
+    if constexpr (kNativePopcount) {
+      best = std::min(best, __builtin_popcountll(diff));
+    } else {
+      best = std::min(best, std::popcount(diff));
+    }
+  }
+  return std::min(kappa, (best + 1) >> 1);
+}
+
+/// The strong-form chain check from exact-match entry box `entry` (value
+/// 0): boxes entry + 1, ..., entry + l - 1 (mod m) of the side string's
+/// ring against the other string's windows. Returns the chain length at
+/// which the prefix sum first exceeds its budget, or 0 if every prefix
+/// fits.
+template <bool kNativePopcount>
+[[gnu::always_inline]] inline int ChainFailure(const ChainParams& chain,
+                                               const uint64_t* ring_masks,
+                                               const int* ring_positions,
+                                               const uint64_t* windows,
+                                               int num_windows, int entry) {
+  int sum = 0;
+  int box = entry;
+  for (int len = 2; len <= chain.l; ++len) {
+    if (++box == chain.m) box = 0;
+    sum += BoxLowerBound<kNativePopcount>(ring_masks[box],
+                                          ring_positions[box], windows,
+                                          num_windows, chain.tau, chain.kappa);
+    if (sum > chain.budget[len]) return len;
+  }
+  return 0;
+}
+
+using ChainCheck = int (*)(const ChainParams&, const uint64_t*, const int*,
+                           const uint64_t*, int, int);
+
+int ChainFailurePortable(const ChainParams& chain, const uint64_t* ring_masks,
+                         const int* ring_positions, const uint64_t* windows,
+                         int num_windows, int entry) {
+  return ChainFailure<false>(chain, ring_masks, ring_positions, windows,
+                             num_windows, entry);
+}
+
+#ifdef PIGEONRING_KERNELS_X86_SIMD
+// The same check compiled for the popcount instruction; the inlined window
+// scan's __builtin_popcountll becomes one popcnt per window.
+__attribute__((target("popcnt"))) int ChainFailureNative(
+    const ChainParams& chain, const uint64_t* ring_masks,
+    const int* ring_positions, const uint64_t* windows, int num_windows,
+    int entry) {
+  return ChainFailure<true>(chain, ring_masks, ring_positions, windows,
+                            num_windows, entry);
+}
+#endif
+
+/// The chain check for the active kernel ISA: native popcount under AVX2
+/// or AVX-512 (every such CPU has the instruction), portable otherwise.
+ChainCheck PickChainCheck() {
+#ifdef PIGEONRING_KERNELS_X86_SIMD
+  if (kernels::ActiveIsa() != kernels::Isa::kScalar) {
+    return ChainFailureNative;
+  }
+#endif
+  return ChainFailurePortable;
 }
 
 }  // namespace
@@ -186,24 +267,6 @@ EditDistanceSearcher::EditDistanceSearcher(
   ruled_out_.assign(n, 0);
 }
 
-int EditDistanceSearcher::ContentLowerBound(
-    uint64_t gram_mask, int gram_pos, std::span<const uint64_t> other_masks,
-    int good_enough) const {
-  const int len = static_cast<int>(other_masks.size());
-  if (len == 0) return kappa_;
-  const int lo = std::max(0, gram_pos - tau_);
-  const int hi = std::min(gram_pos + tau_, len - 1);
-  if (lo > hi) return kappa_;
-  // Block-signature popcount chain over the window. The mask-distance bound
-  // is (popcount + 1) / 2, so bound <= good_enough iff popcount <=
-  // 2 * good_enough; an early stop may return the minimum of a scanned
-  // prefix only, but any such value also satisfies <= good_enough, which is
-  // all the chain check uses it for (completeness is unaffected).
-  const int min_pc = kernels::MinXorPopcount(
-      other_masks.data() + lo, hi - lo + 1, gram_mask, 2 * good_enough);
-  return std::min(kappa_, (min_pc + 1) / 2);
-}
-
 int EditDistanceSearcher::ExactBox(const std::string& side, const Gram& gram,
                                    const std::string& other) const {
   return MinSubstringEditDistance(
@@ -226,18 +289,17 @@ std::vector<int> EditDistanceSearcher::Search(const std::string& query,
     AppendWindowMasks(padded, kappa_, &masks);
   }
   const Probe probe{query, profile, padded, masks};
-  return SearchProbe(probe, filter, chain_length, range, started, stats);
+  return SearchProbe(probe, filter, chain_length, range, &started, stats);
 }
 
 std::vector<int> EditDistanceSearcher::JoinProbe(int id, EditFilter filter,
                                                  int chain_length,
                                                  engine::QueryStats* stats,
                                                  IdRange range) {
-  const StopWatch started;
   const Index& index = *index_;
   const auto masks = List(index.window_offsets, index.window_masks, id);
   const Probe probe{(*data_)[id], index.profiles[id], index.padded[id], masks};
-  return SearchProbe(probe, filter, chain_length, range.Below(id), started,
+  return SearchProbe(probe, filter, chain_length, range.Below(id), nullptr,
                      stats);
 }
 
@@ -245,9 +307,8 @@ std::vector<int> EditDistanceSearcher::SearchProbe(const Probe& probe,
                                                    EditFilter filter,
                                                    int chain_length,
                                                    IdRange range,
-                                                   const StopWatch& started,
+                                                   const StopWatch* started,
                                                    engine::QueryStats* stats) {
-  StopWatch phase_watch = started;
   engine::QueryStats local;
   const Index& index = *index_;
   const int m = tau_ + 1;
@@ -265,7 +326,9 @@ std::vector<int> EditDistanceSearcher::SearchProbe(const Probe& probe,
     }
   };
 
-  std::vector<int> candidates;  // Cand-1 for Pivotal, chain survivors for Ring
+  // Cand-1 for Pivotal, chain survivors for Ring.
+  std::vector<int>& candidates = candidates_;
+  candidates.clear();
   auto add_candidate = [&](int id) {
     touch(id);
     if (decided_[id]) return;
@@ -296,72 +359,77 @@ std::vector<int> EditDistanceSearcher::SearchProbe(const Probe& probe,
     std::array<int, 64> q_positions{};
     for (int j = 0; j < m; ++j) q_positions[j] = q_profile.pivotal[j].position;
 
+    const bool chained = filter == EditFilter::kRing && l > 1;
+    ChainParams chain{m, l, tau_, kappa_, {}};
+    for (int len = 1; len <= l; ++len) chain.budget[len] = len * tau_ / m;
+    const ChainCheck chain_failure = PickChainCheck();
+
     // The chain check from an exact-match entry box, shared by both probe
-    // cases. The side string owns the ring (`side_masks` / `side_positions`
-    // of its pivotal grams); `other_masks` provides the windows (Corollary 2
-    // bookkeeping happens inside).
-    auto ring_check = [&](int id, const uint64_t* side_masks,
-                          const int* side_positions,
-                          std::span<const uint64_t> other_masks, int entry) {
+    // cases. The side string owns the ring (`ring_masks` /
+    // `ring_positions` of its pivotal grams); `windows` are the other
+    // string's window masks.
+    auto ring_check = [&](int id, const uint64_t* ring_masks,
+                          const int* ring_positions, const uint64_t* windows,
+                          size_t num_windows, int entry) {
       if (decided_[id]) return;
       if (ruled_out_[id] & (uint64_t{1} << entry)) return;
-      if (filter == EditFilter::kPivotal || l == 1) {
+      const int failed_at =
+          chained ? chain_failure(chain, ring_masks, ring_positions, windows,
+                                  static_cast<int>(num_windows), entry)
+                  : 0;
+      if (failed_at == 0) {
         add_candidate(id);
         return;
       }
-      int sum = 0;  // entry box value is 0 (exact match)
-      int failed_at = 0;
-      for (int len = 2; len <= l; ++len) {
-        const int box = (entry + len - 1) % m;
-        // Uniform thresholds: viable iff sum <= floor(len * tau / m). The
-        // window scan may stop early once the box provably fits the
-        // remaining budget, but only at the final length — at intermediate
-        // lengths the (possibly inflated) early value would carry into
-        // later prefix sums and break completeness, so only a bound of 0
-        // (the true minimum) may stop the scan there.
-        const int budget = len * tau_ / m - sum;
-        const int good_enough = len == l ? std::max(0, budget) : 0;
-        sum += ContentLowerBound(side_masks[box], side_positions[box],
-                                 other_masks, good_enough);
-        if (sum * m > len * tau_) {
-          failed_at = len;
-          break;
-        }
+      // Corollary 2: every chain through the failed prefix's boxes fails,
+      // so none of them needs checking again as an entry.
+      for (int off = 0, box = entry; off < failed_at; ++off) {
+        ruled_out_[id] |= uint64_t{1} << box;
+        if (++box == m) box = 0;
       }
-      if (failed_at != 0) {
-        for (int off = 0; off < failed_at; ++off) {
-          ruled_out_[id] |= uint64_t{1} << ((entry + off) % m);
-        }
-        return;
-      }
-      add_candidate(id);
     };
 
-    // Each posting list is scanned into `selected_` first; the survivors
-    // are then touched and ring-checked in list order, so the per-record
-    // scratch sees them exactly as a one-pass scan would.
-    auto select = [&](auto list, bool x_side, const Gram& g) {
-      local.index_hits += static_cast<int64_t>(list.size());
-      if (selected_.size() < list.size()) selected_.resize(list.size());
-      return SelectPostings(list, x_side, q_profile.prefix_last_rank,
-                            g.position, q_len, tau_, selected_.data());
+    // Each posting list is cut at range.begin, then selected into
+    // `selected_` (the select stops at range.end); the survivors are then
+    // touched and ring-checked in list order, so the per-record scratch
+    // sees them exactly as a one-pass scan would. Returns the list's first
+    // in-range entry and the survivor count.
+    auto select = [&](const PostingLists& lists, int rank, bool x_side,
+                      const Gram& g) {
+      const int* ids = lists.ids.data();
+      const auto cut = CutToIdRange(
+          std::span<const int>(ids + lists.offsets[rank],
+                               ids + lists.offsets[rank + 1]),
+          IdRange{range.begin});
+      const size_t first = static_cast<size_t>(cut.data() - ids);
+      const kernels::PostingList list{
+          cut.data(), lists.positions.data() + first,
+          lists.lengths.data() + first, lists.prefix_last_ranks.data() + first,
+          static_cast<int>(cut.size())};
+      const size_t room = cut.size() + kernels::kSelectSlack;
+      if (selected_.size() < room) selected_.resize(room);
+      const kernels::SelectCounts counts = kernels::SelectPostings(
+          list,
+          {range.end, x_side, q_profile.prefix_last_rank, g.position, q_len,
+           tau_},
+          selected_.data());
+      local.index_hits += counts.in_range;
+      return std::pair<size_t, int>(first, counts.selected);
     };
 
     // Case A: x's prefix ends first; probe q's prefix grams against data
     // pivotal grams. The ring is x's.
     for (const Gram& g : q_profile.prefix) {
       if (g.rank < 0) continue;
-      const auto list = CutToIdRange(
-          List(index.pivotal_offsets, index.pivotal_postings, g.rank), range,
-          &PivotalPosting::id);
-      const int count = select(list, true, g);
+      const auto [first, count] = select(index.pivotal, g.rank, true, g);
       for (int s = 0; s < count; ++s) {
-        const PivotalPosting& posting = list[selected_[s]];
-        const size_t ring = static_cast<size_t>(posting.id) * m;
-        touch(posting.id);
-        ring_check(posting.id, &index.ring_masks[ring],
-                   &index.ring_positions[ring], probe.masks,
-                   posting.pivotal_index);
+        const size_t e = first + selected_[s];
+        const int id = index.pivotal.ids[e];
+        const size_t ring = static_cast<size_t>(id) * m;
+        touch(id);
+        ring_check(id, index.ring_masks.data() + ring,
+                   index.ring_positions.data() + ring, probe.masks.data(),
+                   probe.masks.size(), index.pivotal_indexes[e]);
       }
     }
     // Case B: q's prefix ends first; probe q's pivotal grams against data
@@ -369,15 +437,14 @@ std::vector<int> EditDistanceSearcher::SearchProbe(const Probe& probe,
     for (int j = 0; j < m; ++j) {
       const Gram& g = q_profile.pivotal[j];
       if (g.rank < 0) continue;
-      const auto list = CutToIdRange(
-          List(index.prefix_offsets, index.prefix_postings, g.rank), range,
-          &PrefixPosting::id);
-      const int count = select(list, false, g);
+      const auto [first, count] = select(index.prefix, g.rank, false, g);
       for (int s = 0; s < count; ++s) {
-        const int id = list[selected_[s]].id;
+        const int id = index.prefix.ids[first + selected_[s]];
+        const size_t windows = index.window_offsets[id];
         touch(id);
         ring_check(id, q_profile.pivotal_masks.data(), q_positions.data(),
-                   List(index.window_offsets, index.window_masks, id), j);
+                   index.window_masks.data() + windows,
+                   index.window_offsets[id + 1] - windows, j);
       }
     }
   }
@@ -411,19 +478,21 @@ std::vector<int> EditDistanceSearcher::SearchProbe(const Probe& probe,
   }
   const std::vector<int>& to_verify = align ? stage2 : candidates;
   local.candidates_stage2 = static_cast<int64_t>(to_verify.size());
-  local.filter_millis = phase_watch.ElapsedMillis();
+  if (started != nullptr) local.filter_millis = started->ElapsedMillis();
 
-  phase_watch.Restart();
   std::vector<int> results;
-  for (int id : to_verify) {
-    if (BandedEditDistance((*data_)[id], query, tau_) <= tau_) {
-      results.push_back(id);
+  if (!to_verify.empty()) {
+    const EditVerifier verifier(query, tau_);
+    for (int id : to_verify) {
+      if (verifier.Matches((*data_)[id])) results.push_back(id);
     }
   }
   std::sort(results.begin(), results.end());
-  local.verify_millis = phase_watch.ElapsedMillis();
   local.results = static_cast<int64_t>(results.size());
-  local.total_millis = started.ElapsedMillis();
+  if (started != nullptr) {
+    local.total_millis = started->ElapsedMillis();
+    local.verify_millis = local.total_millis - local.filter_millis;
+  }
   if (stats != nullptr) *stats = local;
   return results;
 }

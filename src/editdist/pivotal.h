@@ -21,12 +21,16 @@
 // Strings with fewer than kappa*tau + 1 grams bypass the gram machinery and
 // are matched by length-window scanning (both as data and as queries).
 //
-// The filter phase reads flat arrays only (layout in Index): a probe walks
-// rank-indexed CSR posting lists whose postings carry their record's length
-// and prefix-last rank inline, selects each list's survivors of the side,
-// position and length tests branch-free into a per-copy buffer, and then
-// chain-checks them in list order against the records' contiguous rings
-// and window masks — never loading a profile or a string.
+// The filter phase reads flat arrays only (layout in Index). A probe walks
+// rank-indexed CSR posting lists stored as columns: kernels::SelectPostings
+// scans a list's id, position, length and prefix-last-rank columns for the
+// side, position and length tests, stopping at the probe range's end, into
+// a per-copy buffer. The survivors are then chain-checked in list order
+// against the records' contiguous rings and window masks, never loading a
+// profile or a string; the chain check's window scan is inlined and uses
+// the popcount instruction when kernels::ActiveIsa() is AVX2 or AVX-512.
+// Candidates are verified by EditVerifier (editdist/verify.h), whose
+// bit-parallel pattern masks are built once per probe.
 
 #ifndef PIGEONRING_EDITDIST_PIVOTAL_H_
 #define PIGEONRING_EDITDIST_PIVOTAL_H_
@@ -56,28 +60,24 @@ enum class EditFilter {
 /// profiles, padded strings, window masks, ring arrays, and the pivotal /
 /// prefix / length indexes are immutable after construction and shared
 /// between copies behind a shared_ptr (concurrent reads, no locks); only
-/// the epoch-stamped per-query scratch and the selection buffer are
-/// per-copy. The engine's per-thread clones and the api layer's
+/// the epoch-stamped per-query scratch and the selection and candidate
+/// buffers are per-copy. The engine's per-thread clones and the api layer's
 /// per-session cursors rely on this.
 class EditDistanceSearcher {
  public:
-  /// Record `id`'s pivotal gram `pivotal_index`, at `position` of its
-  /// padded string. `length` (the record's length) and `prefix_last_rank`
-  /// (its profile's) are derived copies, inline so that the scan rejects a
+  /// CSR posting lists over gram ranks (universe_size + 1 offsets), stored
+  /// as columns that share `offsets`: list k is entries [offsets[k],
+  /// offsets[k + 1]) of every column, in build order (ids ascending).
+  /// Entry e is record ids[e]'s gram at positions[e] of its padded string;
+  /// lengths[e] and prefix_last_ranks[e] (the record's length and its
+  /// profile's) are derived copies, inline so that the select rejects a
   /// posting without loading the record's profile or string.
-  struct PivotalPosting {
-    int id;
-    int pivotal_index;
-    int position;
-    int length;
-    int prefix_last_rank;
-  };
-  /// Record `id`'s prefix gram at `position`, with the same derived fields.
-  struct PrefixPosting {
-    int id;
-    int position;
-    int length;
-    int prefix_last_rank;
+  struct PostingLists {
+    std::vector<size_t> offsets;
+    std::vector<int> ids;
+    std::vector<int> positions;
+    std::vector<int> lengths;
+    std::vector<int> prefix_last_ranks;
   };
 
   /// The built gram machinery. Immutable after construction, shared between
@@ -87,8 +87,9 @@ class EditDistanceSearcher {
   /// Every index is flat. A CSR list is a half-open slice of one entry
   /// array: list k of (offsets, entries) is entries[offsets[k] ..
   /// offsets[k + 1]), in build order (ids ascending).
-  ///  * pivotal / prefix: one list per gram rank (universe_size + 1
-  ///    offsets);
+  ///  * pivotal / prefix: one posting list per gram rank (PostingLists),
+  ///    of the records' pivotal and prefix grams; pivotal_indexes is one
+  ///    more column of `pivotal`, the gram's index j in its record's ring;
   ///  * length: one list of ids per record length (max length + 2
   ///    offsets).
   /// Record id's window masks are window_masks[window_offsets[id] ..
@@ -97,9 +98,9 @@ class EditDistanceSearcher {
   /// ring_masks / ring_positions[id * (tau + 1) + j] (zero for short
   /// records).
   ///
-  /// The ring arrays and the postings' length / prefix_last_rank are
-  /// derived from the profiles and the strings (see FromBuilt); everything
-  /// else is what the storage layer saves.
+  /// The ring arrays and the posting lists' lengths / prefix_last_ranks
+  /// columns are derived from the profiles and the strings (see
+  /// FromBuilt); everything else is what the storage layer saves.
   struct Index {
     Index(const std::vector<std::string>& data, int kappa)
         : dictionary(data, kappa) {}
@@ -115,10 +116,9 @@ class EditDistanceSearcher {
     std::vector<size_t> window_offsets;
     std::vector<uint64_t> ring_masks;
     std::vector<int> ring_positions;
-    std::vector<size_t> pivotal_offsets;
-    std::vector<PivotalPosting> pivotal_postings;
-    std::vector<size_t> prefix_offsets;
-    std::vector<PrefixPosting> prefix_postings;
+    PostingLists pivotal;
+    std::vector<int> pivotal_indexes;
+    PostingLists prefix;
     std::vector<size_t> length_offsets;
     std::vector<int> length_ids;
     std::vector<int> short_ids;
@@ -132,7 +132,7 @@ class EditDistanceSearcher {
 
   /// Assembles a searcher around an already-built index (the storage
   /// layer's bulk-load path): no profiles or postings are re-derived, only
-  /// the ring arrays and the postings' derived fields are filled in.
+  /// the ring arrays and the postings' derived columns are filled in.
   /// `index` must describe exactly `data` under the same tau and kappa.
   static EditDistanceSearcher FromBuilt(const std::vector<std::string>* data,
                                         int tau, int kappa,
@@ -149,10 +149,11 @@ class EditDistanceSearcher {
                           int chain_length, engine::QueryStats* stats = nullptr,
                           IdRange range = {});
 
-  /// Record `id`'s self-join probe: the ids and counters of
+  /// Record `id`'s self-join probe: the ids and integral counters of
   /// Search((*data)[id], filter, chain_length, stats, range.Below(id)),
   /// but the probe's profile, padded string and window masks are read from
-  /// the index instead of being derived again.
+  /// the index instead of being derived again, and no clock is read (the
+  /// *_millis fields stay 0).
   std::vector<int> JoinProbe(int id, EditFilter filter, int chain_length,
                              engine::QueryStats* stats = nullptr,
                              IdRange range = {});
@@ -171,24 +172,14 @@ class EditDistanceSearcher {
   EditDistanceSearcher(const std::vector<std::string>* data, int tau,
                        int kappa, std::shared_ptr<Index> index);
 
-  /// The one filter and verify body behind Search and JoinProbe. `started`
-  /// was started with the query, so deriving the probe counts as filter
-  /// time.
+  /// The one filter and verify body behind Search and JoinProbe. When
+  /// `started` is given (Search), it was started with the query, so
+  /// deriving the probe counts as filter time, and the *_millis fields are
+  /// filled in; JoinProbe passes none.
   std::vector<int> SearchProbe(const Probe& probe, EditFilter filter,
                                int chain_length, IdRange range,
-                               const StopWatch& started,
+                               const StopWatch* started,
                                engine::QueryStats* stats);
-
-  /// Content-filter lower bound for the box of `gram_mask`@`gram_pos`
-  /// against windows of the other string, whose per-position alphabet masks
-  /// (mask of s[u .. u+kappa)) were precomputed (see §6.3 remark: the box
-  /// check costs O(tau) popcounts). The scan stops as soon as the bound
-  /// reaches `good_enough` — returning an even smaller value would not
-  /// change the chain decision at the current length and a smaller lower
-  /// bound is always sound.
-  int ContentLowerBound(uint64_t gram_mask, int gram_pos,
-                        std::span<const uint64_t> other_masks,
-                        int good_enough) const;
 
   /// Exact alignment-filter box value (min substring edit distance).
   int ExactBox(const std::string& side, const Gram& gram,
@@ -203,7 +194,8 @@ class EditDistanceSearcher {
   std::vector<uint32_t> seen_epoch_;
   std::vector<uint8_t> decided_;
   std::vector<uint64_t> ruled_out_;
-  std::vector<int> selected_;  // one posting list's survivors, list order
+  std::vector<int> selected_;    // one posting list's survivors, list order
+  std::vector<int> candidates_;  // the probe's candidates, reused per probe
 };
 
 /// Reference result set by exhaustive banded-DP scan.

@@ -1,6 +1,7 @@
 #include "editdist/verify.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <vector>
 
 #include "common/logging.h"
@@ -47,6 +48,50 @@ int BandedEditDistance(std::string_view a, std::string_view b, int tau) {
     if (row_min > tau) return tau + 1;  // the whole band exceeded tau
   }
   return dp[lb];
+}
+
+EditVerifier::EditVerifier(std::string_view query, int tau)
+    : query_(query),
+      tau_(tau),
+      bit_parallel_(query.size() <= kMaxBitParallelLength) {
+  if (!bit_parallel_) return;
+  for (size_t i = 0; i < query.size(); ++i) {
+    match_[static_cast<unsigned char>(query[i])] |= uint64_t{1} << i;
+  }
+}
+
+int EditVerifier::Distance(std::string_view text) const {
+  const int m = static_cast<int>(query_.size());
+  const int n = static_cast<int>(text.size());
+  if (tau_ < 0 || std::abs(m - n) > tau_) return tau_ + 1;
+  if (!bit_parallel_) return BandedEditDistance(text, query_, tau_);
+  if (m == 0) return n;
+  // Column j of the DP over query (rows) x text (columns) as vertical
+  // deltas: bit i of pv / mv is set iff D[i+1][j] - D[i][j] is +1 / -1.
+  // Bits above m - 1 carry garbage that never flows down: additions and
+  // shifts only move information toward higher bits. `score` tracks
+  // D[m][j], the bottom row.
+  const uint64_t bottom = uint64_t{1} << (m - 1);
+  uint64_t pv = ~uint64_t{0};
+  uint64_t mv = 0;
+  int score = m;
+  for (int j = 0; j < n; ++j) {
+    const uint64_t eq = match_[static_cast<unsigned char>(text[j])];
+    const uint64_t xv = eq | mv;
+    const uint64_t xh = (((eq & pv) + pv) ^ pv) | eq;
+    uint64_t ph = mv | ~(xh | pv);
+    uint64_t mh = pv & xh;
+    score += static_cast<int>((ph & bottom) != 0) -
+             static_cast<int>((mh & bottom) != 0);
+    // Row 0 is D[0][j] = j: every horizontal delta entering it is +1.
+    ph = (ph << 1) | 1;
+    mh <<= 1;
+    pv = mh | ~(xv | ph);
+    mv = ph & xv;
+    // Each of the n - j - 1 remaining bytes lowers the score by at most 1.
+    if (score - (n - j - 1) > tau_) return tau_ + 1;
+  }
+  return score;
 }
 
 int EditDistance(std::string_view a, std::string_view b) {

@@ -3,6 +3,7 @@
 #ifndef PIGEONRING_EDITDIST_VERIFY_H_
 #define PIGEONRING_EDITDIST_VERIFY_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -12,6 +13,32 @@ namespace pigeonring::editdist {
 /// Banded (Ukkonen) edit distance with threshold: returns ed(a, b) if it is
 /// <= tau, otherwise any value > tau. O((2 tau + 1) * max(|a|, |b|)).
 int BandedEditDistance(std::string_view a, std::string_view b, int tau);
+
+/// Threshold verifier of one query against many texts: ed(query, text)
+/// <= tau. A query of at most kMaxBitParallelLength bytes runs Myers'
+/// bit-parallel algorithm (J. ACM 1999; the global-distance form of Hyyrö
+/// 2003): its per-byte match masks are built once, at construction, and
+/// each text then costs a dozen word operations per byte, stopping once
+/// the distance provably exceeds tau. Longer queries fall back to
+/// BandedEditDistance.
+class EditVerifier {
+ public:
+  static constexpr int kMaxBitParallelLength = 64;
+
+  /// `query` must outlive the verifier.
+  EditVerifier(std::string_view query, int tau);
+
+  /// BandedEditDistance(text, query, tau)'s contract: ed(query, text) if
+  /// it is <= tau, otherwise some value > tau.
+  int Distance(std::string_view text) const;
+  bool Matches(std::string_view text) const { return Distance(text) <= tau_; }
+
+ private:
+  std::string_view query_;
+  int tau_;
+  bool bit_parallel_;
+  std::array<uint64_t, 256> match_{};  // bit i of match_[c]: query[i] == c
+};
 
 /// Unrestricted edit distance (full DP); reference implementation for tests
 /// and small inputs.

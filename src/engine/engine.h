@@ -50,44 +50,6 @@ std::vector<S*> CloneForThreads(S& prototype, std::vector<S>& clones,
   return searchers;
 }
 
-/// The half-probes of a self-join against the ids in `range`: every probe
-/// p in (range.begin, size) runs JoinProbe(p, ., range) and contributes
-/// the pairs (id, p), id in range and below p. Returns the pairs unsorted
-/// and adds the probes' counters to `*merged`. The probe at range.begin is
-/// skipped: no id of the range lies below it.
-template <Searcher S>
-std::vector<IdPair> JoinProbes(S& prototype, const ExecutionContext& context,
-                               IdRange range, QueryStats* merged) {
-  std::vector<S> clones;
-  const auto searchers =
-      CloneForThreads(prototype, clones, context.num_threads());
-  std::vector<std::vector<IdPair>> found(searchers.size());
-  std::vector<QueryStats> partial(searchers.size());
-  const int first = range.begin + 1;
-  context.pool().ParallelFor(
-      std::max<int64_t>(0, prototype.size() - first), context.chunk(),
-      context.num_threads(),
-      [&](int thread, int64_t begin, int64_t end) {
-        S& searcher = *searchers[thread];
-        for (int64_t i = begin; i < end; ++i) {
-          const int probe = first + static_cast<int>(i);
-          QueryStats query_stats;
-          for (int id : searcher.JoinProbe(probe, &query_stats, range)) {
-            found[thread].push_back({id, probe});
-          }
-          partial[thread] += query_stats;
-        }
-      });
-
-  size_t total = 0;
-  for (const auto& f : found) total += f.size();
-  std::vector<IdPair> pairs;
-  pairs.reserve(total);
-  for (const auto& f : found) pairs.insert(pairs.end(), f.begin(), f.end());
-  for (const QueryStats& p : partial) *merged += p;
-  return pairs;
-}
-
 }  // namespace internal
 
 /// Runs every query through `prototype` (thread 0) or a clone of it and
@@ -132,11 +94,36 @@ template <Searcher S>
 std::vector<IdPair> SelfJoin(S& prototype, const ExecutionContext& context,
                              JoinStats* stats = nullptr) {
   StopWatch watch;
-  QueryStats merged;
-  std::vector<IdPair> pairs =
-      internal::JoinProbes(prototype, context, IdRange{}, &merged);
+  std::vector<S> clones;
+  const auto searchers =
+      internal::CloneForThreads(prototype, clones, context.num_threads());
+  std::vector<std::vector<IdPair>> found(searchers.size());
+  std::vector<QueryStats> partial(searchers.size());
+  // Probe 0 is skipped: no id lies below it.
+  context.pool().ParallelFor(
+      std::max<int64_t>(0, prototype.size() - 1), context.chunk(),
+      context.num_threads(),
+      [&](int thread, int64_t begin, int64_t end) {
+        S& searcher = *searchers[thread];
+        for (int64_t i = begin; i < end; ++i) {
+          const int probe = 1 + static_cast<int>(i);
+          QueryStats query_stats;
+          for (int id : searcher.JoinProbe(probe, &query_stats)) {
+            found[thread].push_back({id, probe});
+          }
+          partial[thread] += query_stats;
+        }
+      });
+
+  size_t total = 0;
+  for (const auto& f : found) total += f.size();
+  std::vector<IdPair> pairs;
+  pairs.reserve(total);
+  for (const auto& f : found) pairs.insert(pairs.end(), f.begin(), f.end());
   std::sort(pairs.begin(), pairs.end());
   if (stats != nullptr) {
+    QueryStats merged;
+    for (const QueryStats& p : partial) merged += p;
     stats->candidates = merged.candidates;
     stats->pairs = static_cast<int64_t>(pairs.size());
     stats->total_millis = watch.ElapsedMillis();

@@ -2,17 +2,17 @@
 
 #include <atomic>
 #include <bit>
+#include <cstdlib>
 
 #include "common/logging.h"
 #include "kernels/flat_bit_table.h"
 
 // SIMD paths exist only on x86-64 GCC/clang builds and can be compiled out
-// with -DPIGEONRING_NO_SIMD. The implementations use per-function target
+// with -DPIGEONRING_NO_SIMD (kernels.h defines PIGEONRING_KERNELS_X86_SIMD
+// exactly when they exist). The implementations use per-function target
 // attributes, so the translation unit itself needs no -mavx* flags and the
 // binary stays runnable on machines without the extensions.
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(PIGEONRING_NO_SIMD)
-#define PIGEONRING_KERNELS_X86_SIMD 1
+#ifdef PIGEONRING_KERNELS_X86_SIMD
 #include <immintrin.h>
 #endif
 
@@ -64,24 +64,31 @@ bool HammingLeqScalar(const uint64_t* a, const uint64_t* b, int num_words,
   return total <= tau;
 }
 
-int MinXorPopcountScalar(const uint64_t* keys, int n, uint64_t key,
-                         int stop_at_leq) {
-  int best = 64 + 1;
-  int i = 0;
-  // Fixed four-element blocks with the stop check between blocks keep the
-  // scanned prefix identical across all dispatch paths (parity-testable).
-  for (; i + 4 <= n; i += 4) {
-    for (int j = 0; j < 4; ++j) {
-      const int pc = std::popcount(keys[i + j] ^ key);
-      if (pc < best) best = pc;
-    }
-    if (best <= stop_at_leq) return best;
+// Whether entry k of `list` passes `test`'s side, position and length
+// tests (the id test is the caller's).
+inline int PassesPostingTest(const PostingList& list, int k,
+                             const PostingTest& test) {
+  return ((list.prefix_last_ranks[k] <= test.rank) == test.x_side) &
+         (std::abs(list.positions[k] - test.position) <= test.tau) &
+         (std::abs(list.lengths[k] - test.length) <= test.tau);
+}
+
+// Selects from entry k on, `count` survivors already written. Branch-free
+// per entry: every offset is written, and the count advances only for
+// survivors.
+inline SelectCounts SelectFrom(const PostingList& list,
+                               const PostingTest& test, int k, int count,
+                               int* selected) {
+  for (; k < list.size && list.ids[k] < test.id_end; ++k) {
+    selected[count] = k;
+    count += PassesPostingTest(list, k, test);
   }
-  for (; i < n; ++i) {
-    const int pc = std::popcount(keys[i] ^ key);
-    if (pc < best) best = pc;
-  }
-  return best;
+  return {k, count};
+}
+
+SelectCounts SelectPostingsScalar(const PostingList& list,
+                                  const PostingTest& test, int* selected) {
+  return SelectFrom(list, test, 0, 0, selected);
 }
 
 #ifdef PIGEONRING_KERNELS_X86_SIMD
@@ -192,28 +199,53 @@ __attribute__((target("avx2"))) bool HammingLeqAvx2(const uint64_t* a,
   return total <= tau;
 }
 
-__attribute__((target("avx2"))) int MinXorPopcountAvx2(const uint64_t* keys,
-                                                       int n, uint64_t key,
-                                                       int stop_at_leq) {
-  int best = 64 + 1;
-  int i = 0;
-  const __m256i vkey = _mm256_set1_epi64x(static_cast<int64_t>(key));
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
-    const __m256i counts = Popcount256(_mm256_xor_si256(v, vkey));
-    alignas(32) int64_t lane[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lane), counts);
-    for (int j = 0; j < 4; ++j) {
-      if (lane[j] < best) best = static_cast<int>(lane[j]);
+// Lanes of column[0..8) in [lo, lo + span]: v - lo <= span unsigned, i.e.
+// min_epu32(v - lo, span) == v - lo.
+__attribute__((target("avx2"))) inline __m256i Within256(const int* column,
+                                                         __m256i lo,
+                                                         __m256i span) {
+  const __m256i d = _mm256_sub_epi32(
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(column)), lo);
+  return _mm256_cmpeq_epi32(_mm256_min_epu32(d, span), d);
+}
+
+// Eight postings a block: the id, side, position and length tests as lane
+// masks, survivors written one per set bit. In-range lanes form a prefix
+// of the block (ids never descend), so a block with an out-of-range lane
+// is the last one.
+__attribute__((target("avx2"))) SelectCounts SelectPostingsAvx2(
+    const PostingList& list, const PostingTest& test, int* selected) {
+  const __m256i end = _mm256_set1_epi32(test.id_end);
+  const __m256i rank = _mm256_set1_epi32(test.rank);
+  // Flips "rank > test.rank" into the x side's "rank <= test.rank".
+  const __m256i flip = _mm256_set1_epi32(test.x_side ? -1 : 0);
+  const __m256i position_lo = _mm256_set1_epi32(test.position - test.tau);
+  const __m256i length_lo = _mm256_set1_epi32(test.length - test.tau);
+  const __m256i span = _mm256_set1_epi32(2 * test.tau);
+  int count = 0;
+  int k = 0;
+  for (; k + 8 <= list.size; k += 8) {
+    const __m256i ids =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(list.ids + k));
+    const unsigned in = static_cast<unsigned>(
+        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(end, ids))));
+    const __m256i later = _mm256_cmpgt_epi32(
+        _mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(list.prefix_last_ranks + k)),
+        rank);
+    const __m256i keep_lanes = _mm256_and_si256(
+        _mm256_xor_si256(later, flip),
+        _mm256_and_si256(Within256(list.positions + k, position_lo, span),
+                         Within256(list.lengths + k, length_lo, span)));
+    unsigned keep = in & static_cast<unsigned>(_mm256_movemask_ps(
+                             _mm256_castsi256_ps(keep_lanes)));
+    while (keep != 0) {
+      selected[count++] = k + __builtin_ctz(keep);
+      keep &= keep - 1;
     }
-    if (best <= stop_at_leq) return best;
+    if (in != 0xFFu) return {k + __builtin_ctz(~in), count};
   }
-  for (; i < n; ++i) {
-    const int pc = std::popcount(keys[i] ^ key);
-    if (pc < best) best = pc;
-  }
-  return best;
+  return SelectFrom(list, test, k, count, selected);
 }
 
 // ---------------------------------------------------------------------------
@@ -301,6 +333,50 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) bool HammingLeqAvx512(
   return total <= tau;
 }
 
+// Sixteen postings a block under lane masks (the tail block masks its
+// loads, so nothing past the list is read); survivors are compressed into
+// a register and stored as a whole block, hence kSelectSlack.
+__attribute__((target("avx512f,popcnt"))) SelectCounts SelectPostingsAvx512(
+    const PostingList& list, const PostingTest& test, int* selected) {
+  const __m512i lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+                                          11, 12, 13, 14, 15);
+  const __m512i end = _mm512_set1_epi32(test.id_end);
+  const __m512i rank = _mm512_set1_epi32(test.rank);
+  const __m512i position_lo = _mm512_set1_epi32(test.position - test.tau);
+  const __m512i length_lo = _mm512_set1_epi32(test.length - test.tau);
+  const __m512i span = _mm512_set1_epi32(2 * test.tau);
+  int count = 0;
+  for (int k = 0; k < list.size; k += 16) {
+    const int left = list.size - k;
+    const __mmask16 live =
+        left >= 16 ? __mmask16{0xFFFF}
+                   : static_cast<__mmask16>((1u << left) - 1u);
+    const __mmask16 in = _mm512_mask_cmplt_epi32_mask(
+        live, _mm512_maskz_loadu_epi32(live, list.ids + k), end);
+    const __mmask16 later = _mm512_mask_cmpgt_epi32_mask(
+        in, _mm512_maskz_loadu_epi32(in, list.prefix_last_ranks + k), rank);
+    __mmask16 keep = test.x_side ? static_cast<__mmask16>(in & ~later) : later;
+    // v in [lo, lo + span] iff (v - lo) <= span unsigned.
+    keep = _mm512_mask_cmple_epu32_mask(
+        keep,
+        _mm512_sub_epi32(_mm512_maskz_loadu_epi32(keep, list.positions + k),
+                         position_lo),
+        span);
+    keep = _mm512_mask_cmple_epu32_mask(
+        keep,
+        _mm512_sub_epi32(_mm512_maskz_loadu_epi32(keep, list.lengths + k),
+                         length_lo),
+        span);
+    _mm512_storeu_si512(
+        selected + count,
+        _mm512_maskz_compress_epi32(
+            keep, _mm512_add_epi32(lanes, _mm512_set1_epi32(k))));
+    count += __builtin_popcount(keep);
+    if (in != live) return {k + __builtin_ctz(~unsigned{in}), count};
+  }
+  return {list.size, count};
+}
+
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif
@@ -316,20 +392,18 @@ struct Vtable {
   int (*popcount)(const uint64_t*, int);
   int (*hamming)(const uint64_t*, const uint64_t*, int);
   bool (*hamming_leq)(const uint64_t*, const uint64_t*, int, int, int*);
-  int (*min_xor_popcount)(const uint64_t*, int, uint64_t, int);
+  SelectCounts (*select_postings)(const PostingList&, const PostingTest&,
+                                  int*);
 };
 
 constexpr Vtable kScalarVtable = {Isa::kScalar, PopcountScalar, HammingScalar,
-                                  HammingLeqScalar, MinXorPopcountScalar};
+                                  HammingLeqScalar, SelectPostingsScalar};
 
 #ifdef PIGEONRING_KERNELS_X86_SIMD
 constexpr Vtable kAvx2Vtable = {Isa::kAvx2, PopcountAvx2, HammingAvx2,
-                                HammingLeqAvx2, MinXorPopcountAvx2};
-// AVX-512 has no block-signature scan of its own: the content-filter
-// windows are a handful of masks, below the width where 512-bit vectors
-// help, so it borrows the AVX2 scan.
+                                HammingLeqAvx2, SelectPostingsAvx2};
 constexpr Vtable kAvx512Vtable = {Isa::kAvx512, PopcountAvx512, HammingAvx512,
-                                  HammingLeqAvx512, MinXorPopcountAvx2};
+                                  HammingLeqAvx512, SelectPostingsAvx512};
 #endif
 
 bool IsaSupported(Isa isa) {
@@ -450,10 +524,10 @@ int HammingDistanceRangeWords(const uint64_t* a, const uint64_t* b,
   return total;
 }
 
-int MinXorPopcount(const uint64_t* keys, int n, uint64_t key,
-                   int stop_at_leq) {
-  if (n <= 0) return 64 + 1;
-  return Active()->min_xor_popcount(keys, n, key, stop_at_leq);
+SelectCounts SelectPostings(const PostingList& list, const PostingTest& test,
+                            int* selected) {
+  if (list.size <= 0) return {};
+  return Active()->select_postings(list, test, selected);
 }
 
 int VerifyHammingLeqBatch(const FlatBitTable& table, const uint64_t* query,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
@@ -23,6 +24,10 @@ namespace pigeonring::net {
 namespace {
 
 using storage::ByteReader;
+
+// How long the accept loop pauses after a failed accept (out of
+// descriptors or memory, or an unexpected error) before it tries again.
+constexpr std::chrono::milliseconds kAcceptBackoff{20};
 using storage::ByteWriter;
 
 Status SendReply(Socket& socket, Op op, const std::vector<uint8_t>& payload) {
@@ -54,7 +59,7 @@ struct Server::Impl {
   std::mutex conn_mu;
   std::vector<std::unique_ptr<Connection>> connections;
 
-  std::atomic<bool> stopping{false};
+  std::atomic<bool> stopping{false};  // set under accept_mu
   std::mutex stop_mu;  // serializes Stop(); `stopped` latches completion
   bool stopped = false;
 
@@ -80,6 +85,13 @@ struct Server::Impl {
   // Per-op latency digests, indexed by raw op code (microseconds).
   mutable std::mutex hist_mu;
   std::array<Histogram, 16> op_hist;
+
+  // The accept loop's pause after a failed accept: it waits on accept_cv
+  // for `stopping`, which Stop() sets under accept_mu before notifying.
+  // Declared last, so the request path's counters above keep their
+  // places.
+  std::mutex accept_mu;
+  std::condition_variable accept_cv;
 
   bool Admit() {
     int cur = inflight.load(std::memory_order_relaxed);
@@ -347,7 +359,17 @@ void Server::Impl::ServeConnection(Connection* conn) {
 void Server::Impl::AcceptLoop() {
   while (!stopping.load()) {
     auto accepted_socket = listener.Accept();
-    if (!accepted_socket.ok()) break;  // listener shut down
+    if (!accepted_socket.ok()) {
+      // kUnavailable: the listener was shut down (Stop) or closed.
+      if (accepted_socket.status().code() == StatusCode::kUnavailable) break;
+      // Out of descriptors or memory, or an unexpected error: the pending
+      // connection stays queued, so pause instead of spinning, and retry.
+      // Stop() wakes the pause at once.
+      std::unique_lock<std::mutex> lock(accept_mu);
+      accept_cv.wait_for(lock, kAcceptBackoff,
+                         [&] { return stopping.load(); });
+      continue;
+    }
     auto conn = std::make_unique<Connection>();
     conn->socket = std::move(accepted_socket).value();
     Connection* raw = conn.get();
@@ -393,7 +415,11 @@ void Server::Stop() {
   Impl& impl = *impl_;
   std::lock_guard<std::mutex> stop_lock(impl.stop_mu);
   if (impl.stopped) return;
-  impl.stopping.store(true);
+  {
+    std::lock_guard<std::mutex> lock(impl.accept_mu);
+    impl.stopping.store(true);
+  }
+  impl.accept_cv.notify_all();
   // 1. Stop accepting; no new connections once the accept thread exits.
   impl.listener.Shutdown();
   if (impl.accept_thread.joinable()) impl.accept_thread.join();

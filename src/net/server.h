@@ -29,9 +29,13 @@
 // unknown op) earn a typed error frame on a still-open connection, while
 // stream-desyncing ones (bad magic, oversized declared length, truncation)
 // earn a best-effort error frame and a close; an op that throws earns a
-// kInternal error frame and a fresh session. Stop() is graceful: it
-// stops accepting, waits for every in-flight op to finish and deliver its
-// reply, then wakes idle connections and joins all threads.
+// kInternal error frame and a fresh session. A failed accept never ends
+// the accept loop: a connection lost in the backlog is skipped, and fd or
+// memory exhaustion (EMFILE, ENFILE, ENOBUFS, ENOMEM) pauses the loop
+// briefly and retries, so the server accepts again once descriptors free
+// up; only Stop() ends it. Stop() is graceful: it stops accepting, waits
+// for every in-flight op to finish and deliver its reply, then wakes idle
+// connections and joins all threads.
 //
 // Per-op latency histograms (common/histogram, microseconds) are exported
 // through the stats op and Snapshot().

@@ -164,10 +164,30 @@ StatusOr<Socket> Listener::Accept() {
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       return Socket(fd);
     }
-    if (errno == EINTR) continue;
-    // EINVAL is what a shutdown() listener reports; treat every
-    // non-transient failure as "stop accepting".
-    return Status::Unavailable(Errno("accept failed"));
+    switch (errno) {
+      case EINTR:
+      // The connection died in the backlog, or (Linux) a network error was
+      // already pending on it: that connection is lost, the listener is
+      // fine.
+      case ECONNABORTED:
+      case EPROTO:
+      case ENETDOWN:
+      case ENOPROTOOPT:
+      case EHOSTDOWN:
+      case EHOSTUNREACH:
+      case ENETUNREACH:
+        continue;
+      case EMFILE:
+      case ENFILE:
+      case ENOBUFS:
+      case ENOMEM:
+        return Status::ResourceExhausted(Errno("accept failed"));
+      case EINVAL:  // shutdown() listener
+      case EBADF:
+        return Status::Unavailable(Errno("accept failed"));
+      default:
+        return Status::Internal(Errno("accept failed"));
+    }
   }
 }
 

@@ -79,8 +79,12 @@ class Listener {
   /// The actually-bound port (resolves port-0 binds).
   int port() const { return port_; }
 
-  /// Blocks for one connection. kUnavailable once Shutdown() was called
-  /// (the accept loop's exit signal).
+  /// Blocks for one connection, skipping connections that failed in the
+  /// backlog (ECONNABORTED, EPROTO and the network errors Linux reports
+  /// on them). kUnavailable once Shutdown() was called or the descriptor
+  /// is gone (the accept loop's exit signal); kResourceExhausted when the
+  /// process or system is out of descriptors or memory (the connection
+  /// stays queued: retry after a pause); kInternal otherwise.
   StatusOr<Socket> Accept();
 
   /// Wakes a blocked Accept() on another thread; further Accepts fail

@@ -8,9 +8,9 @@
 // shard searches the one prototype adapter (each caller holds one clone of
 // it per range) with its range, and results come back in global ids.
 //
-// The scatter drivers mirror engine/engine.h's merge contracts exactly, so
-// the gathered answer is byte-identical to the unsharded one at any shard
-// count and any thread count:
+// The scatter drivers mirror engine::SearchBatch's merge contract exactly,
+// so the gathered answer is byte-identical to the unsharded one at any
+// shard count and any thread count:
 //
 //  * ScatterSearchOne / ScatterSearchBatch: every shard searches the same
 //    query within its range. Each domain returns ascending ids and the
@@ -19,15 +19,16 @@
 //    with QueryStats::operator+=. Every (query, record) decision is made
 //    once, on the range that holds the record, so the integral counters
 //    partition exactly and the sums reproduce the unsharded counters.
-//  * ScatterSelfJoin: shard s runs engine::SelfJoin's half-probes against
-//    its range: JoinProbe(p, ., range_s) for every probe p in
-//    (lo_s, N), which finds p's partners in range_s below p. Every pair
-//    (i, j), i < j, is examined exactly once fleet-wide — by probe j on
-//    i's shard — and the concatenated pair buffers sort once into the
-//    canonical order.
 //
-// Concurrency: the batch and join drivers Submit one job per shard and
-// block on a latch. Each job drives ParallelFor on its own shard's pool,
+// A self-join is not scattered: api::Db's sharded cursor runs
+// engine::SelfJoin over the whole index on the caller's context. Each
+// half-probe p already searches only [0, p), so a per-shard split of the
+// probes only splits each probe's posting lists between shards, and each
+// shard would repeat the probe's set-up (threshold allocation, key
+// enumeration) on a fraction of the caller's threads.
+//
+// Concurrency: the batch driver Submits one job per shard and blocks on
+// a latch. Each job drives ParallelFor on its own shard's pool,
 // so jobs never contend for loop workers, and the coordinator thread —
 // which may itself be a dispatcher of the full snapshot's executor — never
 // waits on its own pool (no cycle, no deadlock). Jobs capture only
@@ -36,14 +37,12 @@
 #ifndef PIGEONRING_SHARD_SCATTER_H_
 #define PIGEONRING_SHARD_SCATTER_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <latch>
 #include <memory>
 #include <vector>
 
 #include "common/id_limit.h"
-#include "common/timer.h"
 #include "engine/engine.h"
 #include "shard/partitioner.h"
 
@@ -139,43 +138,6 @@ std::vector<std::vector<int>> ScatterSearchBatch(
     *stats = merged;
   }
   return results;
-}
-
-/// Scatters the self-join as one set of half-probes per shard range,
-/// gathers into the canonical sorted pair list.
-template <engine::Searcher S>
-std::vector<engine::IdPair> ScatterSelfJoin(
-    const Fleet& fleet, std::vector<S>& scratch,
-    const engine::ExecutionOptions& options,
-    engine::JoinStats* stats = nullptr) {
-  StopWatch watch;
-  const size_t num_shards = fleet.shards.size();
-  std::vector<std::vector<engine::IdPair>> shard_pairs(num_shards);
-  std::vector<engine::QueryStats> shard_stats(num_shards);
-  ForEachShard(fleet, options,
-               [&](size_t s, const engine::ExecutionContext& context) {
-                 shard_pairs[s] = engine::internal::JoinProbes(
-                     scratch[s], context, fleet.shards[s].range,
-                     &shard_stats[s]);
-               });
-
-  size_t total = 0;
-  for (const auto& p : shard_pairs) total += p.size();
-  std::vector<engine::IdPair> pairs;
-  pairs.reserve(total);
-  for (const auto& p : shard_pairs) {
-    pairs.insert(pairs.end(), p.begin(), p.end());
-  }
-  std::sort(pairs.begin(), pairs.end());
-
-  if (stats != nullptr) {
-    engine::QueryStats merged;
-    for (const engine::QueryStats& p : shard_stats) merged += p;
-    stats->candidates = merged.candidates;
-    stats->pairs = static_cast<int64_t>(pairs.size());
-    stats->total_millis = watch.ElapsedMillis();
-  }
-  return pairs;
 }
 
 }  // namespace pigeonring::shard

@@ -328,10 +328,10 @@ std::vector<uint8_t> EncodeEditWindowMasks(
 
 // The keyed-list codec of the edit sections: the nonempty lists of a CSR
 // array, keys ascending, each as i32 key + u64 entry count + the entries
-// (`write` encodes one) in build order.
-template <typename Entry, typename Write>
+// in build order (`write(k)` encodes entry k of the flat entry order).
+template <typename Write>
 void EncodeEditLists(ByteWriter& w, const std::vector<size_t>& offsets,
-                     const std::vector<Entry>& entries, Write&& write) {
+                     Write&& write) {
   uint64_t nonempty = 0;
   for (size_t key = 0; key + 1 < offsets.size(); ++key) {
     nonempty += offsets[key + 1] > offsets[key] ? 1 : 0;
@@ -341,37 +341,26 @@ void EncodeEditLists(ByteWriter& w, const std::vector<size_t>& offsets,
     if (offsets[key + 1] == offsets[key]) continue;
     w.I32(static_cast<int>(key));
     w.U64(offsets[key + 1] - offsets[key]);
-    for (size_t k = offsets[key]; k < offsets[key + 1]; ++k) {
-      write(entries[k]);
-    }
+    for (size_t k = offsets[key]; k < offsets[key + 1]; ++k) write(k);
   }
 }
 
-int ListEntryId(int id) { return id; }
-int ListEntryId(const editdist::EditDistanceSearcher::PivotalPosting& p) {
-  return p.id;
-}
-int ListEntryId(const editdist::EditDistanceSearcher::PrefixPosting& p) {
-  return p.id;
-}
-
-// Decodes EncodeEditLists' form straight into CSR `offsets` + `entries`
-// over keys [0, num_keys). Keys must ascend strictly, which also rules out
-// duplicates. `read(key, &entry)` decodes one entry of `entry_bytes` bytes
-// and returns nullptr, or what is wrong with it. The entries' ids must
-// ascend strictly within a list when `strict_ids`, else never descend (a
-// record may post one gram rank twice: its prefix keeps every occurrence
-// of a tied gram); ranged searches cut the lists by binary search.
-template <typename Entry, typename Read>
+// Decodes EncodeEditLists' form straight into CSR `offsets` over keys
+// [0, num_keys) and the caller's entry columns. Keys must ascend strictly,
+// which also rules out duplicates. `read(key, &id)` decodes one entry of
+// `entry_bytes` bytes, appends it to the columns, sets `id` to its record
+// id, and returns nullptr, or what is wrong with it. The ids must ascend
+// strictly within a list when `strict_ids`, else never descend (a record
+// may post one gram rank twice: its prefix keeps every occurrence of a
+// tied gram); ranged searches cut the lists at their ids.
+template <typename Read>
 Status DecodeEditLists(ByteReader& reader, SectionId id, size_t num_keys,
                        size_t entry_bytes, const char* bad_key,
                        bool strict_ids, Read&& read,
-                       std::vector<size_t>* offsets,
-                       std::vector<Entry>* entries) {
+                       std::vector<size_t>* offsets) {
   const uint64_t keys = reader.Count(12);  // i32 key + u64 entry count
   if (!reader.ok()) return SectionCorrupt(id, "bad key count");
   offsets->assign(num_keys + 1, 0);
-  entries->reserve(reader.remaining() / entry_bytes);
   int64_t next_key = 0;
   for (uint64_t k = 0; k < keys; ++k) {
     const int key = reader.I32();
@@ -383,21 +372,19 @@ Status DecodeEditLists(ByteReader& reader, SectionId id, size_t num_keys,
     if (key < next_key) return SectionCorrupt(id, "keys out of order");
     next_key = int64_t{key} + 1;
     (*offsets)[static_cast<size_t>(key) + 1] = count;
+    int previous = -1;
     for (uint64_t i = 0; i < count; ++i) {
-      Entry entry{};
-      const char* bad_entry = read(key, &entry);
+      int current = -1;
+      const char* bad_entry = read(key, &current);
       if (!reader.ok()) return SectionCorrupt(id, "truncated list");
       if (bad_entry != nullptr) return SectionCorrupt(id, bad_entry);
-      if (i > 0) {
-        const int previous = ListEntryId(entries->back());
-        const int current = ListEntryId(entry);
-        if (current < previous || (strict_ids && current == previous)) {
-          return SectionCorrupt(id, strict_ids
-                                        ? "list ids not strictly ascending"
-                                        : "list ids descend");
-        }
+      if (i > 0 &&
+          (current < previous || (strict_ids && current == previous))) {
+        return SectionCorrupt(id, strict_ids
+                                      ? "list ids not strictly ascending"
+                                      : "list ids descend");
       }
-      entries->push_back(entry);
+      previous = current;
     }
   }
   std::partial_sum(offsets->begin(), offsets->end(), offsets->begin());
@@ -680,23 +667,21 @@ void SaveEditSections(const std::vector<std::string>& data,
       SectionId::kEditWindowMasks,
       EncodeEditWindowMasks(index.window_offsets, index.window_masks));
   ByteWriter pivotal;
-  EncodeEditLists(pivotal, index.pivotal_offsets, index.pivotal_postings,
-                  [&](const EditDistanceSearcher::PivotalPosting& p) {
-                    pivotal.I32(p.id);
-                    pivotal.I32(p.pivotal_index);
-                    pivotal.I32(p.position);
-                  });
+  EncodeEditLists(pivotal, index.pivotal.offsets, [&](size_t k) {
+    pivotal.I32(index.pivotal.ids[k]);
+    pivotal.I32(index.pivotal_indexes[k]);
+    pivotal.I32(index.pivotal.positions[k]);
+  });
   writer.AddSection(SectionId::kEditPivotalIndex, std::move(pivotal).Take());
   ByteWriter prefix;
-  EncodeEditLists(prefix, index.prefix_offsets, index.prefix_postings,
-                  [&](const EditDistanceSearcher::PrefixPosting& p) {
-                    prefix.I32(p.id);
-                    prefix.I32(p.position);
-                  });
+  EncodeEditLists(prefix, index.prefix.offsets, [&](size_t k) {
+    prefix.I32(index.prefix.ids[k]);
+    prefix.I32(index.prefix.positions[k]);
+  });
   writer.AddSection(SectionId::kEditPrefixIndex, std::move(prefix).Take());
   ByteWriter lengths;
-  EncodeEditLists(lengths, index.length_offsets, index.length_ids,
-                  [&](int id) { lengths.I32(id); });
+  EncodeEditLists(lengths, index.length_offsets,
+                  [&](size_t k) { lengths.I32(index.length_ids[k]); });
   lengths.VecI32(index.short_ids);
   writer.AddSection(SectionId::kEditLengths, std::move(lengths).Take());
 }
@@ -866,26 +851,33 @@ StatusOr<LoadedEdit> LoadEditSections(const IndexFileReader& reader, int tau,
   auto pivotal_section = reader.Section(SectionId::kEditPivotalIndex);
   if (!pivotal_section.ok()) return pivotal_section.status();
   ByteReader pivotal_reader = *pivotal_section;
+  constexpr size_t kPivotalBytes = 12;  // 3 i32 per posting
+  EditDistanceSearcher::PostingLists& pivotal = index->pivotal;
+  pivotal.ids.reserve(pivotal_reader.remaining() / kPivotalBytes);
+  pivotal.positions.reserve(pivotal.ids.capacity());
+  index->pivotal_indexes.reserve(pivotal.ids.capacity());
   s = DecodeEditLists(
-      pivotal_reader, SectionId::kEditPivotalIndex, universe,
-      12,  // 3 i32 per posting
+      pivotal_reader, SectionId::kEditPivotalIndex, universe, kPivotalBytes,
       "posting rank outside the dictionary", /*strict_ids=*/false,
-      [&](int, EditDistanceSearcher::PivotalPosting* p) -> const char* {
-        p->id = pivotal_reader.I32();
-        p->pivotal_index = pivotal_reader.I32();
-        p->position = pivotal_reader.I32();
-        if (p->id < 0 || p->id >= num_records ||
-            index->profiles[p->id].is_short || p->pivotal_index < 0 ||
-            p->pivotal_index >=
-                static_cast<int>(index->profiles[p->id].pivotal.size())) {
+      [&](int, int* id) -> const char* {
+        *id = pivotal_reader.I32();
+        const int pivotal_index = pivotal_reader.I32();
+        const int position = pivotal_reader.I32();
+        if (*id < 0 || *id >= num_records || index->profiles[*id].is_short ||
+            pivotal_index < 0 ||
+            pivotal_index >=
+                static_cast<int>(index->profiles[*id].pivotal.size())) {
           return "posting outside the collection";
         }
-        if (!gram_fits(p->id, p->position)) {
+        if (!gram_fits(*id, position)) {
           return "posting position outside the padded string";
         }
+        pivotal.ids.push_back(*id);
+        index->pivotal_indexes.push_back(pivotal_index);
+        pivotal.positions.push_back(position);
         return nullptr;
       },
-      &index->pivotal_offsets, &index->pivotal_postings);
+      &pivotal.offsets);
   if (!s.ok()) return s;
   s = CheckConsumed(pivotal_reader, SectionId::kEditPivotalIndex);
   if (!s.ok()) return s;
@@ -893,22 +885,27 @@ StatusOr<LoadedEdit> LoadEditSections(const IndexFileReader& reader, int tau,
   auto prefix_section = reader.Section(SectionId::kEditPrefixIndex);
   if (!prefix_section.ok()) return prefix_section.status();
   ByteReader prefix_reader = *prefix_section;
+  constexpr size_t kPrefixBytes = 8;  // 2 i32 per posting
+  EditDistanceSearcher::PostingLists& prefix = index->prefix;
+  prefix.ids.reserve(prefix_reader.remaining() / kPrefixBytes);
+  prefix.positions.reserve(prefix.ids.capacity());
   s = DecodeEditLists(
-      prefix_reader, SectionId::kEditPrefixIndex, universe,
-      8,  // 2 i32 per posting
+      prefix_reader, SectionId::kEditPrefixIndex, universe, kPrefixBytes,
       "posting rank outside the dictionary", /*strict_ids=*/false,
-      [&](int, EditDistanceSearcher::PrefixPosting* p) -> const char* {
-        p->id = prefix_reader.I32();
-        p->position = prefix_reader.I32();
-        if (p->id < 0 || p->id >= num_records) {
+      [&](int, int* id) -> const char* {
+        *id = prefix_reader.I32();
+        const int position = prefix_reader.I32();
+        if (*id < 0 || *id >= num_records) {
           return "posting outside the collection";
         }
-        if (!gram_fits(p->id, p->position)) {
+        if (!gram_fits(*id, position)) {
           return "posting position outside the padded string";
         }
+        prefix.ids.push_back(*id);
+        prefix.positions.push_back(position);
         return nullptr;
       },
-      &index->prefix_offsets, &index->prefix_postings);
+      &prefix.offsets);
   if (!s.ok()) return s;
   s = CheckConsumed(prefix_reader, SectionId::kEditPrefixIndex);
   if (!s.ok()) return s;
@@ -920,6 +917,7 @@ StatusOr<LoadedEdit> LoadEditSections(const IndexFileReader& reader, int tau,
   for (const std::string& record : *data) {
     max_length = std::max(max_length, record.size());
   }
+  index->length_ids.reserve(lengths_reader.remaining() / 4);
   s = DecodeEditLists(
       lengths_reader, SectionId::kEditLengths, max_length + 1,
       4,  // i32 id
@@ -930,9 +928,10 @@ StatusOr<LoadedEdit> LoadEditSections(const IndexFileReader& reader, int tau,
         if (static_cast<int>((*data)[*id].size()) != length) {
           return "id in the wrong length bucket";
         }
+        index->length_ids.push_back(*id);
         return nullptr;
       },
-      &index->length_offsets, &index->length_ids);
+      &index->length_offsets);
   if (!s.ok()) return s;
   index->short_ids = lengths_reader.VecI32();
   s = CheckConsumed(lengths_reader, SectionId::kEditLengths);

@@ -1,15 +1,21 @@
 // Unit, integration, and property tests for string edit distance search
 // (verification kernels, q-gram machinery, Pivotal baseline, Ring upgrade).
+// The end-to-end oracles run once per supported kernel ISA, so every
+// posting-select path and both chain-check popcount paths meet brute
+// force.
 
 #include "editdist/pivotal.h"
 
 #include <gtest/gtest.h>
+
+#include <utility>
 
 #include "common/bitvector.h"
 #include "common/random.h"
 #include "datagen/strings.h"
 #include "editdist/qgram.h"
 #include "editdist/verify.h"
+#include "kernels/kernels.h"
 
 namespace pigeonring::editdist {
 namespace {
@@ -25,6 +31,27 @@ std::string RandomString(Rng& rng, int min_len, int max_len, int alphabet) {
   }
   return s;
 }
+
+// Every kernel ISA this CPU and build support, weakest first.
+std::vector<kernels::Isa> SupportedIsas() {
+  const kernels::Isa saved = kernels::ActiveIsa();
+  std::vector<kernels::Isa> isas;
+  for (kernels::Isa isa : {kernels::Isa::kScalar, kernels::Isa::kAvx2,
+                           kernels::Isa::kAvx512}) {
+    if (kernels::SetActiveIsa(isa)) isas.push_back(isa);
+  }
+  kernels::SetActiveIsa(saved);
+  return isas;
+}
+
+// Restores the best ISA when a test that pins paths exits.
+class IsaGuard {
+ public:
+  IsaGuard() = default;
+  ~IsaGuard() { kernels::SetActiveIsa(kernels::BestIsa()); }
+  IsaGuard(const IsaGuard&) = delete;
+  IsaGuard& operator=(const IsaGuard&) = delete;
+};
 
 // ---------------------------------------------------------------------------
 // Verification kernels.
@@ -52,6 +79,67 @@ TEST(VerifyTest, BandedMatchesFullDpWithinThreshold) {
         EXPECT_EQ(banded, exact) << a << " vs " << b << " tau=" << tau;
       } else {
         EXPECT_GT(banded, tau) << a << " vs " << b << " tau=" << tau;
+      }
+    }
+  }
+}
+
+// Random bytes over `alphabet` letters, or over bytes >= 0x80 when
+// `high` is set.
+std::string RandomBytes(Rng& rng, int len, int alphabet, bool high) {
+  std::string s;
+  for (int i = 0; i < len; ++i) {
+    const int c = static_cast<int>(rng.NextBounded(alphabet));
+    s.push_back(static_cast<char>(high ? 0x80 + c : 'a' + c));
+  }
+  return s;
+}
+
+// `s` with `edits` random substitutions, insertions and deletions.
+std::string Mutated(std::string s, int edits, int alphabet, bool high,
+                    Rng& rng) {
+  for (int e = 0; e < edits; ++e) {
+    const std::string c = RandomBytes(rng, 1, alphabet, high);
+    const int op = static_cast<int>(rng.NextBounded(3));
+    if (op == 0 || s.empty()) {
+      s.insert(rng.NextBounded(s.size() + 1), c);
+    } else if (op == 1) {
+      s.erase(rng.NextBounded(s.size()), 1);
+    } else {
+      s[rng.NextBounded(s.size())] = c[0];
+    }
+  }
+  return s;
+}
+
+TEST(VerifyTest, EditVerifierMatchesFullDpAroundTheWordLength) {
+  Rng rng(47);
+  for (const int len : {0, 1, 2, 16, 63, 64, 65, 80}) {
+    for (const bool high : {false, true}) {
+      for (int trial = 0; trial < 40; ++trial) {
+        const int alphabet = trial % 2 == 0 ? 2 : 26;
+        const std::string query = RandomBytes(rng, len, alphabet, high);
+        // Near copies and unrelated strings, around the query's length.
+        const std::string text =
+            trial % 4 == 3
+                ? RandomBytes(rng,
+                              std::max(0, len - 2 +
+                                              static_cast<int>(
+                                                  rng.NextBounded(5))),
+                              alphabet, high)
+                : Mutated(query, static_cast<int>(rng.NextBounded(6)),
+                          alphabet, high, rng);
+        const int exact = EditDistance(query, text);
+        for (int tau = 0; tau <= 4; ++tau) {
+          const EditVerifier verifier(query, tau);
+          const int got = verifier.Distance(text);
+          if (exact <= tau) {
+            EXPECT_EQ(got, exact) << "len=" << len << " tau=" << tau;
+          } else {
+            EXPECT_GT(got, tau) << "len=" << len << " tau=" << tau;
+          }
+          EXPECT_EQ(verifier.Matches(text), exact <= tau);
+        }
       }
     }
   }
@@ -211,10 +299,19 @@ TEST_P(EditSearchCorrectness, MatchesBruteForce) {
   }
   queries.push_back(std::string(static_cast<size_t>(avg_length), '\xC3') +
                     "\x80\xFF\xA9");
+  std::vector<std::vector<int>> expected;
   for (const std::string& query : queries) {
-    const auto expected = BruteForceEditSearch(data, query, tau);
-    EXPECT_EQ(searcher.Search(query, filter, chain_length), expected)
-        << "query=" << query << " tau=" << tau;
+    expected.push_back(BruteForceEditSearch(data, query, tau));
+  }
+  IsaGuard guard;
+  for (const kernels::Isa isa : SupportedIsas()) {
+    ASSERT_TRUE(kernels::SetActiveIsa(isa));
+    for (size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(searcher.Search(queries[i], filter, chain_length),
+                expected[i])
+          << "query=" << queries[i] << " tau=" << tau
+          << " isa=" << kernels::IsaName(isa);
+    }
   }
 }
 
@@ -238,6 +335,81 @@ INSTANTIATE_TEST_SUITE_P(
              (info.param.filter == EditFilter::kPivotal ? "_piv" : "_ring") +
              "_l" + std::to_string(info.param.chain_length);
     });
+
+// Every record's join probe against brute force over the ids below it,
+// at every ISA, for both filters.
+TEST(EditSearchTest, SelfJoinMatchesBruteForceOnEveryIsa) {
+  StringConfig config;
+  config.num_records = 400;
+  config.avg_length = 16;
+  config.duplicate_fraction = 0.4;
+  config.max_perturb_edits = 2;
+  config.seed = 43;
+  const auto data = GenerateStrings(config);
+  EditDistanceSearcher searcher(&data, 2, 2);
+  std::vector<std::vector<int>> expected(data.size());
+  for (size_t p = 0; p < data.size(); ++p) {
+    for (size_t id = 0; id < p; ++id) {
+      if (EditDistance(data[id], data[p]) <= 2) {
+        expected[p].push_back(static_cast<int>(id));
+      }
+    }
+  }
+  IsaGuard guard;
+  for (const kernels::Isa isa : SupportedIsas()) {
+    ASSERT_TRUE(kernels::SetActiveIsa(isa));
+    for (const auto [filter, l] : {std::pair{EditFilter::kPivotal, 1},
+                                   std::pair{EditFilter::kRing, 3}}) {
+      for (size_t p = 0; p < data.size(); ++p) {
+        EXPECT_EQ(searcher.JoinProbe(static_cast<int>(p), filter, l),
+                  expected[p])
+            << "probe=" << p << " isa=" << kernels::IsaName(isa);
+      }
+    }
+  }
+}
+
+// The chain check compiled for the popcount instruction (AVX2 / AVX-512
+// active) decides every box exactly as the portable loop (scalar pinned):
+// same ids and same integral counters, chain lengths 2..m.
+TEST(EditSearchTest, ChainCheckPortableMatchesNativePopcount) {
+  const std::vector<kernels::Isa> isas = SupportedIsas();
+  if (isas.size() < 2) GTEST_SKIP() << "no SIMD ISA: one chain-check path";
+  StringConfig config;
+  config.num_records = 1500;
+  config.avg_length = 24;
+  config.duplicate_fraction = 0.4;
+  config.max_perturb_edits = 4;
+  config.seed = 53;
+  const auto data = GenerateStrings(config);
+  IsaGuard guard;
+  for (const int tau : {2, 4}) {
+    EditDistanceSearcher searcher(&data, tau, 2);
+    for (int l = 2; l <= tau + 1; ++l) {
+      for (int p = 0; p < 300; ++p) {
+        std::vector<int> want;
+        engine::QueryStats want_stats;
+        for (const kernels::Isa isa : isas) {
+          ASSERT_TRUE(kernels::SetActiveIsa(isa));
+          engine::QueryStats stats;
+          const std::vector<int> got =
+              searcher.JoinProbe(p, EditFilter::kRing, l, &stats);
+          if (isa == kernels::Isa::kScalar) {
+            want = got;
+            want_stats = stats;
+            continue;
+          }
+          EXPECT_EQ(got, want) << "probe=" << p << " l=" << l;
+          EXPECT_EQ(stats.index_hits, want_stats.index_hits);
+          EXPECT_EQ(stats.candidates, want_stats.candidates)
+              << "probe=" << p << " tau=" << tau << " l=" << l
+              << " isa=" << kernels::IsaName(isa);
+          EXPECT_EQ(stats.results, want_stats.results);
+        }
+      }
+    }
+  }
+}
 
 TEST(EditSearchTest, PerturbedCopiesAreFound) {
   StringConfig config;

@@ -1,13 +1,15 @@
 // Kernel-layer tests: FlatBitTable layout invariants and, most importantly,
 // randomized scalar/SIMD parity — every dispatch path must return identical
 // distances and Leq verdicts for every dimension count 1..512, including
-// non-multiple-of-64 tails.
+// non-multiple-of-64 tails, and identical posting selects for every list
+// length 0..100.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <vector>
 
 #include "common/bitvector.h"
@@ -158,36 +160,83 @@ TEST(ParityTest, RangeDistanceMatchesReferenceOnRandomSubranges) {
   }
 }
 
-TEST(ParityTest, MinXorPopcountMatchesAcrossIsasAndStops) {
+// The select's contract, computed directly: survivors are the offsets k
+// of the in-range prefix (ids below id_end) that pass the side, position
+// and length tests.
+kernels::SelectCounts ReferenceSelect(const kernels::PostingList& list,
+                                      const kernels::PostingTest& test,
+                                      std::vector<int>* selected) {
+  kernels::SelectCounts counts;
+  while (counts.in_range < list.size &&
+         list.ids[counts.in_range] < test.id_end) {
+    const int k = counts.in_range++;
+    const bool side = (list.prefix_last_ranks[k] <= test.rank) == test.x_side;
+    if (side && std::abs(list.positions[k] - test.position) <= test.tau &&
+        std::abs(list.lengths[k] - test.length) <= test.tau) {
+      selected->push_back(k);
+    }
+  }
+  counts.selected = static_cast<int>(selected->size());
+  return counts;
+}
+
+TEST(ParityTest, SelectPostingsMatchesScalarOnEveryIsa) {
   const std::vector<Isa> isas = SupportedIsas();
   Rng rng(14);
   IsaGuard guard;
-  for (int trial = 0; trial < 200; ++trial) {
-    const int n = 1 + static_cast<int>(rng.NextBounded(32));
-    std::vector<uint64_t> keys(n);
-    for (auto& k : keys) k = rng.Next();
-    const uint64_t key = rng.Next();
-    int exact = 64 + 1;
-    for (uint64_t k : keys) exact = std::min(exact, std::popcount(k ^ key));
-    for (const int stop : {-1, 0, 16, 64}) {
-      int first = -1;
-      for (Isa isa : isas) {
-        ASSERT_TRUE(kernels::SetActiveIsa(isa));
-        const int got = kernels::MinXorPopcount(keys.data(), n, key, stop);
-        // Identical across paths (same fixed block boundaries)...
-        if (first < 0) first = got;
-        EXPECT_EQ(got, first) << "isa=" << kernels::IsaName(isa);
-        // ...and exact whenever the early stop cannot fire.
-        if (stop < 0) EXPECT_EQ(got, exact);
-        // Early-stopped results still satisfy the contract the chain check
-        // relies on: no smaller than the true minimum, and <= stop when the
-        // true minimum is.
-        EXPECT_GE(got, exact);
-        if (exact <= stop) EXPECT_LE(got, stop);
+  for (int size = 0; size <= 100; ++size) {
+    // Ids never descend and repeat now and then (a record may post one
+    // rank twice); positions, lengths and ranks cluster around the probe's
+    // so that every test both keeps and drops entries.
+    std::vector<int> ids(size), positions(size), lengths(size), ranks(size);
+    int id = static_cast<int>(rng.NextBounded(4));
+    for (int k = 0; k < size; ++k) {
+      id += static_cast<int>(rng.NextBounded(4));
+      ids[k] = id;
+      positions[k] = static_cast<int>(rng.NextBounded(16));
+      lengths[k] = 4 + static_cast<int>(rng.NextBounded(12));
+      ranks[k] = static_cast<int>(rng.NextBounded(24));
+    }
+    const kernels::PostingList list{ids.data(), positions.data(),
+                                    lengths.data(), ranks.data(), size};
+    const int last_id = size == 0 ? 0 : ids.back();
+    // Range ends before, at the start of, inside, just past and far past
+    // the list.
+    std::vector<int> ends = {0, size == 0 ? 0 : ids.front(), last_id,
+                             last_id + 1, 1 << 30};
+    for (int i = 0; i < 3; ++i) {
+      ends.push_back(static_cast<int>(rng.NextBounded(last_id + 2)));
+    }
+    for (const int tau : {0, 1, 2, 3, 4}) {
+      for (const bool x_side : {true, false}) {
+        for (const int end : ends) {
+          const kernels::PostingTest test{
+              end,
+              x_side,
+              static_cast<int>(rng.NextBounded(24)),
+              static_cast<int>(rng.NextBounded(16)),
+              4 + static_cast<int>(rng.NextBounded(12)),
+              tau};
+          std::vector<int> want;
+          const kernels::SelectCounts want_counts =
+              ReferenceSelect(list, test, &want);
+          for (Isa isa : isas) {
+            ASSERT_TRUE(kernels::SetActiveIsa(isa));
+            std::vector<int> got(size + kernels::kSelectSlack, -1);
+            const kernels::SelectCounts counts =
+                kernels::SelectPostings(list, test, got.data());
+            got.resize(counts.selected);
+            EXPECT_EQ(counts.in_range, want_counts.in_range)
+                << "isa=" << kernels::IsaName(isa) << " size=" << size
+                << " end=" << end << " tau=" << tau;
+            EXPECT_EQ(got, want) << "isa=" << kernels::IsaName(isa)
+                                 << " size=" << size << " end=" << end
+                                 << " tau=" << tau << " x_side=" << x_side;
+          }
+        }
       }
     }
   }
-  EXPECT_EQ(kernels::MinXorPopcount(nullptr, 0, 0, -1), 65);
 }
 
 TEST(FlatBitTableTest, RowsAreCacheAlignedAndZeroPadded) {

@@ -6,14 +6,21 @@
 // the wrong domain or shape get typed errors, mutations through the
 // server converge identically to direct api::Writer use (down to Save()
 // byte-identity), overload produces typed kResourceExhausted frames,
-// stats expose admission counters and per-op latency histograms, and
-// graceful shutdown drains in-flight ops.
+// stats expose admission counters and per-op latency histograms, the
+// accept loop outlives descriptor exhaustion, and graceful shutdown
+// drains in-flight ops.
 //
 // Runs under the TSan CI job — keep the datasets small.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <chrono>
+#include <future>
 #include <latch>
 #include <optional>
 #include <string>
@@ -497,6 +504,85 @@ TEST(NetSmoke, OverloadShedsWithTypedResourceExhausted) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->shed, 3);
   EXPECT_EQ(stats->protocol_errors, 0);
+}
+
+// Lowers this process's soft RLIMIT_NOFILE and fills the descriptor table
+// with /dev/null descriptors until exactly `free` slots are left; the
+// destructor closes them and restores the limit.
+class DescriptorSqueeze {
+ public:
+  explicit DescriptorSqueeze(int free) {
+    if (getrlimit(RLIMIT_NOFILE, &saved_) != 0) return;
+    rlimit lowered = saved_;
+    lowered.rlim_cur = std::min<rlim_t>(saved_.rlim_cur, 256);
+    if (setrlimit(RLIMIT_NOFILE, &lowered) != 0) return;
+    restore_ = true;
+    int fd;
+    while ((fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC)) >= 0) {
+      fillers_.push_back(fd);
+    }
+    ok_ = errno == EMFILE && static_cast<int>(fillers_.size()) >= free;
+    for (int i = 0; i < free && !fillers_.empty(); ++i) {
+      ::close(fillers_.back());
+      fillers_.pop_back();
+    }
+  }
+  ~DescriptorSqueeze() {
+    for (int fd : fillers_) ::close(fd);
+    if (restore_) setrlimit(RLIMIT_NOFILE, &saved_);
+  }
+  DescriptorSqueeze(const DescriptorSqueeze&) = delete;
+  DescriptorSqueeze& operator=(const DescriptorSqueeze&) = delete;
+
+  bool ok() const { return ok_; }
+
+ private:
+  rlimit saved_{};
+  bool restore_ = false;
+  bool ok_ = false;
+  std::vector<int> fillers_;
+};
+
+TEST(NetSmoke, AcceptResumesAfterDescriptorExhaustion) {
+  api::Db db = OpenHamming();
+  auto server = Server::Start(db);
+  ASSERT_TRUE(server.ok());
+  const int port = server->port();
+
+  std::optional<StatusOr<Client>> queued;
+  {
+    DescriptorSqueeze squeeze(5);
+    ASSERT_TRUE(squeeze.ok());
+    // Two served connections take four descriptors (client and server
+    // side); the third client takes the last one, so the server's accept
+    // of its connection fails with EMFILE.
+    Client first = ConnectOrDie(port);
+    ASSERT_TRUE(first.Ping().ok());
+    Client second = ConnectOrDie(port);
+    ASSERT_TRUE(second.Ping().ok());
+    queued.emplace(Client::Connect("127.0.0.1", port));
+    ASSERT_TRUE(queued->ok()) << queued->status().ToString();
+    // Let the accept loop run into the limit before it is lifted.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  }
+
+  // Once descriptors are back, both the queued client and a fresh one are
+  // served. A server that stopped accepting never replies: stopping it
+  // resets the queued connections, so the pings return.
+  auto pings = std::async(std::launch::async, [&] {
+    auto fresh = Client::Connect("127.0.0.1", port);
+    if (!fresh.ok()) return fresh.status();
+    const Status fresh_ping = fresh->Ping();
+    if (!fresh_ping.ok()) return fresh_ping;
+    return (*queued)->Ping();
+  });
+  if (pings.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    ADD_FAILURE() << "no reply 10 s after descriptors were freed: the server "
+                     "stopped accepting";
+    server->Stop();
+  }
+  const Status pinged = pings.get();
+  EXPECT_TRUE(pinged.ok()) << pinged.ToString();
 }
 
 TEST(NetSmoke, GracefulShutdownDrainsInFlightOps) {

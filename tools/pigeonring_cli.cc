@@ -34,11 +34,12 @@
 //       [--threads N] [--shards S]
 //
 // --shards S (build/search/join/serve) cuts the collection's ids into S
-// ranges executed scatter-gather (src/shard/): results stay
-// byte-identical to --shards 1 at any S. `build --shards` persists the
-// shard count in the index file; opening such an index re-adopts it unless
-// an explicit --shards overrides. S is a serving-time knob, not part of
-// the index fingerprint, so it never conflicts like --tau does.
+// ranges executed scatter-gather (src/shard/); a join runs over the whole
+// index at any S. Results stay byte-identical to --shards 1 at any S.
+// `build --shards` persists the shard count in the index file; opening
+// such an index re-adopts it unless an explicit --shards overrides. S is
+// a serving-time knob, not part of the index fingerprint, so it never
+// conflicts like --tau does.
 //
 // `serve` opens the database like search/join and exposes it over TCP via
 // the net/ subsystem's length-prefixed binary protocol (net/protocol.h).
