@@ -1,6 +1,9 @@
 #include "api/db.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <type_traits>
@@ -21,6 +24,7 @@
 #include "shard/partitioner.h"
 #include "shard/scatter.h"
 #include "storage/bytes.h"
+#include "storage/codec.h"
 #include "storage/index_file.h"
 #include "storage/index_io.h"
 
@@ -447,19 +451,12 @@ bool RingEnabled(const IndexSpec& spec) {
   return spec.chain_length > 1;
 }
 
-// --- Spec -> adapter ---
+// --- Searcher -> model ---
 //
-// One MakeAdapter per adapter type binds the spec's per-query parameters
-// (threshold, chain length, filter, allocation mode). Every build and load
-// path shares it.
-
-engine::HammingAdapter MakeAdapter(const IndexSpec& spec,
-                                   hamming::HammingSearcher searcher) {
-  return engine::HammingAdapter(std::move(searcher),
-                                static_cast<int>(spec.tau),
-                                RingEnabled(spec) ? spec.chain_length : 1,
-                                spec.allocation);
-}
+// The tail every build and load ends in: one MakeAdapter per adapter type
+// binds the spec's per-query parameters (threshold, chain length, filter,
+// allocation mode), and NewModel erases the adapter into a Model that
+// keeps alive the collection `data` the adapter views.
 
 engine::SetAdapter MakeAdapter(const IndexSpec& spec,
                                setsim::PkwiseSearcher searcher,
@@ -493,15 +490,37 @@ engine::GraphAdapter MakeAdapter(const IndexSpec& spec,
                               spec.chain_length);
 }
 
-/// Erases a bound adapter into its snapshot model. Bind the adapter into a
-/// local first: argument evaluation order is unspecified, so moving
-/// `owned` in the same call that reads its raw pointer may pass null.
-template <engine::Searcher S>
-std::unique_ptr<const AnySearcher> NewModel(
-    const IndexSpec& spec, S adapter,
-    std::shared_ptr<const void> owned = nullptr) {
-  return std::make_unique<Model<S>>(spec, std::move(adapter),
-                                    std::move(owned));
+/// `data` (a shared_ptr or unique_ptr) binds by reference, so a caller can
+/// pass std::move(data) beside a searcher built over data.get().
+template <typename Searcher, typename Owner>
+std::unique_ptr<const AnySearcher> NewModel(const IndexSpec& spec,
+                                            Searcher searcher, Owner&& data) {
+  auto adapter = MakeAdapter(spec, std::move(searcher), data.get());
+  return std::make_unique<Model<decltype(adapter)>>(
+      spec, std::move(adapter),
+      std::shared_ptr<const void>(std::forward<Owner>(data)));
+}
+
+/// A Hamming searcher owns its objects, so its model keeps nothing else
+/// alive. The chain length is checked here, where the partition count is
+/// known: it may follow from the data, or come from a saved index.
+StatusOr<std::unique_ptr<const AnySearcher>> NewModel(
+    const IndexSpec& spec, hamming::HammingSearcher searcher) {
+  if (searcher.num_objects() > 0 && spec.chain_length > searcher.num_parts()) {
+    return Status::InvalidArgument(
+        "chain_length=" + std::to_string(spec.chain_length) +
+        " exceeds the " + std::to_string(searcher.num_parts()) +
+        " partitions of a d=" +
+        std::to_string(searcher.objects().front().dimensions()) + " index");
+  }
+  engine::HammingAdapter adapter(std::move(searcher),
+                                 static_cast<int>(spec.tau),
+                                 RingEnabled(spec) ? spec.chain_length : 1,
+                                 spec.allocation);
+  std::unique_ptr<const AnySearcher> model =
+      std::make_unique<Model<engine::HammingAdapter>>(spec, std::move(adapter),
+                                                      nullptr);
+  return model;
 }
 
 StatusOr<std::unique_ptr<const AnySearcher>> BuildHamming(
@@ -542,27 +561,18 @@ StatusOr<std::unique_ptr<const AnySearcher>> BuildHamming(
           "num_parts=" + std::to_string(num_parts) +
           " exceeds the 64-part limit of the chain bitmask");
     }
-    if (spec.chain_length > num_parts) {
-      return Status::InvalidArgument(
-          "chain_length=" + std::to_string(spec.chain_length) +
-          " exceeds the " + std::to_string(num_parts) +
-          " partitions of a d=" + std::to_string(dimensions) + " index");
-    }
   }
   return NewModel(spec,
-                  MakeAdapter(spec, hamming::HammingSearcher(
-                                        std::move(objects), num_parts)));
+                  hamming::HammingSearcher(std::move(objects), num_parts));
 }
 
 StatusOr<std::unique_ptr<const AnySearcher>> BuildSet(
     const IndexSpec& spec, const std::vector<std::vector<int>>& raw) {
   auto collection = std::make_shared<const setsim::SetCollection>(raw);
-  auto adapter = MakeAdapter(
-      spec,
-      setsim::PkwiseSearcher(collection.get(), spec.tau, spec.num_boxes,
-                             spec.measure),
-      collection.get());
-  return NewModel(spec, std::move(adapter), std::move(collection));
+  return NewModel(spec,
+                  setsim::PkwiseSearcher(collection.get(), spec.tau,
+                                         spec.num_boxes, spec.measure),
+                  std::move(collection));
 }
 
 /// Resolves edit_fast_path=kAuto against the dataset's shape (kOn / kOff
@@ -611,52 +621,107 @@ StatusOr<std::unique_ptr<const AnySearcher>> BuildEdit(
       std::make_shared<const std::vector<std::string>>(std::move(strings));
   const int tau = static_cast<int>(spec.tau);
   if (spec.edit_fast_path == EditFastPath::kOn) {
-    auto adapter = MakeAdapter(
-        spec, editdist::CaseDecSearcher(data.get(), tau), data.get());
-    return NewModel(spec, std::move(adapter), std::move(data));
+    return NewModel(spec, editdist::CaseDecSearcher(data.get(), tau),
+                    std::move(data));
   }
-  auto adapter = MakeAdapter(
-      spec, editdist::EditDistanceSearcher(data.get(), tau, spec.kappa),
-      data.get());
-  return NewModel(spec, std::move(adapter), std::move(data));
+  return NewModel(spec,
+                  editdist::EditDistanceSearcher(data.get(), tau, spec.kappa),
+                  std::move(data));
 }
 
 StatusOr<std::unique_ptr<const AnySearcher>> BuildGraph(
     const IndexSpec& spec, std::vector<graphed::Graph> graphs) {
   auto data =
       std::make_shared<const std::vector<graphed::Graph>>(std::move(graphs));
-  auto adapter = MakeAdapter(
-      spec,
-      graphed::GraphSearcher(data.get(), static_cast<int>(spec.tau),
-                             spec.partition_seed),
-      data.get());
-  return NewModel(spec, std::move(adapter), std::move(data));
+  return NewModel(spec,
+                  graphed::GraphSearcher(data.get(), static_cast<int>(spec.tau),
+                                         spec.partition_seed),
+                  std::move(data));
 }
 
 // --- Persisted-index support ---
-//
-// The kSpec section stores the canonical build-relevant spec fields so a
-// mismatched open can name the exact disagreeing field instead of only
-// failing the header fingerprint check. Encoding: u32 domain, f64 tau,
-// i32 num_parts, u32 measure, i32 num_boxes, i32 kappa, u64 partition_seed,
-// u32 fast_path_built (1 iff the edit domain persisted the
-// case-decomposition index instead of the gram machinery — a structural
-// fact about the file, deliberately outside BuildFingerprint so either
-// pipeline's index satisfies the same fingerprint).
+
+/// One build-relevant IndexSpec field: one that shapes the persisted
+/// structures, so that an index opens only under the spec it was built
+/// with.
+struct SpecField {
+  const char* name;
+  std::optional<Domain> domain;  // whose builds it shapes; none: every one
+  int bytes;                     // its width in the kSpec section, 4 or 8
+  uint64_t (*value)(const IndexSpec&);
+  std::string (*show)(uint64_t value);
+};
+
+template <auto Member>
+uint64_t Bits(const IndexSpec& spec) {
+  const auto value = spec.*Member;
+  if constexpr (std::is_floating_point_v<decltype(value)>) {
+    return std::bit_cast<uint64_t>(value);
+  } else {
+    return static_cast<uint64_t>(value);
+  }
+}
+
+std::string ShowDomain(uint64_t value) {
+  return DomainName(static_cast<Domain>(value));
+}
+
+std::string ShowTau(uint64_t value) {
+  return std::to_string(std::bit_cast<double>(value));
+}
+
+std::string ShowMeasure(uint64_t value) {
+  return value == 0 ? "jaccard" : "overlap";
+}
+
+std::string ShowI32(uint64_t value) {
+  return std::to_string(static_cast<int32_t>(value));
+}
+
+std::string ShowU64(uint64_t value) { return std::to_string(value); }
+
+// The one list of build-relevant fields, in kSpec section order.
+// BuildFingerprint mixes the fields of the spec's domain. The kSpec section
+// stores every field and then a u32 fast_path_built flag (1 iff the edit
+// domain persisted the case-decomposition index instead of the gram
+// machinery: a structural fact about the file, deliberately outside the
+// fingerprint so either pipeline's index satisfies it), so a mismatched
+// open can name the exact field it disagrees on instead of only failing
+// the header fingerprint check. Query-time and serving-time fields
+// (chain_length, filter, allocation, threading, shards, the
+// delta_compact_* writer knobs) never shape the persisted structures.
+constexpr SpecField kBuildFields[] = {
+    {"domain", std::nullopt, 4, Bits<&IndexSpec::domain>, ShowDomain},
+    {"tau", std::nullopt, 8, Bits<&IndexSpec::tau>, ShowTau},
+    {"num_parts", Domain::kHamming, 4, Bits<&IndexSpec::num_parts>, ShowI32},
+    {"measure", Domain::kSet, 4, Bits<&IndexSpec::measure>, ShowMeasure},
+    {"num_boxes", Domain::kSet, 4, Bits<&IndexSpec::num_boxes>, ShowI32},
+    {"kappa", Domain::kEdit, 4, Bits<&IndexSpec::kappa>, ShowI32},
+    {"partition_seed", Domain::kGraph, 8, Bits<&IndexSpec::partition_seed>,
+     ShowU64},
+};
+
+bool Shapes(const SpecField& field, Domain domain) {
+  return !field.domain || *field.domain == domain;
+}
+
+/// `field`'s value in `spec` as the kSpec section stores it.
+uint64_t Stored(const SpecField& field, const IndexSpec& spec) {
+  const uint64_t value = field.value(spec);
+  return field.bytes == 4 ? value & 0xFFFFFFFFu : value;
+}
 
 void AddSpecSection(const IndexSpec& spec, storage::IndexFileWriter& writer) {
   storage::ByteWriter w;
-  w.U32(static_cast<uint32_t>(spec.domain));
-  w.F64(spec.tau);
-  w.I32(spec.num_parts);
-  w.U32(static_cast<uint32_t>(spec.measure));
-  w.I32(spec.num_boxes);
-  w.I32(spec.kappa);
-  w.U64(spec.partition_seed);
+  for (const SpecField& field : kBuildFields) {
+    if (field.bytes == 4) {
+      w.U32(static_cast<uint32_t>(Stored(field, spec)));
+    } else {
+      w.U64(Stored(field, spec));
+    }
+  }
   w.U32(spec.domain == Domain::kEdit &&
-                spec.edit_fast_path == EditFastPath::kOn
-            ? 1
-            : 0);
+        spec.edit_fast_path == EditFastPath::kOn);
   writer.AddSection(storage::SectionId::kSpec, std::move(w).Take());
 }
 
@@ -675,71 +740,31 @@ Status SpecMismatch(const std::string& field, const std::string& built,
 /// that contradicts it is a named mismatch.
 Status CheckSpecSection(IndexSpec& spec,
                         const storage::IndexFileReader& reader) {
-  auto section = reader.Section(storage::SectionId::kSpec);
-  if (!section.ok()) return section.status();
-  storage::ByteReader r = *section;
-  const uint32_t domain = r.U32();
-  const double tau = r.F64();
-  const int num_parts = r.I32();
-  const uint32_t measure = r.U32();
-  const int num_boxes = r.I32();
-  const int kappa = r.I32();
-  const uint64_t partition_seed = r.U64();
-  const uint32_t fast_path_built = r.U32();
-  if (!r.AtEnd()) {
-    return Status::DataLoss("index section 1 corrupt: malformed spec");
-  }
-  if (domain != static_cast<uint32_t>(spec.domain)) {
-    return SpecMismatch("domain",
-                        DomainName(static_cast<Domain>(domain)),
-                        DomainName(spec.domain));
-  }
-  if (tau != spec.tau) {
-    return SpecMismatch("tau", std::to_string(tau),
-                        std::to_string(spec.tau));
-  }
-  switch (spec.domain) {
-    case Domain::kHamming:
-      if (num_parts != spec.num_parts) {
-        return SpecMismatch("num_parts", std::to_string(num_parts),
-                            std::to_string(spec.num_parts));
-      }
-      break;
-    case Domain::kSet:
-      if (measure != static_cast<uint32_t>(spec.measure)) {
-        return SpecMismatch("measure",
-                            measure == 0 ? "jaccard" : "overlap",
-                            spec.measure == setsim::SetMeasure::kJaccard
-                                ? "jaccard"
-                                : "overlap");
-      }
-      if (num_boxes != spec.num_boxes) {
-        return SpecMismatch("num_boxes", std::to_string(num_boxes),
-                            std::to_string(spec.num_boxes));
-      }
-      break;
-    case Domain::kEdit: {
-      if (kappa != spec.kappa) {
-        return SpecMismatch("kappa", std::to_string(kappa),
-                            std::to_string(spec.kappa));
-      }
-      const bool built_fast = fast_path_built != 0;
-      if (spec.edit_fast_path == EditFastPath::kAuto) {
-        spec.edit_fast_path =
-            built_fast ? EditFastPath::kOn : EditFastPath::kOff;
-      } else if ((spec.edit_fast_path == EditFastPath::kOn) != built_fast) {
-        return SpecMismatch("fast_path", built_fast ? "on" : "off",
-                            EditFastPathName(spec.edit_fast_path));
-      }
-      break;
+  uint64_t built[std::size(kBuildFields)];
+  bool built_fast = false;
+  Status s = storage::ReadSection(
+      reader, storage::SectionId::kSpec, [&](storage::ByteReader& r) {
+        for (size_t i = 0; i < std::size(kBuildFields); ++i) {
+          built[i] = kBuildFields[i].bytes == 4 ? r.U32() : r.U64();
+        }
+        built_fast = r.U32() != 0;
+        return Status::Ok();
+      });
+  if (!s.ok()) return s;
+  for (size_t i = 0; i < std::size(kBuildFields); ++i) {
+    const SpecField& field = kBuildFields[i];
+    const uint64_t requested = Stored(field, spec);
+    if (Shapes(field, spec.domain) && built[i] != requested) {
+      return SpecMismatch(field.name, field.show(built[i]),
+                          field.show(requested));
     }
-    case Domain::kGraph:
-      if (partition_seed != spec.partition_seed) {
-        return SpecMismatch("partition_seed",
-                            std::to_string(partition_seed),
-                            std::to_string(spec.partition_seed));
-      }
-      break;
+  }
+  if (spec.domain != Domain::kEdit) return Status::Ok();
+  if (spec.edit_fast_path == EditFastPath::kAuto) {
+    spec.edit_fast_path = built_fast ? EditFastPath::kOn : EditFastPath::kOff;
+  } else if ((spec.edit_fast_path == EditFastPath::kOn) != built_fast) {
+    return SpecMismatch("fast_path", built_fast ? "on" : "off",
+                        EditFastPathName(spec.edit_fast_path));
   }
   return Status::Ok();
 }
@@ -748,31 +773,20 @@ StatusOr<std::unique_ptr<const AnySearcher>> LoadHamming(
     const IndexSpec& spec, const storage::IndexFileReader& reader) {
   auto loaded = storage::LoadHammingSections(reader);
   if (!loaded.ok()) return loaded.status();
-  const int num_parts = loaded->index->partition().num_parts();
-  // The same dataset-dependent check the build path runs: the partition
-  // count only becomes known here.
-  if (!loaded->objects.empty() && spec.chain_length > num_parts) {
-    return Status::InvalidArgument(
-        "chain_length=" + std::to_string(spec.chain_length) +
-        " exceeds the " + std::to_string(num_parts) +
-        " partitions of the saved index");
-  }
-  return NewModel(spec, MakeAdapter(spec, hamming::HammingSearcher::FromBuilt(
-                                              std::move(loaded->objects),
-                                              std::move(loaded->index))));
+  return NewModel(spec,
+                  hamming::HammingSearcher(std::move(loaded->objects),
+                                           std::move(loaded->index)));
 }
 
 StatusOr<std::unique_ptr<const AnySearcher>> LoadSet(
     const IndexSpec& spec, const storage::IndexFileReader& reader) {
   auto loaded = storage::LoadSetSections(reader, spec.num_boxes);
   if (!loaded.ok()) return loaded.status();
-  const setsim::SetCollection* collection = loaded->collection.get();
-  auto adapter = MakeAdapter(
-      spec,
-      setsim::PkwiseSearcher::FromBuilt(collection, spec.tau, spec.num_boxes,
-                                        spec.measure, std::move(loaded->index)),
-      collection);
-  return NewModel(spec, std::move(adapter), std::move(loaded->collection));
+  return NewModel(spec,
+                  setsim::PkwiseSearcher(loaded->collection.get(), spec.tau,
+                                         spec.num_boxes, spec.measure,
+                                         std::move(loaded->index)),
+                  std::move(loaded->collection));
 }
 
 StatusOr<std::unique_ptr<const AnySearcher>> LoadEdit(
@@ -781,23 +795,18 @@ StatusOr<std::unique_ptr<const AnySearcher>> LoadEdit(
   if (spec.edit_fast_path == EditFastPath::kOn) {
     auto loaded = storage::LoadEditFastSections(reader, tau);
     if (!loaded.ok()) return loaded.status();
-    const std::vector<std::string>* data = loaded->data.get();
-    auto adapter = MakeAdapter(
-        spec,
-        editdist::CaseDecSearcher::FromBuilt(data, tau,
-                                             std::move(loaded->cases)),
-        data);
-    return NewModel(spec, std::move(adapter), std::move(loaded->data));
+    return NewModel(spec,
+                    editdist::CaseDecSearcher(loaded->data.get(), tau,
+                                              std::move(loaded->cases)),
+                    std::move(loaded->data));
   }
   auto loaded = storage::LoadEditSections(reader, tau, spec.kappa);
   if (!loaded.ok()) return loaded.status();
-  const std::vector<std::string>* data = loaded->data.get();
-  auto adapter = MakeAdapter(
-      spec,
-      editdist::EditDistanceSearcher::FromBuilt(data, tau, spec.kappa,
-                                                std::move(loaded->index)),
-      data);
-  return NewModel(spec, std::move(adapter), std::move(loaded->data));
+  return NewModel(spec,
+                  editdist::EditDistanceSearcher(loaded->data.get(), tau,
+                                                 spec.kappa,
+                                                 std::move(loaded->index)),
+                  std::move(loaded->data));
 }
 
 StatusOr<std::unique_ptr<const AnySearcher>> LoadGraph(
@@ -805,12 +814,10 @@ StatusOr<std::unique_ptr<const AnySearcher>> LoadGraph(
   const int tau = static_cast<int>(spec.tau);
   auto loaded = storage::LoadGraphSections(reader, tau);
   if (!loaded.ok()) return loaded.status();
-  const std::vector<graphed::Graph>* data = loaded->data.get();
-  auto adapter = MakeAdapter(
-      spec,
-      graphed::GraphSearcher::FromBuilt(data, tau, std::move(loaded->state)),
-      data);
-  return NewModel(spec, std::move(adapter), std::move(loaded->data));
+  return NewModel(spec,
+                  graphed::GraphSearcher(loaded->data.get(), tau,
+                                         std::move(loaded->state)),
+                  std::move(loaded->data));
 }
 
 /// Wraps a fresh searcher + executor into an epoch-0 hub.
@@ -890,6 +897,21 @@ StatusOr<std::unique_ptr<const AnySearcher>> RebuildWithDelta(
 }
 
 }  // namespace internal
+
+uint64_t BuildFingerprint(const IndexSpec& spec) {
+  constexpr uint64_t kOffset = 1469598103934665603ULL;
+  constexpr uint64_t kPrime = 1099511628211ULL;
+  uint64_t h = kOffset;
+  for (const internal::SpecField& field : internal::kBuildFields) {
+    if (!internal::Shapes(field, spec.domain)) continue;
+    const uint64_t value = field.value(spec);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (value >> (8 * i)) & 0xFF;
+      h *= kPrime;
+    }
+  }
+  return h;
+}
 
 Db::Db(std::shared_ptr<internal::DbHub> hub)
     : hub_(std::move(hub)), spec_(hub_->current->spec) {}

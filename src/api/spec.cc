@@ -1,6 +1,5 @@
 #include "api/spec.h"
 
-#include <bit>
 #include <cmath>
 
 #include "shard/partitioner.h"
@@ -183,39 +182,6 @@ Status IndexSpec::Validate() const {
         " is invalid: expected 0 (disabled) or a positive finite fraction");
   }
   return Status::Ok();
-}
-
-// Query-time and serving-time fields (chain_length, filter, allocation,
-// threading, the delta_compact_* writer knobs) are deliberately excluded:
-// they never shape the persisted structures.
-uint64_t BuildFingerprint(const IndexSpec& spec) {
-  constexpr uint64_t kOffset = 1469598103934665603ULL;
-  constexpr uint64_t kPrime = 1099511628211ULL;
-  uint64_t h = kOffset;
-  auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= kPrime;
-    }
-  };
-  mix(static_cast<uint64_t>(spec.domain));
-  mix(std::bit_cast<uint64_t>(spec.tau));
-  switch (spec.domain) {
-    case Domain::kHamming:
-      mix(static_cast<uint64_t>(spec.num_parts));
-      break;
-    case Domain::kSet:
-      mix(static_cast<uint64_t>(spec.measure));
-      mix(static_cast<uint64_t>(spec.num_boxes));
-      break;
-    case Domain::kEdit:
-      mix(static_cast<uint64_t>(spec.kappa));
-      break;
-    case Domain::kGraph:
-      mix(spec.partition_seed);
-      break;
-  }
-  return h;
 }
 
 Domain QueryDomain(const Query& query) {

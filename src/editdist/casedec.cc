@@ -118,62 +118,53 @@ std::vector<std::pair<uint64_t, int32_t>> CaseDecSearcher::BuildExactIndex(
 
 namespace {
 
-// Derives the per-case exact-match tables (see Case::exact) after the
-// Hamming searchers exist; shared by both construction paths.
-void AttachExactIndexes(const std::vector<std::string>& data, int length,
-                        std::vector<CaseDecSearcher::Case>& cases) {
-  for (CaseDecSearcher::Case& c : cases) {
-    if (c.hamming_tau != 0) continue;
-    c.exact = std::make_shared<
-        const std::vector<std::pair<uint64_t, int32_t>>>(
-        CaseDecSearcher::BuildExactIndex(data, length, c.indels));
+// The build constructor's cases: one Hamming searcher over the signature
+// rows of each indel case.
+std::vector<CaseDecSearcher::Case> BuildCases(
+    const std::vector<std::string>* data, int tau) {
+  PR_CHECK(data != nullptr);
+  const int length = CaseDecSearcher::UniformLength(*data);
+  PR_CHECK_MSG(length >= 0,
+               "case decomposition requires one shared string length");
+  std::vector<CaseDecSearcher::Case> cases;
+  for (int j = 0; j < CaseDecSearcher::NumCases(length, tau); ++j) {
+    const int hamming_tau = 2 * (tau - 2 * j);
+    cases.push_back({j, hamming_tau,
+                     hamming::HammingSearcher(
+                         CaseDecSearcher::BuildCaseRows(*data, length, j),
+                         CaseDecSearcher::CaseNumParts(length, j, hamming_tau)),
+                     nullptr});
   }
+  return cases;
 }
 
 }  // namespace
 
 CaseDecSearcher::CaseDecSearcher(const std::vector<std::string>* data,
-                                 int tau) {
-  PR_CHECK(data != nullptr);
-  PR_CHECK(tau >= 0);
-  data_ = data;
-  tau_ = tau;
-  length_ = UniformLength(*data);
+                                 int tau)
+    : CaseDecSearcher(data, tau, BuildCases(data, tau)) {}
+
+CaseDecSearcher::CaseDecSearcher(const std::vector<std::string>* data,
+                                 int tau, std::vector<Case> cases)
+    : data_(data), tau_(tau), cases_(std::move(cases)) {
+  PR_CHECK(data_ != nullptr);
+  PR_CHECK(tau_ >= 0);
+  length_ = UniformLength(*data_);
   PR_CHECK_MSG(length_ >= 0,
                "case decomposition requires one shared string length");
-  const int num_cases = NumCases(length_, tau_);
-  cases_.reserve(num_cases);
-  for (int j = 0; j < num_cases; ++j) {
-    const int hamming_tau = 2 * (tau_ - 2 * j);
-    cases_.push_back(
-        {j, hamming_tau,
-         hamming::HammingSearcher(BuildCaseRows(*data, length_, j),
-                                  CaseNumParts(length_, j, hamming_tau)),
-         nullptr});
-  }
-  AttachExactIndexes(*data, length_, cases_);
-  seen_epoch_.assign(data->size(), 0);
-}
-
-CaseDecSearcher CaseDecSearcher::FromBuilt(
-    const std::vector<std::string>* data, int tau, std::vector<Case> cases) {
-  PR_CHECK(data != nullptr);
-  CaseDecSearcher s;
-  s.data_ = data;
-  s.tau_ = tau;
-  s.length_ = UniformLength(*data);
-  PR_CHECK_MSG(s.length_ >= 0,
-               "case decomposition requires one shared string length");
-  PR_CHECK(static_cast<int>(cases.size()) == NumCases(s.length_, tau));
-  s.cases_ = std::move(cases);
-  for (const Case& c : s.cases_) {
-    const int64_t variants = VariantsPerRecord(s.length_, c.indels);
+  PR_CHECK(static_cast<int>(cases_.size()) == NumCases(length_, tau_));
+  for (Case& c : cases_) {
     PR_CHECK(c.searcher.num_objects() ==
-             static_cast<int64_t>(data->size()) * variants);
+             static_cast<int64_t>(data_->size()) *
+                 VariantsPerRecord(length_, c.indels));
+    // The exact-match tables are derived state (see Case::exact).
+    if (c.hamming_tau == 0) {
+      c.exact = std::make_shared<
+          const std::vector<std::pair<uint64_t, int32_t>>>(
+          BuildExactIndex(*data_, length_, c.indels));
+    }
   }
-  AttachExactIndexes(*data, s.length_, s.cases_);
-  s.seen_epoch_.assign(data->size(), 0);
-  return s;
+  seen_epoch_.assign(data_->size(), 0);
 }
 
 std::vector<int> CaseDecSearcher::Search(const std::string& query,

@@ -87,8 +87,8 @@ class CaseDecSearcher {
   /// chain-checking every row in it. A sorted (remnant hash, row) table
   /// answers the same question with one binary search per query variant;
   /// hash collisions only admit extra candidates, which verification
-  /// removes. Both constructors fill it; FromBuilt derives it
-  /// from `data` the same way, so loaded searchers behave identically.
+  /// removes. The adopting constructor derives it from `data`, so built
+  /// and loaded searchers behave identically.
   struct Case {
     int indels;
     int hamming_tau;
@@ -97,14 +97,15 @@ class CaseDecSearcher {
   };
 
   /// Indexes `data` (which must outlive the searcher and every copy) for
-  /// threshold `tau`. `data` must be eligible per UniformLength.
+  /// threshold `tau`, then adopts the cases through the constructor below.
+  /// `data` must be eligible per UniformLength.
   CaseDecSearcher(const std::vector<std::string>* data, int tau);
 
-  /// Assembles a searcher around already-built per-case indexes (the
-  /// storage layer's bulk-load path). `cases` must match exactly what the
-  /// indexing constructor would build for (`data`, `tau`).
-  static CaseDecSearcher FromBuilt(const std::vector<std::string>* data,
-                                   int tau, std::vector<Case> cases);
+  /// Adopts built per-case indexes, as the build constructor and the
+  /// storage layer's bulk load both do. `cases` must match exactly what
+  /// the build constructor would build for (`data`, `tau`).
+  CaseDecSearcher(const std::vector<std::string>* data, int tau,
+                  std::vector<Case> cases);
 
   int tau() const { return tau_; }
   int length() const { return length_; }
@@ -183,8 +184,6 @@ class CaseDecSearcher {
       const std::vector<std::string>& data, int length, int indels);
 
  private:
-  CaseDecSearcher() = default;  // for FromBuilt
-
   const std::vector<std::string>* data_ = nullptr;
   int tau_ = 0;
   int length_ = 0;

@@ -54,7 +54,7 @@ std::shared_ptr<Index> BuildIndex(const std::vector<std::string>* data,
   PR_CHECK(data != nullptr);
   PR_CHECK(tau >= 0);
   const int n = static_cast<int>(data->size());
-  auto index = std::make_shared<Index>(*data, kappa);
+  auto index = std::make_shared<Index>(GramDictionary(*data, kappa));
   index->profiles.reserve(n);
   index->padded.reserve(n);
   size_t total_padded = 0;
@@ -243,12 +243,6 @@ ChainCheck PickChainCheck() {
 EditDistanceSearcher::EditDistanceSearcher(
     const std::vector<std::string>* data, int tau, int kappa)
     : EditDistanceSearcher(data, tau, kappa, BuildIndex(data, tau, kappa)) {}
-
-EditDistanceSearcher EditDistanceSearcher::FromBuilt(
-    const std::vector<std::string>* data, int tau, int kappa,
-    std::shared_ptr<Index> index) {
-  return EditDistanceSearcher(data, tau, kappa, std::move(index));
-}
 
 EditDistanceSearcher::EditDistanceSearcher(
     const std::vector<std::string>* data, int tau, int kappa,

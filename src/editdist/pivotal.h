@@ -99,15 +99,12 @@ class EditDistanceSearcher {
   /// records).
   ///
   /// The ring arrays and the posting lists' lengths / prefix_last_ranks
-  /// columns are derived from the profiles and the strings (see
-  /// FromBuilt); everything else is what the storage layer saves.
+  /// columns are derived from the profiles and the strings by the adopting
+  /// constructor; everything else is what the storage layer saves.
   struct Index {
-    Index(const std::vector<std::string>& data, int kappa)
-        : dictionary(data, kappa) {}
-    /// Shell for the storage layer's bulk load: the dictionary is adopted
-    /// and every other field is filled in by the loader.
-    explicit Index(GramDictionary loaded_dictionary)
-        : dictionary(std::move(loaded_dictionary)) {}
+    /// Every field but the dictionary is filled in by the builder or the
+    /// storage layer's loader.
+    explicit Index(GramDictionary grams) : dictionary(std::move(grams)) {}
 
     GramDictionary dictionary;
     std::vector<GramProfile> profiles;
@@ -126,17 +123,16 @@ class EditDistanceSearcher {
 
   /// Indexes `data` for threshold `tau` with gram length `kappa` (the
   /// paper uses kappa in {2, 3} for short strings and up to 8 for long
-  /// ones).
+  /// ones), then adopts the index through the constructor below.
   EditDistanceSearcher(const std::vector<std::string>* data, int tau,
                        int kappa);
 
-  /// Assembles a searcher around an already-built index (the storage
-  /// layer's bulk-load path): no profiles or postings are re-derived, only
-  /// the ring arrays and the postings' derived columns are filled in.
+  /// Adopts a built index, as the build constructor and the storage
+  /// layer's bulk load both do: no profiles or postings are re-derived,
+  /// only the ring arrays and the postings' derived columns are filled in.
   /// `index` must describe exactly `data` under the same tau and kappa.
-  static EditDistanceSearcher FromBuilt(const std::vector<std::string>* data,
-                                        int tau, int kappa,
-                                        std::shared_ptr<Index> index);
+  EditDistanceSearcher(const std::vector<std::string>* data, int tau,
+                       int kappa, std::shared_ptr<Index> index);
 
   int tau() const { return tau_; }
   int num_boxes() const { return tau_ + 1; }
@@ -168,9 +164,6 @@ class EditDistanceSearcher {
     const std::string& padded;
     std::span<const uint64_t> masks;
   };
-
-  EditDistanceSearcher(const std::vector<std::string>* data, int tau,
-                       int kappa, std::shared_ptr<Index> index);
 
   /// The one filter and verify body behind Search and JoinProbe. When
   /// `started` is given (Search), it was started with the query, so

@@ -112,38 +112,10 @@ int DeletionNeighborhoodBound(const Part& part, const Graph& query,
   return max_ops + 1;
 }
 
-GraphSearcher::GraphSearcher(const std::vector<Graph>* data, int tau,
-                             uint64_t partition_seed)
-    : data_(data), tau_(tau) {
-  PR_CHECK(data_ != nullptr);
-  PR_CHECK(tau_ >= 0);
-  PR_CHECK_MSG(tau_ + 1 <= 64, "ruled-out bitmask supports at most 64 boxes");
-  auto state = std::make_shared<State>();
-  state->parts.reserve(data_->size());
-  state->histograms.reserve(data_->size());
-  for (size_t id = 0; id < data_->size(); ++id) {
-    state->parts.push_back(
-        PartitionGraph((*data_)[id], tau_ + 1, partition_seed + id));
-    state->histograms.push_back(BuildHistogram((*data_)[id]));
-  }
-  state_ = std::move(state);
-}
+namespace {
 
-GraphSearcher GraphSearcher::FromBuilt(const std::vector<Graph>* data,
-                                       int tau,
-                                       std::shared_ptr<const State> state) {
-  PR_CHECK(data != nullptr);
-  PR_CHECK(tau >= 0);
-  PR_CHECK_MSG(tau + 1 <= 64, "ruled-out bitmask supports at most 64 boxes");
-  PR_CHECK(state != nullptr);
-  PR_CHECK(state->parts.size() == data->size());
-  PR_CHECK(state->histograms.size() == data->size());
-  return GraphSearcher(data, tau, std::move(state));
-}
-
-GraphSearcher::LabelHistogram GraphSearcher::BuildHistogram(
-    const Graph& g) const {
-  LabelHistogram h;
+GraphSearcher::LabelHistogram BuildHistogram(const Graph& g) {
+  GraphSearcher::LabelHistogram h;
   h.num_vertices = g.num_vertices();
   h.num_edges = g.num_edges();
   for (int v = 0; v < g.num_vertices(); ++v) {
@@ -160,6 +132,39 @@ GraphSearcher::LabelHistogram GraphSearcher::BuildHistogram(
     if (e.label >= 0) ++h.edge_counts[e.label];
   }
   return h;
+}
+
+// The build constructor's state: every data graph split into tau + 1
+// parts (seeded with partition_seed + graph id), and its label histogram.
+std::shared_ptr<const GraphSearcher::State> BuildState(
+    const std::vector<Graph>* data, int tau, uint64_t partition_seed) {
+  PR_CHECK(data != nullptr);
+  auto state = std::make_shared<GraphSearcher::State>();
+  state->parts.reserve(data->size());
+  state->histograms.reserve(data->size());
+  for (size_t id = 0; id < data->size(); ++id) {
+    state->parts.push_back(
+        PartitionGraph((*data)[id], tau + 1, partition_seed + id));
+    state->histograms.push_back(BuildHistogram((*data)[id]));
+  }
+  return state;
+}
+
+}  // namespace
+
+GraphSearcher::GraphSearcher(const std::vector<Graph>* data, int tau,
+                             uint64_t partition_seed)
+    : GraphSearcher(data, tau, BuildState(data, tau, partition_seed)) {}
+
+GraphSearcher::GraphSearcher(const std::vector<Graph>* data, int tau,
+                             std::shared_ptr<const State> state)
+    : data_(data), tau_(tau), state_(std::move(state)) {
+  PR_CHECK(data_ != nullptr);
+  PR_CHECK(tau_ >= 0);
+  PR_CHECK_MSG(tau_ + 1 <= 64, "ruled-out bitmask supports at most 64 boxes");
+  PR_CHECK(state_ != nullptr);
+  PR_CHECK(state_->parts.size() == data_->size());
+  PR_CHECK(state_->histograms.size() == data_->size());
 }
 
 int GraphSearcher::HistogramLowerBound(const LabelHistogram& a,

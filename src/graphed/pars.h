@@ -72,15 +72,16 @@ class GraphSearcher {
   };
 
   /// Partitions every data graph into tau + 1 parts (deterministic in
-  /// `partition_seed`).
+  /// `partition_seed`), then adopts the state through the constructor
+  /// below.
   GraphSearcher(const std::vector<Graph>* data, int tau,
                 uint64_t partition_seed = 1);
 
-  /// Assembles a searcher around already-built partitions and histograms
-  /// (the storage layer's bulk-load path) — nothing is re-derived. `state`
+  /// Adopts built partitions and histograms, as the build constructor and
+  /// the storage layer's bulk load both do: nothing is re-derived. `state`
   /// must describe exactly `data` under the same tau and seed.
-  static GraphSearcher FromBuilt(const std::vector<Graph>* data, int tau,
-                                 std::shared_ptr<const State> state);
+  GraphSearcher(const std::vector<Graph>* data, int tau,
+                std::shared_ptr<const State> state);
 
   int tau() const { return tau_; }
   int num_boxes() const { return tau_ + 1; }
@@ -96,11 +97,6 @@ class GraphSearcher {
                           IdRange range = {});
 
  private:
-  GraphSearcher(const std::vector<Graph>* data, int tau,
-                std::shared_ptr<const State> state)
-      : data_(data), tau_(tau), state_(std::move(state)) {}
-
-  LabelHistogram BuildHistogram(const Graph& g) const;
   static int HistogramLowerBound(const LabelHistogram& a,
                                  const LabelHistogram& b);
 

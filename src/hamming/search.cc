@@ -10,40 +10,40 @@
 
 namespace pigeonring::hamming {
 
+namespace {
+
+// The build constructor's index: an equi-width partition of the objects'
+// dimensions into `num_parts` parts, m = floor(d / 16) when 0.
+std::shared_ptr<const PartitionIndex> BuildIndex(
+    const std::vector<BitVector>& objects, int num_parts) {
+  const int dims = objects.empty() ? 1 : objects.front().dimensions();
+  const int m = num_parts > 0 ? num_parts : std::max(1, dims / 16);
+  return std::make_shared<const PartitionIndex>(
+      objects, Partition::EquiWidth(dims, m));
+}
+
+}  // namespace
+
+// `objects` binds to the adopting constructor's reference, so the index is
+// built from it before it moves.
 HammingSearcher::HammingSearcher(std::vector<BitVector> objects,
                                  int num_parts)
+    : HammingSearcher(std::move(objects), BuildIndex(objects, num_parts)) {}
+
+HammingSearcher::HammingSearcher(std::vector<BitVector>&& objects,
+                                 std::shared_ptr<const PartitionIndex> index)
     : objects_(std::make_shared<const std::vector<BitVector>>(
-          std::move(objects))) {
-  const int dims = objects_->empty() ? 1 : objects_->front().dimensions();
-  const int m = num_parts > 0 ? num_parts : std::max(1, dims / 16);
-  flat_ = std::make_shared<const kernels::FlatBitTable>(
-      kernels::FlatBitTable::FromVectors(*objects_));
-  index_ = std::make_shared<const PartitionIndex>(
-      *objects_, Partition::EquiWidth(dims, m));
+          std::move(objects))),
+      flat_(std::make_shared<const kernels::FlatBitTable>(
+          kernels::FlatBitTable::FromVectors(*objects_))),
+      index_(std::move(index)) {
+  PR_CHECK(index_ != nullptr);
+  PR_CHECK(index_->num_objects() == num_objects());
   PR_CHECK_MSG(index_->partition().num_parts() <= 64,
                "ruled-out bitmask supports at most 64 parts");
   seen_epoch_.assign(objects_->size(), 0);
   ruled_out_.assign(objects_->size(), 0);
   decided_.assign(objects_->size(), 0);
-}
-
-HammingSearcher HammingSearcher::FromBuilt(
-    std::vector<BitVector> objects,
-    std::shared_ptr<const PartitionIndex> index) {
-  PR_CHECK(index != nullptr);
-  PR_CHECK(index->num_objects() == static_cast<int>(objects.size()));
-  PR_CHECK_MSG(index->partition().num_parts() <= 64,
-               "ruled-out bitmask supports at most 64 parts");
-  HammingSearcher s;
-  s.objects_ =
-      std::make_shared<const std::vector<BitVector>>(std::move(objects));
-  s.flat_ = std::make_shared<const kernels::FlatBitTable>(
-      kernels::FlatBitTable::FromVectors(*s.objects_));
-  s.index_ = std::move(index);
-  s.seen_epoch_.assign(s.objects_->size(), 0);
-  s.ruled_out_.assign(s.objects_->size(), 0);
-  s.decided_.assign(s.objects_->size(), 0);
-  return s;
 }
 
 std::vector<int> HammingSearcher::AllocateThresholds(

@@ -51,15 +51,17 @@ enum class AllocationMode {
 /// This is what the engine's per-thread searcher clones rely on.
 class HammingSearcher {
  public:
-  /// Builds the per-part index. `num_parts` defaults to the paper's setting
-  /// m = floor(d / 16) when passed 0.
+  /// Builds the per-part index, then adopts it through the constructor
+  /// below. `num_parts` defaults to the paper's setting m = floor(d / 16)
+  /// when passed 0.
   HammingSearcher(std::vector<BitVector> objects, int num_parts = 0);
 
-  /// Assembles a searcher around an already-built index (the storage layer's
-  /// bulk-load path) — no hashing or partitioning is re-derived. `index` must
-  /// describe exactly `objects`.
-  static HammingSearcher FromBuilt(std::vector<BitVector> objects,
-                                   std::shared_ptr<const PartitionIndex> index);
+  /// Adopts a built index of `objects`, as the build constructor and the
+  /// storage layer's bulk load both do: nothing is hashed or partitioned
+  /// again. `index` must describe exactly `objects`, which are taken by
+  /// reference so that the build constructor can index them first.
+  HammingSearcher(std::vector<BitVector>&& objects,
+                  std::shared_ptr<const PartitionIndex> index);
 
   int num_parts() const { return index_->partition().num_parts(); }
   int num_objects() const { return static_cast<int>(objects_->size()); }
@@ -82,8 +84,6 @@ class HammingSearcher {
  private:
   // A threshold allocator entry: (estimated marginal cost, part, radius).
   using AllocEntry = std::tuple<double, int, int>;
-
-  HammingSearcher() = default;  // for FromBuilt
 
   // AllocateThresholds, writing the thresholds to `*t` and using
   // `*entries` as the allocator's working array (both cleared first).

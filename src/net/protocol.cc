@@ -6,6 +6,7 @@
 
 #include "common/bitvector.h"
 #include "graphed/graph.h"
+#include "storage/codec.h"
 #include "storage/crc32c.h"
 
 namespace pigeonring::net {
@@ -205,18 +206,10 @@ void EncodeQuery(ByteWriter& w, const api::Query& query) {
       w.U8(kTagEdit);
       w.Str(std::get<std::string>(query));
       return;
-    case api::Domain::kGraph: {
-      const graphed::Graph& g = std::get<graphed::Graph>(query);
+    case api::Domain::kGraph:
       w.U8(kTagGraph);
-      w.VecI32(g.vertex_labels());
-      w.U32(static_cast<uint32_t>(g.num_edges()));
-      for (const graphed::Edge& e : g.edges()) {
-        w.I32(e.u);
-        w.I32(e.v);
-        w.I32(e.label);
-      }
+      storage::EncodeGraph(w, std::get<graphed::Graph>(query));
       return;
-    }
   }
 }
 
@@ -254,23 +247,8 @@ bool DecodeQuery(ByteReader& r, api::Query* query) {
       return true;
     }
     case kTagGraph: {
-      std::vector<int> labels = r.VecI32();
-      if (!r.ok()) return false;
-      graphed::Graph g(std::move(labels));
-      const uint32_t num_edges = r.U32();
-      if (!r.ok() || num_edges > r.remaining() / 12) return false;
-      for (uint32_t i = 0; i < num_edges; ++i) {
-        const int u = r.I32();
-        const int v = r.I32();
-        const int label = r.I32();
-        // Validated before AddEdge so hostile payloads yield a typed
-        // error instead of tripping the graph's PR_CHECKs.
-        if (!r.ok() || u < 0 || v < 0 || u >= g.num_vertices() ||
-            v >= g.num_vertices() || u == v || g.HasEdge(u, v)) {
-          return false;
-        }
-        g.AddEdge(u, v, label);
-      }
+      graphed::Graph g;
+      if (!storage::DecodeGraph(r, &g)) return false;
       *query = std::move(g);
       return true;
     }

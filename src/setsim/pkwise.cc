@@ -10,12 +10,44 @@
 
 namespace pigeonring::setsim {
 
-int PkwiseSearcher::RecordMinOverlap(int size) const {
-  if (measure_ == SetMeasure::kOverlap) {
-    return std::max(1, static_cast<int>(tau_));
+namespace {
+
+// The least overlap a record of `size` tokens can need with any admissible
+// query.
+int MinOverlap(SetMeasure measure, double tau, int size) {
+  if (measure == SetMeasure::kOverlap) {
+    return std::max(1, static_cast<int>(tau));
   }
-  return std::max(1, JaccardMinSize(size, tau_));
+  return std::max(1, JaccardMinSize(size, tau));
 }
+
+// The build constructor's index: each record's prefix metadata, and the
+// ids of the records whose prefix holds each token rank.
+std::shared_ptr<const PkwiseSearcher::Index> BuildIndex(
+    const SetCollection* collection, double tau, int num_boxes,
+    SetMeasure measure) {
+  PR_CHECK(collection != nullptr);
+  PR_CHECK(num_boxes >= 2);
+  const int n = collection->num_records();
+  auto index = std::make_shared<PkwiseSearcher::Index>();
+  index->prefixes.reserve(n);
+  index->inverted.assign(collection->universe_size(), {});
+  for (int id = 0; id < n; ++id) {
+    const RankedSet& x = collection->record(id);
+    const int size = static_cast<int>(x.size());
+    // Records smaller than their own minimum overlap can never qualify;
+    // give them a degenerate whole-record prefix (o clamped to |x|).
+    const int o_x =
+        std::max(1, std::min(size, MinOverlap(measure, tau, size)));
+    index->prefixes.push_back(ComputePrefixInfo(x, o_x, num_boxes - 1));
+    for (int p = 0; p < index->prefixes.back().prefix_length; ++p) {
+      index->inverted[x[p]].push_back(id);
+    }
+  }
+  return index;
+}
+
+}  // namespace
 
 int PkwiseSearcher::PairOverlap(int size_x, int size_q) const {
   if (measure_ == SetMeasure::kOverlap) {
@@ -35,39 +67,8 @@ std::pair<int, int> PkwiseSearcher::SizeWindow(int size) const {
 
 PkwiseSearcher::PkwiseSearcher(const SetCollection* collection, double tau,
                                int num_boxes, SetMeasure measure)
-    : collection_(collection),
-      tau_(tau),
-      num_boxes_(num_boxes),
-      num_classes_(num_boxes - 1),
-      measure_(measure) {
-  PR_CHECK(collection_ != nullptr);
-  PR_CHECK(num_boxes_ >= 2);
-  if (measure_ == SetMeasure::kJaccard) {
-    PR_CHECK(tau_ > 0.0 && tau_ <= 1.0);
-  } else {
-    PR_CHECK(tau_ >= 1.0);
-  }
-  const int n = collection_->num_records();
-  auto index = std::make_shared<Index>();
-  index->prefixes.reserve(n);
-  index->inverted.assign(collection_->universe_size(), {});
-  for (int id = 0; id < n; ++id) {
-    const RankedSet& x = collection_->record(id);
-    // Records smaller than their own minimum overlap can never qualify;
-    // give them a degenerate whole-record prefix (o clamped to |x|).
-    const int o_x = std::max(
-        1, std::min<int>(static_cast<int>(x.size()),
-                         RecordMinOverlap(static_cast<int>(x.size()))));
-    index->prefixes.push_back(ComputePrefixInfo(x, o_x, num_classes_));
-    for (int p = 0; p < index->prefixes.back().prefix_length; ++p) {
-      index->inverted[x[p]].push_back(id);
-    }
-  }
-  index_ = std::move(index);
-  seen_epoch_.assign(n, 0);
-  class_counts_.assign(static_cast<size_t>(n) * (num_classes_ + 1), 0);
-  touched_.reserve(1024);
-}
+    : PkwiseSearcher(collection, tau, num_boxes, measure,
+                     BuildIndex(collection, tau, num_boxes, measure)) {}
 
 PkwiseSearcher::PkwiseSearcher(const SetCollection* collection, double tau,
                                int num_boxes, SetMeasure measure,
@@ -80,6 +81,11 @@ PkwiseSearcher::PkwiseSearcher(const SetCollection* collection, double tau,
       index_(std::move(index)) {
   PR_CHECK(collection_ != nullptr);
   PR_CHECK(num_boxes_ >= 2);
+  if (measure_ == SetMeasure::kJaccard) {
+    PR_CHECK(tau_ > 0.0 && tau_ <= 1.0);
+  } else {
+    PR_CHECK(tau_ >= 1.0);
+  }
   PR_CHECK(index_ != nullptr);
   PR_CHECK(static_cast<int>(index_->prefixes.size()) ==
            collection_->num_records());
@@ -87,13 +93,6 @@ PkwiseSearcher::PkwiseSearcher(const SetCollection* collection, double tau,
   seen_epoch_.assign(n, 0);
   class_counts_.assign(static_cast<size_t>(n) * (num_classes_ + 1), 0);
   touched_.reserve(1024);
-}
-
-PkwiseSearcher PkwiseSearcher::FromBuilt(const SetCollection* collection,
-                                         double tau, int num_boxes,
-                                         SetMeasure measure,
-                                         std::shared_ptr<const Index> index) {
-  return PkwiseSearcher(collection, tau, num_boxes, measure, std::move(index));
 }
 
 std::vector<int> PkwiseSearcher::Search(const RankedSet& query,
@@ -106,7 +105,7 @@ std::vector<int> PkwiseSearcher::Search(const RankedSet& query,
   const int q_size = static_cast<int>(query.size());
   const int l = std::clamp(chain_length, 1, num_boxes_);
   const int o_q =
-      std::max(1, std::min(q_size, RecordMinOverlap(q_size)));
+      std::max(1, std::min(q_size, MinOverlap(measure_, tau_, q_size)));
   const PrefixInfo q_info = ComputePrefixInfo(query, o_q, num_classes_);
   const auto [min_size, max_size] = SizeWindow(q_size);
 

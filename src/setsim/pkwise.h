@@ -61,17 +61,17 @@ class PkwiseSearcher {
   };
 
   /// Indexes `collection` for queries with similarity >= `tau` under
-  /// `measure`. `num_boxes` is m of §6.2 (m - 1 token classes + 1 suffix
-  /// box); the paper's default is m = 5.
+  /// `measure`, then adopts the index through the constructor below.
+  /// `num_boxes` is m of §6.2 (m - 1 token classes + 1 suffix box); the
+  /// paper's default is m = 5.
   PkwiseSearcher(const SetCollection* collection, double tau,
                  int num_boxes = 5, SetMeasure measure = SetMeasure::kJaccard);
 
-  /// Assembles a searcher around an already-built index (the storage
-  /// layer's bulk-load path) — no prefixes or postings are re-derived.
+  /// Adopts a built index, as the build constructor and the storage
+  /// layer's bulk load both do: no prefixes or postings are re-derived.
   /// `index` must describe exactly `collection` under the same parameters.
-  static PkwiseSearcher FromBuilt(const SetCollection* collection, double tau,
-                                  int num_boxes, SetMeasure measure,
-                                  std::shared_ptr<const Index> index);
+  PkwiseSearcher(const SetCollection* collection, double tau, int num_boxes,
+                 SetMeasure measure, std::shared_ptr<const Index> index);
 
   double tau() const { return tau_; }
   int num_boxes() const { return num_boxes_; }
@@ -87,11 +87,6 @@ class PkwiseSearcher {
                           IdRange range = {});
 
  private:
-  PkwiseSearcher(const SetCollection* collection, double tau, int num_boxes,
-                 SetMeasure measure, std::shared_ptr<const Index> index);
-
-  /// Minimum overlap this record can need with any admissible query.
-  int RecordMinOverlap(int size) const;
   /// Exact overlap requirement for a record/query size pair.
   int PairOverlap(int size_x, int size_q) const;
   /// Admissible record sizes for a query of `size`.

@@ -3,20 +3,27 @@
 // Each Save*Sections function serializes one domain's *built* state —
 // the raw collection plus every derived index structure — into typed
 // sections of an IndexFileWriter; each Load*Sections function decodes the
-// sections back into ready-to-use structures that the searchers' FromBuilt
-// factories adopt without re-deriving anything (the dictionaries' hash
-// tables are rebuilt by keyed insertion from their deterministic sorted
-// dumps, and the Hamming, fast-path and edit postings decode straight into
-// their flat CSR arrays: data movement, not index construction).
+// sections back into ready-to-use structures that the searchers' adopting
+// constructors take over without re-deriving anything (the dictionaries'
+// hash tables are rebuilt by keyed insertion from their deterministic
+// sorted dumps, and the Hamming, fast-path and edit postings decode
+// straight into their flat CSR arrays: data movement, not index
+// construction).
+//
+// Layouts are declared once: most sections are a u32 row count and rows,
+// each row type listing its fields in wire order in one place that the
+// writer, the reader and the reader's allocation guard all walk. The
+// Hamming objects and postings and the edit keyed lists keep their own
+// loops. Every section is read through ReadSection (storage/codec.h).
 //
 // Determinism: every unordered container is dumped in sorted key order and
 // every list in build order, so two Saves of the same Db are byte-identical
 // and a loaded snapshot answers queries byte-identically to the builder.
 //
 // Hostile-input contract: loaders never crash on corrupt payloads. Every
-// count passes through ByteReader's allocation guards and every decoded
-// value that later drives indexing (object ids, gram positions, vertex
-// numbers, partition bounds) is range-checked here, returning kDataLoss.
+// count passes through an allocation guard and every decoded value that
+// later drives indexing (object ids, gram positions, vertex numbers,
+// partition bounds) is range-checked here, returning kDataLoss.
 
 #ifndef PIGEONRING_STORAGE_INDEX_IO_H_
 #define PIGEONRING_STORAGE_INDEX_IO_H_
@@ -84,8 +91,9 @@ StatusOr<LoadedEdit> LoadEditSections(const IndexFileReader& reader, int tau,
 // The signature bit rows are *derived* data (a pure positional re-encoding
 // of the strings), so only the strings, the per-case partition geometry,
 // and the per-case postings are persisted; the loader re-encodes the rows
-// deterministically (data movement, not index construction) and adopts the
-// saved partition + postings via the Hamming FromBuilt factories.
+// deterministically (data movement, not index construction) and hands them
+// with the saved partition + postings to the Hamming searcher's adopting
+// constructor.
 
 void SaveEditFastSections(const std::vector<std::string>& data,
                           const editdist::CaseDecSearcher& searcher,

@@ -257,8 +257,7 @@ TEST(CaseDecTest, FromBuiltAnswersIdentically) {
     cases.push_back(CaseDecSearcher::Case{c.indels, c.hamming_tau,
                                           c.searcher});
   }
-  CaseDecSearcher adopted =
-      CaseDecSearcher::FromBuilt(&data, tau, std::move(cases));
+  CaseDecSearcher adopted(&data, tau, std::move(cases));
   for (int q = 0; q < 40; ++q) {
     const std::string query = q % 2 == 0
                                   ? data[rng.NextBounded(data.size())]

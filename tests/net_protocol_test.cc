@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
@@ -218,6 +219,141 @@ TEST(ProtocolCodecTest, RepliesRoundTrip) {
   ByteReader truncated(bytes.data(), bytes.size());
   ServerStats rejected;
   EXPECT_FALSE(DecodeServerStats(truncated, &rejected));
+}
+
+// Little-endian bytes of `value`, `width` bytes wide. The pinned payloads
+// below are spelled out field by field with it, independently of
+// ByteWriter.
+std::vector<uint8_t> Le(uint64_t value, int width) {
+  std::vector<uint8_t> bytes;
+  for (int i = 0; i < width; ++i) bytes.push_back((value >> (8 * i)) & 0xFF);
+  return bytes;
+}
+
+std::vector<uint8_t> Cat(std::initializer_list<std::vector<uint8_t>> parts) {
+  std::vector<uint8_t> bytes;
+  for (const std::vector<uint8_t>& part : parts) {
+    bytes.insert(bytes.end(), part.begin(), part.end());
+  }
+  return bytes;
+}
+
+// The exact bytes of one query per domain and of every reply payload, in
+// both directions: a change that altered an encoder and its decoder alike
+// would still round-trip, but not match these.
+TEST(ProtocolCodecTest, PayloadBytesArePinned) {
+  BitVector bits(70);
+  bits.Set(0, true);
+  bits.Set(65, true);
+  api::SetQuery set;
+  set.tokens = {3, 1, 4};
+  set.ranked = true;
+  graphed::Graph graph({1, 2, 3});
+  graph.AddEdge(1, 0, 7);
+  graph.AddEdge(1, 2, 8);
+  const std::vector<std::pair<api::Query, std::vector<uint8_t>>> queries = {
+      {api::Query(bits),
+       Cat({{0}, Le(70, 4), Le(2, 8), Le(1, 8), Le(2, 8)})},
+      {api::Query(set),
+       Cat({{1}, Le(3, 8), Le(3, 4), Le(1, 4), Le(4, 4), {1}})},
+      {api::Query(std::string("ring")),
+       Cat({{2}, Le(4, 8), {'r', 'i', 'n', 'g'}})},
+      {api::Query(graph),
+       Cat({{3}, Le(3, 8), Le(1, 4), Le(2, 4), Le(3, 4), Le(2, 4),  //
+            Le(0, 4), Le(1, 4), Le(7, 4), Le(1, 4), Le(2, 4), Le(8, 4)})},
+  };
+  for (const auto& [query, bytes] : queries) {
+    SCOPED_TRACE(api::DomainName(api::QueryDomain(query)));
+    EXPECT_EQ(EncodeQueryBytes(query), bytes);
+    ByteReader r(bytes.data(), bytes.size());
+    api::Query decoded;
+    ASSERT_TRUE(DecodeQuery(r, &decoded));
+    EXPECT_TRUE(r.AtEnd());
+    // The encoder is pinned, so the decoder is too: what it decodes must
+    // encode to the same bytes.
+    EXPECT_EQ(EncodeQueryBytes(decoded), bytes);
+  }
+
+  const std::vector<uint8_t> search_bytes =
+      Cat({Le(2, 8), Le(5, 4), Le(9, 4), Le(12, 8), Le(2, 8)});
+  ByteWriter search;
+  EncodeSearchReply(search, {{5, 9}, 12, 2});
+  EXPECT_EQ(search.data(), search_bytes);
+  SearchReply search_out;
+  ByteReader search_in(search_bytes.data(), search_bytes.size());
+  ASSERT_TRUE(DecodeSearchReply(search_in, &search_out));
+  EXPECT_EQ(search_out.ids, (std::vector<int>{5, 9}));
+  EXPECT_EQ(search_out.candidates, 12);
+  EXPECT_EQ(search_out.results, 2);
+
+  constexpr uint64_t kHalf = 0x3FE0000000000000;  // 0.5
+  constexpr uint64_t kOne = 0x3FF0000000000000;   // 1.0
+  constexpr uint64_t kTwo = 0x4000000000000000;   // 2.0
+  const std::vector<uint8_t> batch_bytes =
+      Cat({Le(2, 8), Le(1, 8), Le(1, 4), Le(0, 8),  //
+           Le(3, 8), Le(1, 8), Le(kHalf, 8)});
+  ByteWriter batch;
+  EncodeBatchReply(batch, {{{1}, {}}, 3, 1, 0.5});
+  EXPECT_EQ(batch.data(), batch_bytes);
+  BatchReply batch_out;
+  ByteReader batch_in(batch_bytes.data(), batch_bytes.size());
+  ASSERT_TRUE(DecodeBatchReply(batch_in, &batch_out));
+  EXPECT_EQ(batch_out.ids, (std::vector<std::vector<int>>{{1}, {}}));
+  EXPECT_EQ(batch_out.candidates, 3);
+  EXPECT_EQ(batch_out.results, 1);
+  EXPECT_EQ(batch_out.server_millis, 0.5);
+
+  const std::vector<uint8_t> join_bytes =
+      Cat({Le(1, 8), Le(0, 4), Le(3, 4), Le(4, 8), Le(kOne, 8)});
+  ByteWriter join;
+  EncodeJoinReply(join, {{{0, 3}}, 4, 1.0});
+  EXPECT_EQ(join.data(), join_bytes);
+  JoinReply join_out;
+  ByteReader join_in(join_bytes.data(), join_bytes.size());
+  ASSERT_TRUE(DecodeJoinReply(join_in, &join_out));
+  EXPECT_EQ(join_out.pairs, (std::vector<api::IdPair>{{0, 3}}));
+  EXPECT_EQ(join_out.candidates, 4);
+  EXPECT_EQ(join_out.server_millis, 1.0);
+
+  ServerStats stats;
+  stats.num_records = 7;
+  stats.epoch = 2;
+  stats.accepted = 5;
+  stats.shed = 1;
+  stats.ops.push_back({static_cast<uint8_t>(Op::kSearch), 3, 1.0, 2.0});
+  stats.shards.push_back({.records = 4, .pending_delta = 1});
+  const std::vector<uint8_t> stats_bytes =
+      Cat({Le(7, 4), Le(2, 8), Le(5, 8), Le(1, 8), Le(0, 8),  //
+           Le(1, 4), {2}, Le(3, 8), Le(kOne, 8), Le(kTwo, 8),  //
+           Le(1, 4), Le(4, 4), Le(1, 4)});
+  ByteWriter stats_w;
+  EncodeServerStats(stats_w, stats);
+  EXPECT_EQ(stats_w.data(), stats_bytes);
+  ServerStats stats_out;
+  ByteReader stats_in(stats_bytes.data(), stats_bytes.size());
+  ASSERT_TRUE(DecodeServerStats(stats_in, &stats_out));
+  EXPECT_EQ(stats_out.num_records, 7);
+  EXPECT_EQ(stats_out.epoch, 2u);
+  EXPECT_EQ(stats_out.accepted, 5);
+  EXPECT_EQ(stats_out.shed, 1);
+  EXPECT_EQ(stats_out.protocol_errors, 0);
+  ASSERT_EQ(stats_out.ops.size(), 1u);
+  EXPECT_EQ(stats_out.ops[0].op, static_cast<uint8_t>(Op::kSearch));
+  EXPECT_EQ(stats_out.ops[0].count, 3);
+  EXPECT_EQ(stats_out.ops[0].p50_micros, 1.0);
+  EXPECT_EQ(stats_out.ops[0].p99_micros, 2.0);
+  ASSERT_EQ(stats_out.shards.size(), 1u);
+  EXPECT_EQ(stats_out.shards[0].records, 4);
+  EXPECT_EQ(stats_out.shards[0].pending_delta, 1);
+
+  const std::vector<uint8_t> error_bytes = Cat({{3}, Le(2, 8), {'n', 'o'}});
+  ByteWriter error;
+  EncodeErrorPayload(error, Status::NotFound("no"));
+  EXPECT_EQ(error.data(), error_bytes);
+  ByteReader error_in(error_bytes.data(), error_bytes.size());
+  const Status decoded = DecodeErrorPayload(error_in);
+  EXPECT_EQ(decoded.code(), StatusCode::kNotFound);
+  EXPECT_EQ(decoded.message(), "no");
 }
 
 TEST(ProtocolCodecTest, WireErrorsTransportEveryStatusCode) {

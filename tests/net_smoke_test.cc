@@ -12,14 +12,18 @@
 //
 // Runs under the TSan CI job — keep the datasets small.
 
+#include <arpa/inet.h>
 #include <fcntl.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <sys/resource.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <future>
 #include <latch>
 #include <optional>
@@ -36,7 +40,9 @@
 #include "datagen/strings.h"
 #include "datagen/token_sets.h"
 #include "net/client.h"
+#include "net/protocol.h"
 #include "net/server.h"
+#include "net/socket.h"
 #include "storage/bytes.h"
 
 namespace pigeonring::net {
@@ -507,11 +513,13 @@ TEST(NetSmoke, OverloadShedsWithTypedResourceExhausted) {
 }
 
 // Lowers this process's soft RLIMIT_NOFILE and fills the descriptor table
-// with /dev/null descriptors until exactly `free` slots are left; the
-// destructor closes them and restores the limit.
+// with /dev/null descriptors; the destructor restores the limit and then
+// closes them. In that order the table has room again at once: freeing
+// the fillers first would let a thread that accepts in the gap take the
+// only free slot, leaving none for, say, a sanitizer's probe pipe.
 class DescriptorSqueeze {
  public:
-  explicit DescriptorSqueeze(int free) {
+  DescriptorSqueeze() {
     if (getrlimit(RLIMIT_NOFILE, &saved_) != 0) return;
     rlimit lowered = saved_;
     lowered.rlim_cur = std::min<rlim_t>(saved_.rlim_cur, 256);
@@ -521,15 +529,11 @@ class DescriptorSqueeze {
     while ((fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC)) >= 0) {
       fillers_.push_back(fd);
     }
-    ok_ = errno == EMFILE && static_cast<int>(fillers_.size()) >= free;
-    for (int i = 0; i < free && !fillers_.empty(); ++i) {
-      ::close(fillers_.back());
-      fillers_.pop_back();
-    }
+    ok_ = errno == EMFILE;
   }
   ~DescriptorSqueeze() {
-    for (int fd : fillers_) ::close(fd);
     if (restore_) setrlimit(RLIMIT_NOFILE, &saved_);
+    for (int fd : fillers_) ::close(fd);
   }
   DescriptorSqueeze(const DescriptorSqueeze&) = delete;
   DescriptorSqueeze& operator=(const DescriptorSqueeze&) = delete;
@@ -549,22 +553,38 @@ TEST(NetSmoke, AcceptResumesAfterDescriptorExhaustion) {
   ASSERT_TRUE(server.ok());
   const int port = server->port();
 
-  std::optional<StatusOr<Client>> queued;
+  // While the table is full nothing may need a descriptor, because a
+  // transient one (a sanitizer's probe pipe, opened the first time a
+  // thread checks a polymorphic type) would leave a slot free once it
+  // closes, and the server would accept into it. So the server's threads
+  // are past their start first: a served client is connected and pinged,
+  // and it stays connected, idle, until the limit is back. The queued
+  // client's socket is made before the table fills, so its connect needs
+  // no descriptor while the server's accept of it fails with EMFILE, and
+  // no assertion formats a message until the squeeze is over.
+  Client served = ConnectOrDie(port);
+  ASSERT_TRUE(served.Ping().ok());
+  Socket queued(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  ASSERT_TRUE(queued.valid()) << std::strerror(errno);
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_port = htons(static_cast<uint16_t>(port));
+  address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  bool squeezed = false;
+  int connected = -1;
+  int connect_errno = 0;
   {
-    DescriptorSqueeze squeeze(5);
-    ASSERT_TRUE(squeeze.ok());
-    // Two served connections take four descriptors (client and server
-    // side); the third client takes the last one, so the server's accept
-    // of its connection fails with EMFILE.
-    Client first = ConnectOrDie(port);
-    ASSERT_TRUE(first.Ping().ok());
-    Client second = ConnectOrDie(port);
-    ASSERT_TRUE(second.Ping().ok());
-    queued.emplace(Client::Connect("127.0.0.1", port));
-    ASSERT_TRUE(queued->ok()) << queued->status().ToString();
+    DescriptorSqueeze squeeze;
+    squeezed = squeeze.ok();
+    connected = ::connect(queued.fd(), reinterpret_cast<sockaddr*>(&address),
+                          sizeof(address));
+    connect_errno = errno;
     // Let the accept loop run into the limit before it is lifted.
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
   }
+  ASSERT_TRUE(squeezed);
+  ASSERT_EQ(connected, 0) << std::strerror(connect_errno);
+  EXPECT_TRUE(served.Ping().ok());
 
   // Once descriptors are back, both the queued client and a fresh one are
   // served. A server that stopped accepting never replies: stopping it
@@ -574,7 +594,15 @@ TEST(NetSmoke, AcceptResumesAfterDescriptorExhaustion) {
     if (!fresh.ok()) return fresh.status();
     const Status fresh_ping = fresh->Ping();
     if (!fresh_ping.ok()) return fresh_ping;
-    return (*queued)->Ping();
+    const uint8_t ping = static_cast<uint8_t>(Op::kPing);
+    const Status sent = SendFrame(queued, ping, {});
+    if (!sent.ok()) return sent;
+    const FrameResult reply = RecvFrame(queued);
+    if (!reply.status.ok()) return reply.status;
+    return reply.frame.op == (ping | kReplyBit)
+               ? Status::Ok()
+               : Status::Internal("the queued ping got reply op " +
+                                  std::to_string(reply.frame.op));
   });
   if (pings.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
     ADD_FAILURE() << "no reply 10 s after descriptors were freed: the server "

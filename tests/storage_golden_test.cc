@@ -7,6 +7,8 @@
 // deliberate kFormatVersion bump instead of a silently unreadable corpus.
 // (c) pins the integral counters of a batch over every record, on both the
 // built and the committed index, so no change moves a counter unnoticed.
+// Re-saving the opened committed index must also give its bytes back,
+// which holds every decoder to its encoder.
 //
 // Regenerating after an *intentional* format change:
 //   PIGEONRING_REGEN_GOLDEN=1 ./storage_golden_test
@@ -202,6 +204,11 @@ TEST(StorageGoldenTest, CommittedIndexesMatchTodaysWriter) {
     auto loaded = Db::OpenIndex(c.spec, golden_path);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     ASSERT_EQ(loaded->num_records(), built->num_records());
+    // Saving what was opened gives the committed bytes back: every decoder
+    // restores exactly the state its encoder wrote.
+    EXPECT_EQ(SavedBytes(*loaded, "resaved_" + c.file),
+              ReadFileBytes(golden_path))
+        << c.file << " changed on a load-then-save round trip";
 
     Session built_session = built->NewSession();
     Session loaded_session = loaded->NewSession();
